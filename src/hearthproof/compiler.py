@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Literal
 
 from . import cards as C
 from .cards import CardKind, EffectTag, Tribe, card
-from .engine import apply, legal_actions, start_game
+from .engine import _emit, apply, start_game
 from .state import (
     Action,
     Attack,
@@ -1034,12 +1034,6 @@ def _decisions_meta(instance: PartitionInstance, shifted: PartitionInstance) -> 
 # ---------------------------------------------------------------------------
 
 
-def _emit_line_event(state: GameState, log: EventLog | None, kind: str, **data) -> None:
-    if log is not None:
-        log.emit(state.step, kind, **data)
-    state.step += 1
-
-
 def run_line(
     config: GameConfig,
     line: ScriptedLine,
@@ -1062,7 +1056,7 @@ def run_line(
         if flat.decision is not None:
             d = flat.decision
             destroyed = d.y_destroyed if flat.chosen == "x" else d.x_destroyed
-            _emit_line_event(
+            _emit(
                 state, log, "decision",
                 decision=d.index, turn=d.turn, chosen=flat.chosen,
                 x_value=d.x_value, y_value=d.y_value,
@@ -1073,7 +1067,7 @@ def run_line(
             state = apply(state, flat.action, log)
         except IllegalAction as exc:
             if flat.optional:
-                _emit_line_event(
+                _emit(
                     state, log, "skip",
                     turn=flat.turn, reason=exc.reason,
                     action=action_to_json_obj(flat.action),

@@ -18,17 +18,16 @@ Four layers, each building on the previous:
   step, probes every legal alternative with a bounded null-window search
   to classify it as refuted, dominated, improved, or unresolved.
 
-Transposition entries are keyed by the 64-bit canonical state hash.  A
-hash collision could in principle alias two positions; with a keyed
-BLAKE2b digest over the full canonical encoding the chance is negligible
-for the search sizes involved here.
+Transposition tables and memos are keyed by
+:func:`~hearthproof.state.position_key`, which is exact: two entries share
+a key only when their positions are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import Branch, PartitionInstance, ScriptStep, ScriptedLine
+from .compiler import Branch, PartitionInstance, ScriptStep, ScriptedLine, TurnItem
 from .engine import IllegalAction, apply, legal_actions, start_game
 from .state import (
     Action,
@@ -38,7 +37,7 @@ from .state import (
     Outcome,
     PlayCard,
     minion_ref,
-    state_hash,
+    position_key,
 )
 
 LOSS = -1
@@ -173,6 +172,8 @@ class AlphaBeta:
     turn.  Leaves are terminal outcomes, so any resolved value or bound is
     exact game-theoretic truth and may be reused at any depth; only
     "unknown" entries are depth-qualified (a deeper retry may do better).
+    The transposition and best-move tables are keyed by exact position
+    keys.
     """
 
     def __init__(
@@ -184,15 +185,15 @@ class AlphaBeta:
     ):
         self.max_depth = max_depth
         self.max_nodes = max_nodes
-        self.tt: dict[int, tuple[int, int, int]] = tt if tt is not None else {}
-        self.best_move: dict[int, Action] = {}
+        self.tt: dict[bytes, tuple[int, int, int]] = tt if tt is not None else {}
+        self.best_move: dict[bytes, Action] = {}
         self.nodes = 0
         self.tt_hits = 0
         self.exhausted = False
 
     # -- transposition helpers ------------------------------------------
 
-    def _probe(self, key: int, alpha: int, beta: int, depth_left: int) -> tuple[bool, int | None]:
+    def _probe(self, key: bytes, alpha: int, beta: int, depth_left: int) -> tuple[bool, int | None]:
         entry = self.tt.get(key)
         if entry is None:
             return False, None
@@ -207,7 +208,7 @@ class AlphaBeta:
             return True, None
         return False, None
 
-    def _store(self, key: int, flag: int, val: int, depth_left: int) -> None:
+    def _store(self, key: bytes, flag: int, val: int, depth_left: int) -> None:
         cur = self.tt.get(key)
         if cur is not None:
             if cur[0] == _EXACT:
@@ -239,7 +240,7 @@ class AlphaBeta:
             return None
         if depth_left <= 0:
             return None
-        key = state_hash(state)
+        key = position_key(state)
         hit, val = self._probe(key, alpha, beta, depth_left)
         if hit:
             self.tt_hits += 1
@@ -303,9 +304,9 @@ class AlphaBeta:
 
     def principal_variation(self, state: GameState, limit: int = 64) -> tuple[Action, ...]:
         pv: list[Action] = []
-        seen: set[int] = set()
+        seen: set[bytes] = set()
         while len(pv) < limit and terminal_value(state) is None:
-            key = state_hash(state)
+            key = position_key(state)
             if key in seen:
                 break
             seen.add(key)
@@ -334,9 +335,6 @@ def minimax(
 # ---------------------------------------------------------------------------
 # Skeleton solving: branch choices only
 # ---------------------------------------------------------------------------
-
-
-TurnItemEntry = ScriptStep | Branch
 
 
 @dataclass
@@ -374,16 +372,18 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
 
     Scripted steps between branches are forced for both sides; each branch
     is a two-way move by the side whose turn it is.  Positions are memoised
-    on (item index, state hash) so shared continuations are solved once.
-    If the script runs out with the game still undecided the result is the
-    turn-limit default, a draw.
+    on (item index, position key) so shared continuations are solved once.
+    A side that already has its best outcome from ``x`` skips ``y``; ties
+    prefer ``x`` anyway, so the result is unchanged.  If the script runs
+    out with the game still undecided the result is the turn-limit default,
+    a draw.
     """
-    items: list[tuple[int, TurnItemEntry]] = []
+    items: list[tuple[int, TurnItem]] = []
     for turn in line.turns:
         for item in turn.items:
             items.append((turn.side, item))
 
-    memo: dict[tuple[int, int], tuple[int, tuple[str, ...]]] = {}
+    memo: dict[tuple[int, bytes], tuple[int, tuple[str, ...]]] = {}
     counters = {"nodes": 0, "hits": 0}
 
     def advance(state: GameState, idx: int) -> tuple[int, tuple[str, ...]]:
@@ -399,7 +399,7 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
             state = _run_scripted(state, item)
             counters["nodes"] += 1
             idx += 1
-        key = (idx, state_hash(state))
+        key = (idx, position_key(state))
         cached = memo.get(key)
         if cached is not None:
             counters["hits"] += 1
@@ -429,6 +429,8 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
                 best = candidate
             elif not maximizing and candidate[0] < best[0]:
                 best = candidate
+            if best[0] == (WIN if maximizing else LOSS):
+                break
         assert best is not None
         memo[key] = best
         return best
@@ -535,16 +537,16 @@ class _TurnRejoinProbe:
     end of the deviator's current turn and records whether any of them
     (a) reaches the exact scripted position at the start of the opponent's
     next turn, or (b) wins outright before then.  Results are memoised on
-    state hashes and shared across all probes of the same turn, so the
+    position keys and shared across all probes of the same turn, so the
     amortised cost is the size of the reachable in-turn state space.
     """
 
-    def __init__(self, turn: int, mover: int, boundary_hash: int | None, max_nodes: int):
+    def __init__(self, turn: int, mover: int, boundary_key: bytes | None, max_nodes: int):
         self.turn = turn
         self.mover = mover
-        self.boundary = boundary_hash
+        self.boundary = boundary_key
         self.max_nodes = max_nodes
-        self.memo: dict[int, tuple[bool, bool]] = {}
+        self.memo: dict[bytes, tuple[bool, bool]] = {}
         self.nodes = 0
         self.exhausted = False
 
@@ -570,9 +572,9 @@ class _TurnRejoinProbe:
             won = (tv == WIN and self.mover == 0) or (tv == LOSS and self.mover == 1)
             return False, won
         if state.turn > self.turn:
-            matched = self.boundary is not None and state_hash(state) == self.boundary
+            matched = self.boundary is not None and position_key(state) == self.boundary
             return matched, False
-        key = state_hash(state)
+        key = position_key(state)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
@@ -645,10 +647,10 @@ class DeviationChecker:
         self.scripted_value = DRAW if value is None else value
 
         # Scripted position at the start of each turn, for rejoin targets.
-        self._turn_start_hash: dict[int, int] = {}
+        self._turn_start_key: dict[int, bytes] = {}
         for rec in self.records:
-            if rec.turn not in self._turn_start_hash:
-                self._turn_start_hash[rec.turn] = state_hash(rec.state_before)
+            if rec.turn not in self._turn_start_key:
+                self._turn_start_key[rec.turn] = position_key(rec.state_before)
         self._rejoin_probes: dict[int, _TurnRejoinProbe] = {}
         self._value_tts: dict[int, dict] = {}
 
@@ -667,7 +669,7 @@ class DeviationChecker:
             probe = _TurnRejoinProbe(
                 rec.turn,
                 rec.state_before.active,
-                self._turn_start_hash.get(rec.turn + 1),
+                self._turn_start_key.get(rec.turn + 1),
                 self.rejoin_nodes,
             )
             self._rejoin_probes[rec.turn] = probe

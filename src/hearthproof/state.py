@@ -1,19 +1,22 @@
-"""Game state value types, configuration IO and canonical hashing.
+"""Game state value types, configuration IO, position keys and hashing.
 
 States are cheap-to-clone value objects: the rules engine never mutates an
 input state, it clones and returns.  Decks are shared immutable tuples with a
-per-player draw cursor so cloning is O(board + hand), not O(deck).
+per-player draw cursor so cloning is O(board + hand), not O(deck).  Decks are
+interned, so equal decks are one object for the life of the process.
 """
 from __future__ import annotations
 
 import copy
+import io
 import json
+import pickle
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
 from typing import Any, Iterable
 
-from .cards import CardKind, CardSpec, EffectTag, Tribe, card
+from .cards import CardKind, CardSpec, EffectTag, Tribe, card, card_database
 
 FORMAT_VERSION = 1
 
@@ -344,6 +347,12 @@ class HeroState:
         )
 
 
+# Every deck ever given to a player, keyed by itself.  Interning makes equal
+# decks one object that is never freed, so ``id(deck)`` names the deck's
+# contents exactly for the life of the process (see :func:`position_key`).
+_DECKS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
 class PlayerState:
     __slots__ = ("hero", "deck", "deck_pos", "hand", "board")
 
@@ -356,7 +365,7 @@ class PlayerState:
         board: list[MinionInstance],
     ):
         self.hero = hero
-        self.deck = deck
+        self.deck = _DECKS.setdefault(deck, deck)
         self.deck_pos = deck_pos
         self.hand = hand
         self.board = board
@@ -452,8 +461,45 @@ class GameState:
 
 
 # ---------------------------------------------------------------------------
-# Canonical 64-bit hashing
+# Position keys and canonical 64-bit hashing
 # ---------------------------------------------------------------------------
+
+
+# Small integer codes for card ids, which keep position keys short.
+_CARD_CODES = {card_id: code for code, card_id in enumerate(card_database())}
+
+
+def position_key(state: GameState) -> bytes:
+    """Exact, compact in-process key of the position, for search tables.
+
+    Covers the same fields as :meth:`GameState.canonical` (so it ignores
+    ``step``), but names each deck by ``(id(deck), deck_pos)`` instead of
+    spelling out the remaining cards, and each card id by a small code.
+    Decks are interned and never freed, so equal keys always mean equal
+    positions; and since the engine only moves ``deck_pos``, equal positions
+    have equal keys whenever their decks are equal, as for every state
+    reached from one start.  The tuple is pickled without a memo, so the
+    bytes depend on its values alone, never on which objects it shares.
+    The bytes are tied to this process; :func:`state_hash` is the stable
+    digest.
+    """
+    players = [
+        (
+            p.hero.canonical(),
+            id(p.deck),
+            p.deck_pos,
+            tuple([_CARD_CODES[c] for c in p.hand]),
+            tuple([(_CARD_CODES[m.card_id], *m.canonical()[1:]) for m in p.board]),
+        )
+        for p in state.players
+    ]
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, 3)
+    pickler.fast = True
+    pickler.dump(
+        (*players, state.active, state.turn, state.turn_limit, state.outcome.value, state.removed)
+    )
+    return out.getvalue()
 
 
 def _encode(value: Any, out: bytearray) -> None:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import WORKED_TARGET, WORKED_VECTOR
-from hearthproof.compiler import PartitionInstance, chosen_sum, compile_instance
+from hearthproof.compiler import PartitionInstance, chosen_sum, compile_instance, run_line
 from hearthproof.engine import apply, legal_actions
 from hearthproof.solver import (
     DRAW,
@@ -162,6 +162,51 @@ class TestSkeleton:
         result = skeleton_solve(compiled.config, compiled.line)
         assert result.value == LOSS
         assert result.verdict == "loss"
+
+    def test_agrees_with_oracle_on_seeded_instances(self) -> None:
+        """Verdicts match the oracle on 200 seeded instances with up to
+        eight pairs, and a winning vector really wins the compiled game."""
+        rng = random.Random(20230521)
+        wins = 0
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            pairs = tuple((rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
+            if rng.random() < 0.5:
+                # Right's picks cannot matter and the target is reachable,
+                # so Left wins.
+                pairs = tuple((x, x) if i % 2 else (x, y)
+                              for i, (x, y) in enumerate(pairs))
+                target = sum(rng.choice(pair) for pair in pairs)
+            else:
+                target = rng.randint(n, 9 * n)
+            inst = PartitionInstance(pairs, target)
+            compiled = compile_instance(inst, validate="none")
+            result = skeleton_solve(compiled.config, compiled.line)
+            assert (result.verdict == "win") == oracle_left_wins(inst), inst
+            if result.verdict == "win":
+                wins += 1
+                final = run_line(compiled.config, compiled.line, result.vector)
+                assert final.outcome is Outcome.FRIENDLY_WINS, inst
+        assert 80 < wins < 140
+
+    def test_search_does_not_rest_on_the_state_digest(
+        self, worked_compiled, monkeypatch
+    ) -> None:
+        """A digest where every position collides leaves the results alone:
+        search keys are exact position keys, not ``state_hash``."""
+        import hearthproof.solver
+        import hearthproof.state
+
+        expected = skeleton_solve(worked_compiled.config, worked_compiled.line)
+        monkeypatch.setattr(hearthproof.state, "state_hash", lambda state: 0)
+        monkeypatch.setattr(hearthproof.solver, "state_hash", lambda state: 0,
+                            raising=False)
+        result = skeleton_solve(worked_compiled.config, worked_compiled.line)
+        assert (result.verdict, result.vector) == ("win", expected.vector)
+        report = check_named_deviations(
+            DeviationChecker(worked_compiled.config, worked_compiled.line))
+        assert report.refuted == 7
+        assert report.unresolved == 0
 
 
 class TestWalkLine:

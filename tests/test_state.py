@@ -1,9 +1,15 @@
-"""State layer: config validation, action JSON, hashing, clone isolation."""
+"""State layer: config validation, action JSON, hashing, position keys,
+clone isolation."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from conftest import WORKED_PAIRS, WORKED_TARGET
+from hearthproof.compiler import PartitionInstance, compile_instance
+from hearthproof.engine import apply, legal_actions
 from hearthproof.state import (
     Attack,
     ConfigError,
@@ -14,9 +20,11 @@ from hearthproof.state import (
     action_to_json_obj,
     hero_ref,
     minion_ref,
+    position_key,
     state_hash,
     state_to_json_obj,
 )
+from micro_positions import micro_positions
 
 
 def micro_config_obj() -> dict:
@@ -123,6 +131,50 @@ class TestHashing:
         clamped = base.clone()
         clamped.turn_limit = 3
         assert state_hash(base) != state_hash(clamped)
+
+
+class TestPositionKey:
+    def test_equal_keys_iff_equal_positions_on_random_walks(self) -> None:
+        """Seeded random walks from the worked config and the micro
+        positions, each start parsed twice so equal positions hold distinct
+        but equal card-name strings: key equality matches canonical
+        equality in both directions."""
+        worked = compile_instance(
+            PartitionInstance(WORKED_PAIRS, WORKED_TARGET), validate="none").config
+        starts = [worked] + [config for _, config, _ in micro_positions()]
+        for start_index, config in enumerate(starts):
+            copies = (config, GameConfig.from_json(config.to_json()))
+            canon_of: dict[bytes, tuple] = {}
+            key_of: dict[tuple, bytes] = {}
+            for seed in range(40):
+                rng = random.Random(start_index * 1000 + seed)
+                state = copies[seed % 2].to_state()
+                for _ in range(60):
+                    key, canon = position_key(state), state.canonical()
+                    assert canon_of.setdefault(key, canon) == canon
+                    assert key_of.setdefault(canon, key) == key
+                    actions = legal_actions(state)
+                    if not actions:
+                        break
+                    state = apply(state, actions[rng.randrange(len(actions))])
+            # Walks of one start revisit positions, so both maps saw repeats.
+            assert len(canon_of) == len(key_of) < 40 * 60
+
+    def test_key_ignores_event_cursor(self) -> None:
+        base = GameConfig.from_json_obj(micro_config_obj()).to_state()
+        shifted = base.clone()
+        shifted.step += 17
+        assert position_key(base) == position_key(shifted)
+
+    def test_key_sees_turn_limit(self) -> None:
+        base = GameConfig.from_json_obj(micro_config_obj()).to_state()
+        clamped = base.clone()
+        clamped.turn_limit = 3
+        assert position_key(base) != position_key(clamped)
+
+    def test_key_stable_across_conversions(self) -> None:
+        config = GameConfig.from_json_obj(micro_config_obj())
+        assert position_key(config.to_state()) == position_key(config.to_state())
 
 
 class TestCloneIsolation:
