@@ -19,7 +19,7 @@ from .state import (
     PlayCard,
     state_hash,
 )
-from .engine import apply, legal_actions, replay, start_game
+from .engine import apply, apply_in_place, legal_actions, replay, start_game
 
 __all__ = [
     "Action",
@@ -38,6 +38,7 @@ __all__ = [
     "PlayCard",
     "Tribe",
     "apply",
+    "apply_in_place",
     "card",
     "card_database",
     "legal_actions",

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Literal
 
 from . import cards as C
 from .cards import CardKind, EffectTag, Tribe, card
-from .engine import _emit, apply, start_game
+from .engine import _emit, apply_in_place, start_game
 from .state import (
     Action,
     Attack,
@@ -929,14 +929,20 @@ class _Emitter:
     def __init__(self, config: GameConfig):
         self.state = start_game(config)
 
-    def _action_for(self, state: GameState, entry: _PlanEntry) -> Action:
-        p = state.players[state.active]
+    def _action_for(self, state: GameState, entry: _PlanEntry, turn: int, k: int) -> Action:
+        hand = state.players[state.active].hand
+
+        def slot(cid: str) -> int:
+            if cid not in hand:
+                raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k)
+            return hand.index(cid)
+
         if isinstance(entry, _Cast):
-            return PlayCard(p.hand.index(entry.card), entry.target)
+            return PlayCard(slot(entry.card), entry.target)
         if isinstance(entry, _Summon):
-            return PlayCard(p.hand.index(entry.card), None, entry.position)
+            return PlayCard(slot(entry.card), None, entry.position)
         if isinstance(entry, _Equip):
-            return PlayCard(p.hand.index(C.LIGHTS_JUSTICE))
+            return PlayCard(slot(C.LIGHTS_JUSTICE))
         if isinstance(entry, _Att):
             return Attack(entry.attacker, entry.defender)
         if isinstance(entry, _End):
@@ -945,18 +951,19 @@ class _Emitter:
 
     def _run_entries(
         self, state: GameState, entries: list[_PlanEntry], turn: int
-    ) -> tuple[GameState, list[ScriptStep]]:
+    ) -> list[ScriptStep]:
+        """Emit the entries' steps, applying each to ``state`` in place."""
         steps: list[ScriptStep] = []
         for k, entry in enumerate(entries):
             if isinstance(entry, _Window):
                 raise AssertionError("nested windows are not supported")
-            action = self._action_for(state, entry)
+            action = self._action_for(state, entry, turn, k)
             optional = isinstance(entry, _Att) and entry.optional
             if state.outcome is not Outcome.ONGOING:
                 steps.append(ScriptStep(action, optional))
                 continue
             try:
-                state = apply(state, action)
+                apply_in_place(state, action)
             except IllegalAction as exc:
                 if optional:
                     steps.append(ScriptStep(action, True))
@@ -965,7 +972,7 @@ class _Emitter:
                     f"scripted action rejected: {exc.reason}", turn=turn, step=k
                 ) from exc
             steps.append(ScriptStep(action, optional))
-        return state, steps
+        return steps
 
     def emit(
         self, plans: list[tuple[int, int, list[_PlanEntry]]]
@@ -975,13 +982,12 @@ class _Emitter:
             items: list[TurnItem] = []
             for entry in entries:
                 if not isinstance(entry, _Window):
-                    self.state, steps = self._run_entries(self.state, [entry], turn)
-                    items.extend(steps)
+                    items.extend(self._run_entries(self.state, [entry], turn))
                     continue
                 fork = self.state.clone()
-                self.state, x_steps = self._run_entries(self.state, entry.x_entries, turn)
-                y_state, y_steps = self._run_entries(fork, entry.y_entries, turn)
-                self._check_convergence(self.state, y_state, turn, entry.decision)
+                x_steps = self._run_entries(self.state, entry.x_entries, turn)
+                y_steps = self._run_entries(fork, entry.y_entries, turn)
+                self._check_convergence(self.state, fork, turn, entry.decision)
                 items.append(Branch(entry.decision, tuple(x_steps), tuple(y_steps)))
             turns.append(TurnScript(turn, side, tuple(items)))
         return tuple(turns)
@@ -1047,7 +1053,9 @@ def run_line(
     decided outcome truncates the remainder.  Branch entry emits a
     ``decision`` event carrying the pair's values and carrier stats.
     ``on_step`` is called after every attempted step (applied or skipped)
-    with the flattened step index and the resulting state.
+    with the flattened step index and the resulting state.  The line runs
+    in place on one state, so that state is live: later steps change it,
+    and a callback that keeps it must keep a ``clone()``.
     """
     state = start_game(config, log)
     for index, flat in enumerate(line.flatten(vector)):
@@ -1064,7 +1072,7 @@ def run_line(
                 destroyed_at=destroyed,
             )
         try:
-            state = apply(state, flat.action, log)
+            apply_in_place(state, flat.action, log)
         except IllegalAction as exc:
             if flat.optional:
                 _emit(

@@ -1,9 +1,12 @@
 """Deterministic battle rules: legality, resolution, turn structure, replay.
 
-The engine is pure: ``apply`` clones the input state, resolves one action and
-returns the successor.  Everything is integer arithmetic over ordered zones —
-no randomness anywhere.  Resolution detail that the card text leaves open is
-fixed here one way and kept stable:
+``apply`` is pure: it clones the input state, resolves one action and returns
+the successor.  ``apply_in_place`` resolves the action on the state it is
+given, for callers that own that state and step it through forced moves; an
+action it rejects raises ``IllegalAction`` before anything is changed, so a
+rejected action leaves the state as it was.  Everything is integer
+arithmetic over ordered zones — no randomness anywhere.  Resolution detail
+that the card text leaves open is fixed here one way and kept stable:
 
 * After damage or a destroy effect, dead minions are removed one at a time —
   scanning the active player's board left to right first, then the opponent's
@@ -593,19 +596,29 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def apply(state: GameState, action: Action, log: EventLog | None = None) -> GameState:
-    """Resolve one action; returns the successor state, never mutates input."""
+def apply_in_place(state: GameState, action: Action, log: EventLog | None = None) -> None:
+    """Resolve one action on ``state`` itself.
+
+    Every legality check comes before the first change to the state (the
+    step counter included), so an action that raises ``IllegalAction``
+    leaves ``state`` untouched and logs nothing.
+    """
     if _decided(state):
         raise IllegalAction("the game is already decided")
-    s = state.clone()
     if isinstance(action, PlayCard):
-        _play_card(s, log, action)
+        _play_card(state, log, action)
     elif isinstance(action, Attack):
-        _attack(s, log, action)
+        _attack(state, log, action)
     elif isinstance(action, EndTurn):
-        _end_turn(s, log)
+        _end_turn(state, log)
     else:
         raise IllegalAction(f"unknown action {action!r}")
+
+
+def apply(state: GameState, action: Action, log: EventLog | None = None) -> GameState:
+    """Resolve one action; returns the successor state, never mutates input."""
+    s = state.clone()
+    apply_in_place(s, action, log)
     return s
 
 
@@ -626,15 +639,16 @@ def replay(
 ) -> GameState:
     """Run a fixed action sequence; stops early once the outcome is decided.
 
-    Raises IllegalAction (annotated with the zero-based step index) if an
-    action fails validation before the game is decided.
+    The state built from ``config`` is stepped in place.  Raises
+    IllegalAction (annotated with the zero-based step index) if an action
+    fails validation before the game is decided.
     """
     state = start_game(config, log)
     for idx, action in enumerate(actions):
         if _decided(state):
             break
         try:
-            state = apply(state, action, log)
+            apply_in_place(state, action, log)
         except IllegalAction as exc:
             raise IllegalAction(exc.reason, step=idx) from None
     return state

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .compiler import Branch, PartitionInstance, ScriptStep, ScriptedLine, TurnItem
-from .engine import IllegalAction, apply, legal_actions, start_game
+from .engine import IllegalAction, apply, apply_in_place, legal_actions, start_game
 from .state import (
     Action,
     EndTurn,
@@ -357,22 +357,22 @@ class SkeletonResult:
         return value_verdict(self.value)
 
 
-def _run_scripted(state: GameState, step: ScriptStep) -> GameState:
-    """Apply one scripted step with the line-replay skip rule."""
+def _run_scripted(state: GameState, step: ScriptStep) -> None:
+    """Apply one scripted step in place with the line-replay skip rule."""
     try:
-        return apply(state, step.action)
+        apply_in_place(state, step.action)
     except IllegalAction:
-        if step.optional:
-            return state
-        raise
+        if not step.optional:
+            raise
 
 
 def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     """Solve the line's decision skeleton by alternating max/min.
 
-    Scripted steps between branches are forced for both sides; each branch
-    is a two-way move by the side whose turn it is.  Positions are memoised
-    on (item index, position key) so shared continuations are solved once.
+    Scripted steps between branches are forced for both sides and run in
+    place on one state; each branch is a two-way move by the side whose turn
+    it is, and only there is the state cloned.  Positions are memoised on
+    (item index, position key) so shared continuations are solved once.
     A side that already has its best outcome from ``x`` skips ``y``; ties
     prefer ``x`` anyway, so the result is unchanged.  If the script runs
     out with the game still undecided the result is the turn-limit default,
@@ -387,6 +387,7 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     counters = {"nodes": 0, "hits": 0}
 
     def advance(state: GameState, idx: int) -> tuple[int, tuple[str, ...]]:
+        # ``state`` belongs to this call, which steps it in place.
         while True:
             tv = terminal_value(state)
             if tv is not None:
@@ -396,7 +397,7 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
             side, item = items[idx]
             if isinstance(item, Branch):
                 break
-            state = _run_scripted(state, item)
+            _run_scripted(state, item)
             counters["nodes"] += 1
             idx += 1
         key = (idx, position_key(state))
@@ -408,19 +409,16 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
         maximizing = side == 0
         best: tuple[int, tuple[str, ...]] | None = None
         for choice in ("x", "y"):
-            child = state
-            decided = False
+            # Nothing reads ``state`` once its key is taken, so the last
+            # choice may consume it; an earlier one works on a copy.
+            child = state.clone() if choice == "x" else state
             for step in branch.steps(choice):
                 if terminal_value(child) is not None:
-                    decided = True
                     break
-                child = _run_scripted(child, step)
+                _run_scripted(child, step)
                 counters["nodes"] += 1
-            if decided or terminal_value(child) is not None:
-                value, suffix = terminal_value(child), ()
-                if value is None:  # decided flag without outcome cannot happen
-                    value = DRAW
-            else:
+            value, suffix = terminal_value(child), ()
+            if value is None:
                 value, suffix = advance(child, idx + 1)
             candidate = (value, (choice,) + suffix)
             if best is None:

@@ -1,9 +1,11 @@
 """Game state value types, configuration IO, position keys and hashing.
 
-States are cheap-to-clone value objects: the rules engine never mutates an
-input state, it clones and returns.  Decks are shared immutable tuples with a
-per-player draw cursor so cloning is O(board + hand), not O(deck).  Decks are
-interned, so equal decks are one object for the life of the process.
+States are cheap-to-clone value objects.  The engine's ``apply`` never
+mutates an input state, it clones and returns; ``apply_in_place`` steps a
+state its caller owns and leaves it untouched when it rejects the action.
+Decks are shared immutable tuples with a per-player draw cursor so cloning
+is O(board + hand), not O(deck).  Decks are interned, so equal decks are one
+object for the life of the process.
 """
 from __future__ import annotations
 
@@ -176,7 +178,7 @@ class EventLog:
 
 
 # ---------------------------------------------------------------------------
-# Mutable-by-the-engine building blocks (cloned before every mutation)
+# Mutable-by-the-engine building blocks (``apply`` clones them first)
 # ---------------------------------------------------------------------------
 
 

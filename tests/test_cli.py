@@ -63,6 +63,24 @@ class TestCompile:
         assert (first / "config.json").read_bytes() == (second / "config.json").read_bytes()
         assert (first / "line.json").read_bytes() == (second / "line.json").read_bytes()
 
+    def test_worked_outputs_are_pinned(self, compiled_dir, capsys) -> None:
+        """The worked artifacts and the traced replay of its winning choices
+        are byte-stable; the replay runs the line in place on one state."""
+        def sha256(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        assert sha256((compiled_dir / "config.json").read_bytes()) == (
+            "8a53376ffe36f4c9914311f1170565aebd9812a0be47f502cda36e22a9ff7962")
+        assert sha256((compiled_dir / "line.json").read_bytes()) == (
+            "d799cf617e888a01c0bb92a37e291b73f620c45da4f5866ba1d1d0de995f5eb8")
+        assert main(["replay", str(compiled_dir / "config.json"),
+                     str(compiled_dir / "line.json"), "--choices", "xyyx",
+                     "--trace"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert len(out) == 506_576
+        assert sha256(out) == (
+            "fdcefc330c12f6005ddaadb8928879ec56d7b7609c080176f31008649846e1f6")
+
     def test_too_small_turn_limit_is_infeasible(self, instance_file, tmp_path,
                                                 capsys) -> None:
         code = main(["compile", instance_file, "--out-dir",

@@ -30,9 +30,11 @@ from hearthproof.compiler import (
     shifted_instance,
     synthesize_beast_buffs,
     synthesize_demon_buffs,
+    _Cast,
+    _Emitter,
 )
 from hearthproof.engine import apply
-from hearthproof.state import EventLog, GameConfig, Outcome, PlayCard, minion_ref
+from hearthproof.state import EventLog, GameConfig, Outcome, PlayCard, hero_ref, minion_ref
 
 
 class TestInstance:
@@ -254,6 +256,16 @@ class TestCompiledArtifacts:
     def test_turn_limit_must_cover_line(self, worked_instance) -> None:
         with pytest.raises(ScheduleInfeasible):
             compile_instance(worked_instance, turn_limit=3, validate="none")
+
+    def test_card_missing_from_hand_is_infeasible(self, worked_compiled) -> None:
+        emitter = _Emitter(worked_compiled.config)
+        hand = emitter.state.players[emitter.state.active].hand
+        assert FLASH_HEAL not in hand
+        entries = [_Cast(FLASH_HEAL, hero_ref(0))]
+        with pytest.raises(ScheduleInfeasible) as info:
+            emitter._run_entries(emitter.state, entries, 1)
+        assert "not in hand" in info.value.reason
+        assert (info.value.turn, info.value.step) == (1, 0)
 
 
 class TestValidation:

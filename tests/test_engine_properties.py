@@ -1,19 +1,35 @@
-"""Property-based engine checks: random legal walks uphold the invariants."""
+"""Property-based engine checks: random legal walks uphold the invariants,
+and ``apply_in_place`` and ``replay`` agree with ``apply``."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hearthproof.compiler import PartitionInstance, compile_instance
-from hearthproof.engine import apply, legal_actions, start_game
-from hearthproof.state import GameConfig, state_hash, total_card_count
+from conftest import WORKED_VECTOR
+from hearthproof.compiler import PartitionInstance, compile_instance, run_line
+from hearthproof.engine import apply, apply_in_place, legal_actions, replay, start_game
+from hearthproof.state import (
+    Attack,
+    EndTurn,
+    EventLog,
+    GameConfig,
+    IllegalAction,
+    Outcome,
+    PlayCard,
+    hero_ref,
+    minion_ref,
+    state_hash,
+    total_card_count,
+)
 
 from invariants import assert_invariants
 
 
-def micro_state():
+def micro_config() -> GameConfig:
     obj = {
         "formatVersion": 1,
         "players": [
@@ -36,15 +52,21 @@ def micro_state():
         "turn": 1,
         "turnLimit": 12,
     }
-    return start_game(GameConfig.from_json_obj(obj))
+    return GameConfig.from_json_obj(obj)
+
+
+def micro_state():
+    return start_game(micro_config())
 
 
 @pytest.fixture(scope="module")
-def compiled_state():
-    result = compile_instance(
-        PartitionInstance(((1, 2),), 2), validate="none"
-    )
-    return start_game(result.config)
+def compiled_config():
+    return compile_instance(PartitionInstance(((1, 2),), 2), validate="none").config
+
+
+@pytest.fixture(scope="module")
+def compiled_state(compiled_config):
+    return start_game(compiled_config)
 
 
 class TestRandomWalks:
@@ -104,3 +126,121 @@ class TestActionEnumeration:
             assert state_hash(first) == state_hash(second)
             assert state_hash(state) == before
             state = first
+
+
+def seeded_walk(config: GameConfig, seed: int, steps: int):
+    """States and actions of a seeded legal walk, run on until decided."""
+    rng = random.Random(seed)
+    state = start_game(config)
+    states, actions = [state], []
+    for _ in range(steps):
+        acts = legal_actions(state)
+        if not acts:
+            break
+        actions.append(rng.choice(acts))
+        state = apply(state, actions[-1])
+        states.append(state)
+    while state.outcome is Outcome.ONGOING:  # the turn limit bounds this
+        actions.append(EndTurn())
+        state = apply(state, actions[-1])
+        states.append(state)
+    return states, actions
+
+
+def illegal_probes(state) -> list:
+    """Actions aimed at every rejection path that ``legal_actions`` avoids."""
+    side, opp = state.active, 1 - state.active
+    p = state.players[side]
+    refs = [hero_ref(0), hero_ref(1)] + [
+        minion_ref(s, k) for s in (0, 1) for k in range(len(state.players[s].board))
+    ]
+    refs.append(minion_ref(opp, len(state.players[opp].board)))
+    probes: list = [PlayCard(len(p.hand)), PlayCard(-1), PlayCard(99, None, 0), None]
+    for hi in range(len(p.hand)):
+        probes.append(PlayCard(hi, None, 0))  # a position on a spell or weapon
+        probes.append(PlayCard(hi, None, len(p.board) + 1))
+        probes.extend(PlayCard(hi, ref) for ref in refs)  # shielded, untargeted
+    for k in range(len(p.board) + 1):  # exhausted, spent or empty slots
+        probes.append(Attack(minion_ref(side, k), hero_ref(opp)))
+        probes.append(Attack(minion_ref(side, k), minion_ref(opp, 0)))
+    probes.append(Attack(hero_ref(side), hero_ref(opp)))  # through taunts
+    probes.append(Attack(hero_ref(opp), hero_ref(side)))
+    probes.append(Attack(hero_ref(side), hero_ref(side)))
+    probes.append(EndTurn())
+    return probes
+
+
+def snapshot(state) -> tuple:
+    return state.canonical(), state.step, state.next_iid
+
+
+class TestApplyInPlace:
+    """``apply_in_place`` matches ``apply``, and a rejected action changes
+    nothing: every ``IllegalAction`` is raised before the first mutation."""
+
+    @pytest.fixture(scope="class")
+    def probed_states(self, worked_compiled, compiled_config) -> list:
+        """Seeded walks from three starts, each with its decided end, and
+        every fifth position of the worked line."""
+        states = []
+        for config in (worked_compiled.config, compiled_config, micro_config()):
+            for seed in range(4):
+                walk, _ = seeded_walk(config, seed, 40)
+                states += walk[:41] + walk[-1:]
+        line = []
+        run_line(worked_compiled.config, worked_compiled.line, WORKED_VECTOR,
+                 on_step=lambda index, flat, state: line.append(state.clone()))
+        return states + line[::5]
+
+    def test_matches_apply_and_rejects_without_mutation(self, probed_states) -> None:
+        rejected = applied = decided = 0
+        for state in probed_states:
+            decided += state.outcome is not Outcome.ONGOING
+            before = snapshot(state)
+            for action in legal_actions(state) + illegal_probes(state):
+                pure_log, live_log = EventLog(), EventLog()
+                live = state.clone()
+                try:
+                    expected = apply(state, action, pure_log)
+                except IllegalAction:
+                    expected = None
+                try:
+                    apply_in_place(live, action, live_log)
+                except IllegalAction:
+                    assert expected is None, action
+                    assert snapshot(live) == before, action
+                    assert live_log.events == []
+                    rejected += 1
+                else:
+                    assert expected is not None, action
+                    assert snapshot(live) == snapshot(expected), action
+                    assert [e.to_json_obj() for e in live_log.events] == [
+                        e.to_json_obj() for e in pure_log.events
+                    ]
+                    applied += 1
+                assert snapshot(state) == before
+        assert rejected > applied > 0
+        assert decided >= 12  # every walk ends on a decided state
+
+
+class TestReplay:
+    def test_reproduces_a_legal_walk(self, worked_compiled) -> None:
+        for config in (micro_config(), worked_compiled.config):
+            for seed in range(3):
+                states, actions = seeded_walk(config, seed, 40)
+                final = replay(config, actions)
+                assert final.canonical() == states[-1].canonical()
+
+    def test_illegal_action_reports_its_index(self) -> None:
+        states, actions = seeded_walk(micro_config(), 5, 20)
+        for k in (0, len(actions) // 2, len(actions) - 1):
+            bad = actions[:k] + [PlayCard(99)] + actions[k:]
+            with pytest.raises(IllegalAction) as info:
+                replay(micro_config(), bad)
+            assert info.value.step == k
+
+    def test_stops_at_a_decided_outcome(self) -> None:
+        states, actions = seeded_walk(micro_config(), 2, 30)
+        assert states[-1].outcome is not Outcome.ONGOING
+        final = replay(micro_config(), actions + [PlayCard(99), EndTurn()])
+        assert final.canonical() == states[-1].canonical()
