@@ -196,6 +196,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
     oracle = oracle_left_wins(instance)
 
     verdict = "unknown"
+    vector = None  # deviation_check solves the skeleton itself in full mode
     try:
         if args.mode == "full":
             solved = minimax(
@@ -205,7 +206,8 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
             )
             verdict = solved.verdict
         else:
-            verdict = skeleton_solve(config, result.line).verdict
+            solved = skeleton_solve(config, result.line)
+            verdict, vector = solved.verdict, solved.deviation_vector
     except IllegalAction:
         # The line cannot even be replayed against this configuration
         # (possible only with --config-override); counts as a mismatch.
@@ -216,7 +218,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
     counts = {"refuted": 0, "dominated": 0, "improved": 0, "unresolved": 0}
     if verdict != "unknown":
         report = deviation_check(
-            config, result.line, max_turns=args.deviation_turns
+            config, result.line, vector, max_turns=args.deviation_turns
         )
         counts = {
             "refuted": report.refuted,

@@ -19,6 +19,11 @@ that the card text leaves open is fixed here one way and kept stable:
   immunity trigger: such a minion cannot be targeted by any spell, friendly
   or hostile.  Untargeted spells and combat ignore the shield; heroes are
   never shielded.
+
+Logging: every event advances ``state.step`` by exactly one, whether or not
+a log is passed.  Search and compilation pass ``log=None``; then no event
+payload is built at all (no keyword dict, no ``.value``, no
+``to_json_obj()``), and the ``step`` values come out the same as with a log.
 """
 from __future__ import annotations
 
@@ -46,12 +51,47 @@ from .state import (
     minion_ref,
 )
 
+# The step path tests enum members at almost every event.  On CPython 3.11
+# an ``Enum.MEMBER`` lookup takes 120-190 ns against about 15 ns for a
+# module global, so the members it tests are bound here once.
+_ONGOING = Outcome.ONGOING
+_MINION = CardKind.MINION
+_WEAPON = CardKind.WEAPON
+_DEMON = Tribe.DEMON
+_BEAST = Tribe.BEAST
+_GAIN_TWO_MANA = EffectTag.GAIN_TWO_MANA
+_DRAW_TWO = EffectTag.DRAW_TWO
+_FREEZE_ENEMY_MINIONS = EffectTag.FREEZE_ENEMY_MINIONS
+_DEAL_TWO_TO_UNDAMAGED_MINION = EffectTag.DEAL_TWO_TO_UNDAMAGED_MINION
+_DEAL_ONE_DRAW_IF_KILL = EffectTag.DEAL_ONE_DRAW_IF_KILL
+_BUFF_DEMON_PLUS_3_3 = EffectTag.BUFF_DEMON_PLUS_3_3
+_BUFF_PLUS_2_2_DRAW_IF_BEAST = EffectTag.BUFF_PLUS_2_2_DRAW_IF_BEAST
+_DOUBLE_ATTACK = EffectTag.DOUBLE_ATTACK
+_GIVE_CHARGE_PLUS_2 = EffectTag.GIVE_CHARGE_PLUS_2
+_DESTROY_MINION_ATK_5_PLUS = EffectTag.DESTROY_MINION_ATK_5_PLUS
+_TAKE_CONTROL_ENEMY_MINION = EffectTag.TAKE_CONTROL_ENEMY_MINION
+_RESTORE_FIVE_HEALTH = EffectTag.RESTORE_FIVE_HEALTH
+_BATTLECRY_DRAW_ONE = EffectTag.BATTLECRY_DRAW_ONE
+_TRIGGER_DRAW_ON_FRIENDLY_SPELL = EffectTag.TRIGGER_DRAW_ON_FRIENDLY_SPELL
+_TRIGGER_ADJACENT_SPELL_IMMUNITY = EffectTag.TRIGGER_ADJACENT_SPELL_IMMUNITY
+_TRIGGER_DOUBLE_ATTACK_ON_DAMAGE = EffectTag.TRIGGER_DOUBLE_ATTACK_ON_DAMAGE
+_DEATHRATTLE_DAMAGE_ENEMY_HERO_2 = EffectTag.DEATHRATTLE_DAMAGE_ENEMY_HERO_2
+_DEATHRATTLE_RESTORE_4_EACH_HERO = EffectTag.DEATHRATTLE_RESTORE_4_EACH_HERO
+
 # ---------------------------------------------------------------------------
 # Event emission
 # ---------------------------------------------------------------------------
 
 
 def _emit(state: GameState, log: EventLog | None, kind: str, **data) -> None:
+    """Record one event in ``log``, if any, and advance ``state.step`` by one.
+
+    ``state.step`` counts events whether or not a log records them.  The
+    engine's own step path writes this out at each site, as
+    ``if log is not None: log.emit(state.step, ...)`` then
+    ``state.step += 1``, so that with ``log=None`` it builds no payload, not
+    even the keyword dict a call to this function takes.
+    """
     if log is not None:
         log.emit(state.step, kind, **data)
     state.step += 1
@@ -62,13 +102,9 @@ def _emit(state: GameState, log: EventLog | None, kind: str, **data) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _decided(state: GameState) -> bool:
-    return state.outcome is not Outcome.ONGOING
-
-
 def _check_outcome(state: GameState, log: EventLog | None) -> bool:
     """Lock the outcome if any hero is dead; return True once decided."""
-    if _decided(state):
+    if state.outcome is not _ONGOING:
         return True
     h0 = state.players[0].hero.health
     h1 = state.players[1].hero.health
@@ -80,7 +116,9 @@ def _check_outcome(state: GameState, log: EventLog | None) -> bool:
         state.outcome = Outcome.FRIENDLY_WINS
     else:
         return False
-    _emit(state, log, "outcome", result=state.outcome.value)
+    if log is not None:
+        log.emit(state.step, "outcome", result=state.outcome.value)
+    state.step += 1
     return True
 
 
@@ -93,7 +131,7 @@ def spell_shielded(board: list[MinionInstance], slot: int) -> bool:
     """True if the minion at ``slot`` is protected from targeted spells."""
     for adj in (slot - 1, slot + 1):
         if 0 <= adj < len(board):
-            if board[adj].effect is EffectTag.TRIGGER_ADJACENT_SPELL_IMMUNITY:
+            if board[adj].effect is _TRIGGER_ADJACENT_SPELL_IMMUNITY:
                 return True
     return False
 
@@ -101,7 +139,7 @@ def spell_shielded(board: list[MinionInstance], slot: int) -> bool:
 def _spell_target_ok(state: GameState, caster: int, effect: EffectTag, ref: CharRef) -> str | None:
     """Why ``ref`` is not a legal target for the spell, or None if it is."""
     if ref.is_hero:
-        if effect is EffectTag.RESTORE_FIVE_HEALTH:
+        if effect is _RESTORE_FIVE_HEALTH:
             return None
         return "spell cannot target a hero"
     owner = state.players[ref.side]
@@ -110,15 +148,15 @@ def _spell_target_ok(state: GameState, caster: int, effect: EffectTag, ref: Char
     m = owner.board[ref.slot]
     if spell_shielded(owner.board, ref.slot):
         return "target is shielded from spells"
-    if effect is EffectTag.DEAL_TWO_TO_UNDAMAGED_MINION and m.damaged:
+    if effect is _DEAL_TWO_TO_UNDAMAGED_MINION and m.damaged:
         return "target must be undamaged"
-    if effect is EffectTag.BUFF_DEMON_PLUS_3_3 and m.tribe is not Tribe.DEMON:
+    if effect is _BUFF_DEMON_PLUS_3_3 and m.tribe is not _DEMON:
         return "target must be a demon"
-    if effect is EffectTag.GIVE_CHARGE_PLUS_2 and ref.side != caster:
+    if effect is _GIVE_CHARGE_PLUS_2 and ref.side != caster:
         return "target must be friendly"
-    if effect is EffectTag.DESTROY_MINION_ATK_5_PLUS and m.attack < 5:
+    if effect is _DESTROY_MINION_ATK_5_PLUS and m.attack < 5:
         return "target needs attack 5 or more"
-    if effect is EffectTag.TAKE_CONTROL_ENEMY_MINION:
+    if effect is _TAKE_CONTROL_ENEMY_MINION:
         if ref.side == caster:
             return "target must be an enemy minion"
         if len(state.players[caster].board) >= MAX_BOARD:
@@ -169,7 +207,7 @@ def _defender_refs(state: GameState, side: int) -> list[CharRef]:
 
 def legal_actions(state: GameState) -> list[Action]:
     """Every action the active player may take, in a stable canonical order."""
-    if _decided(state):
+    if state.outcome is not _ONGOING:
         return []
     side = state.active
     p = state.players[side]
@@ -179,12 +217,12 @@ def legal_actions(state: GameState) -> list[Action]:
         spec = card(cid)
         if spec.cost > p.hero.mana:
             continue
-        if spec.kind is CardKind.MINION:
+        if spec.kind is _MINION:
             if len(p.board) >= MAX_BOARD:
                 continue
             for pos in range(len(p.board) + 1):
                 acts.append(PlayCard(hi, None, pos))
-        elif spec.kind is CardKind.WEAPON:
+        elif spec.kind is _WEAPON:
             acts.append(PlayCard(hi))
         elif spec.effect in _TARGETED_SPELLS:
             for ref in _candidate_targets(state):
@@ -219,7 +257,7 @@ def _candidate_targets(state: GameState) -> Iterable[CharRef]:
 
 
 def _draw_card(state: GameState, log: EventLog | None, side: int) -> None:
-    if _decided(state):
+    if state.outcome is not _ONGOING:
         return
     p = state.players[side]
     if p.deck_pos < len(p.deck):
@@ -227,15 +265,22 @@ def _draw_card(state: GameState, log: EventLog | None, side: int) -> None:
         p.deck_pos += 1
         if len(p.hand) >= MAX_HAND:
             state.removed += 1
-            _emit(state, log, "burn", side=side, card=cid)
+            if log is not None:
+                log.emit(state.step, "burn", side=side, card=cid)
         else:
             p.hand.append(cid)
-            _emit(state, log, "draw", side=side, card=cid)
+            if log is not None:
+                log.emit(state.step, "draw", side=side, card=cid)
+        state.step += 1
     else:
         p.hero.fatigue += 1
-        _emit(state, log, "fatigue", side=side, damage=p.hero.fatigue)
+        if log is not None:
+            log.emit(state.step, "fatigue", side=side, damage=p.hero.fatigue)
+        state.step += 1
         p.hero.health -= p.hero.fatigue
-        _emit(state, log, "damage", target={"hero": side}, amount=p.hero.fatigue)
+        if log is not None:
+            log.emit(state.step, "damage", target={"hero": side}, amount=p.hero.fatigue)
+        state.step += 1
         _check_outcome(state, log)
 
 
@@ -243,44 +288,52 @@ def _damage_minion(
     state: GameState, log: EventLog | None, side: int, m: MinionInstance, amount: int
 ) -> None:
     """Apply damage to a minion and fire its on-damage trigger if it survives."""
-    if amount <= 0 or _decided(state):
+    if amount <= 0 or state.outcome is not _ONGOING:
         return
     m.health -= amount
-    slot = state.players[side].board.index(m)
-    _emit(state, log, "damage", target={"side": side, "slot": slot}, amount=amount)
-    if m.health > 0 and m.effect is EffectTag.TRIGGER_DOUBLE_ATTACK_ON_DAMAGE:
+    if log is not None:
+        slot = state.players[side].board.index(m)
+        log.emit(state.step, "damage", target={"side": side, "slot": slot}, amount=amount)
+    state.step += 1
+    if m.health > 0 and m.effect is _TRIGGER_DOUBLE_ATTACK_ON_DAMAGE:
         m.attack *= 2
-        _emit(
-            state, log, "trigger",
-            card=m.card_id, effect=m.effect.value, attack=m.attack,
-        )
+        if log is not None:
+            log.emit(state.step, "trigger",
+                     card=m.card_id, effect=m.effect.value, attack=m.attack)
+        state.step += 1
 
 
 def _damage_hero(state: GameState, log: EventLog | None, side: int, amount: int) -> None:
-    if amount <= 0 or _decided(state):
+    if amount <= 0 or state.outcome is not _ONGOING:
         return
     state.players[side].hero.health -= amount
-    _emit(state, log, "damage", target={"hero": side}, amount=amount)
+    if log is not None:
+        log.emit(state.step, "damage", target={"hero": side}, amount=amount)
+    state.step += 1
 
 
 def _heal_hero(state: GameState, log: EventLog | None, side: int, amount: int) -> None:
-    if _decided(state):
+    if state.outcome is not _ONGOING:
         return
     hero = state.players[side].hero
     healed = min(amount, hero.max_health - hero.health)
     hero.health += healed
-    _emit(state, log, "heal", target={"hero": side}, amount=healed)
+    if log is not None:
+        log.emit(state.step, "heal", target={"hero": side}, amount=healed)
+    state.step += 1
 
 
 def _heal_minion(
     state: GameState, log: EventLog | None, side: int, m: MinionInstance, amount: int
 ) -> None:
-    if _decided(state):
+    if state.outcome is not _ONGOING:
         return
     healed = min(amount, m.max_health - m.health)
     m.health += healed
-    slot = state.players[side].board.index(m)
-    _emit(state, log, "heal", target={"side": side, "slot": slot}, amount=healed)
+    if log is not None:
+        slot = state.players[side].board.index(m)
+        log.emit(state.step, "heal", target={"side": side, "slot": slot}, amount=healed)
+    state.step += 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,38 +351,43 @@ def _first_dead(state: GameState) -> tuple[int, int] | None:
 
 
 def _process_deaths(state: GameState, log: EventLog | None) -> None:
-    while not _decided(state):
+    while state.outcome is _ONGOING:
         found = _first_dead(state)
         if found is None:
             return
         side, slot = found
         m = state.players[side].board.pop(slot)
         state.removed += 1
-        _emit(state, log, "death", side=side, slot=slot, card=m.card_id)
-        if m.effect is EffectTag.DEATHRATTLE_DAMAGE_ENEMY_HERO_2:
-            _emit(state, log, "deathrattle", card=m.card_id)
+        if log is not None:
+            log.emit(state.step, "death", side=side, slot=slot, card=m.card_id)
+        state.step += 1
+        if m.effect is _DEATHRATTLE_DAMAGE_ENEMY_HERO_2:
+            if log is not None:
+                log.emit(state.step, "deathrattle", card=m.card_id)
+            state.step += 1
             _damage_hero(state, log, 1 - side, 2)
             _check_outcome(state, log)
-        elif m.effect is EffectTag.DEATHRATTLE_RESTORE_4_EACH_HERO:
-            _emit(state, log, "deathrattle", card=m.card_id)
+        elif m.effect is _DEATHRATTLE_RESTORE_4_EACH_HERO:
+            if log is not None:
+                log.emit(state.step, "deathrattle", card=m.card_id)
+            state.step += 1
             _heal_hero(state, log, 0, 4)
             _heal_hero(state, log, 1, 4)
 
 
 def _auctioneer_draws(state: GameState, log: EventLog | None, side: int) -> None:
     """One draw per surviving friendly draw-on-spell trigger minion."""
-    if _decided(state):
-        return
-    count = sum(
-        1
-        for m in state.players[side].board
-        if m.effect is EffectTag.TRIGGER_DRAW_ON_FRIENDLY_SPELL
-    )
+    count = 0
+    for m in state.players[side].board:
+        if m.effect is _TRIGGER_DRAW_ON_FRIENDLY_SPELL:
+            count += 1
     for _ in range(count):
-        if _decided(state):
+        if state.outcome is not _ONGOING:
             return
-        _emit(state, log, "trigger", card="Gadgetzan Auctioneer",
-              effect=EffectTag.TRIGGER_DRAW_ON_FRIENDLY_SPELL.value)
+        if log is not None:
+            log.emit(state.step, "trigger", card="Gadgetzan Auctioneer",
+                     effect=_TRIGGER_DRAW_ON_FRIENDLY_SPELL.value)
+        state.step += 1
         _draw_card(state, log, side)
 
 
@@ -343,19 +401,23 @@ def _resolve_spell(
 ) -> None:
     effect = spec.effect
     p = state.players[side]
-    if effect is EffectTag.GAIN_TWO_MANA:
+    if effect is _GAIN_TWO_MANA:
         p.hero.mana = min(p.hero.mana + 2, MAX_MANA)
-        _emit(state, log, "mana", side=side, mana=p.hero.mana)
+        if log is not None:
+            log.emit(state.step, "mana", side=side, mana=p.hero.mana)
+        state.step += 1
         return
-    if effect is EffectTag.DRAW_TWO:
+    if effect is _DRAW_TWO:
         _draw_card(state, log, side)
         _draw_card(state, log, side)
         return
-    if effect is EffectTag.FREEZE_ENEMY_MINIONS:
+    if effect is _FREEZE_ENEMY_MINIONS:
         opp_side = 1 - side
         for slot, m in enumerate(state.players[opp_side].board):
             m.frozen = True
-            _emit(state, log, "freeze", target={"side": opp_side, "slot": slot})
+            if log is not None:
+                log.emit(state.step, "freeze", target={"side": opp_side, "slot": slot})
+            state.step += 1
         return
 
     assert target is not None
@@ -365,46 +427,60 @@ def _resolve_spell(
         return
     owner = state.players[target.side]
     m = owner.board[target.slot]
-    if effect is EffectTag.DEAL_TWO_TO_UNDAMAGED_MINION:
+    if effect is _DEAL_TWO_TO_UNDAMAGED_MINION:
         _damage_minion(state, log, target.side, m, 2)
-    elif effect is EffectTag.DEAL_ONE_DRAW_IF_KILL:
+    elif effect is _DEAL_ONE_DRAW_IF_KILL:
         _damage_minion(state, log, target.side, m, 1)
         if m.health <= 0:
-            _emit(state, log, "trigger", card=spec.card_id, effect=effect.value)
+            if log is not None:
+                log.emit(state.step, "trigger", card=spec.card_id, effect=effect.value)
+            state.step += 1
             _draw_card(state, log, side)
-    elif effect is EffectTag.BUFF_DEMON_PLUS_3_3:
+    elif effect is _BUFF_DEMON_PLUS_3_3:
         m.attack += 3
         m.health += 3
         m.max_health += 3
-        _emit(state, log, "buff", target=target.to_json_obj(),
-              attack=m.attack, health=m.health)
-    elif effect is EffectTag.BUFF_PLUS_2_2_DRAW_IF_BEAST:
+        if log is not None:
+            log.emit(state.step, "buff", target=target.to_json_obj(),
+                     attack=m.attack, health=m.health)
+        state.step += 1
+    elif effect is _BUFF_PLUS_2_2_DRAW_IF_BEAST:
         m.attack += 2
         m.health += 2
         m.max_health += 2
-        _emit(state, log, "buff", target=target.to_json_obj(),
-              attack=m.attack, health=m.health)
-        if m.tribe is Tribe.BEAST:
-            _emit(state, log, "trigger", card=spec.card_id, effect=effect.value)
+        if log is not None:
+            log.emit(state.step, "buff", target=target.to_json_obj(),
+                     attack=m.attack, health=m.health)
+        state.step += 1
+        if m.tribe is _BEAST:
+            if log is not None:
+                log.emit(state.step, "trigger", card=spec.card_id, effect=effect.value)
+            state.step += 1
             _draw_card(state, log, side)
-    elif effect is EffectTag.DOUBLE_ATTACK:
+    elif effect is _DOUBLE_ATTACK:
         m.attack *= 2
-        _emit(state, log, "buff", target=target.to_json_obj(),
-              attack=m.attack, health=m.health)
-    elif effect is EffectTag.GIVE_CHARGE_PLUS_2:
+        if log is not None:
+            log.emit(state.step, "buff", target=target.to_json_obj(),
+                     attack=m.attack, health=m.health)
+        state.step += 1
+    elif effect is _GIVE_CHARGE_PLUS_2:
         m.charge = True
         m.attack += 2
-        _emit(state, log, "buff", target=target.to_json_obj(),
-              attack=m.attack, health=m.health)
-    elif effect is EffectTag.DESTROY_MINION_ATK_5_PLUS:
+        if log is not None:
+            log.emit(state.step, "buff", target=target.to_json_obj(),
+                     attack=m.attack, health=m.health)
+        state.step += 1
+    elif effect is _DESTROY_MINION_ATK_5_PLUS:
         m.health = 0
-    elif effect is EffectTag.TAKE_CONTROL_ENEMY_MINION:
+    elif effect is _TAKE_CONTROL_ENEMY_MINION:
         owner.board.remove(m)
         m.exhausted = True
         state.players[side].board.append(m)
-        _emit(state, log, "steal", card=m.card_id, to=side,
-              slot=len(state.players[side].board) - 1)
-    elif effect is EffectTag.RESTORE_FIVE_HEALTH:
+        if log is not None:
+            log.emit(state.step, "steal", card=m.card_id, to=side,
+                     slot=len(state.players[side].board) - 1)
+        state.step += 1
+    elif effect is _RESTORE_FIVE_HEALTH:
         _heal_minion(state, log, target.side, m, 5)
     else:  # pragma: no cover - the spell table above is exhaustive
         raise AssertionError(f"unhandled spell effect {effect}")
@@ -420,7 +496,7 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
     if spec.cost > p.hero.mana:
         raise IllegalAction(f"not enough mana for {cid} (have {p.hero.mana}, need {spec.cost})")
 
-    if spec.kind is CardKind.MINION:
+    if spec.kind is _MINION:
         if len(p.board) >= MAX_BOARD:
             raise IllegalAction("board is full")
         pos = action.position if action.position is not None else len(p.board)
@@ -430,32 +506,44 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             raise IllegalAction(f"{cid} does not take a target")
         p.hero.mana -= spec.cost
         del p.hand[action.hand]
-        _emit(state, log, "play", side=side, card=cid, position=pos)
+        if log is not None:
+            log.emit(state.step, "play", side=side, card=cid, position=pos)
+        state.step += 1
         minion = MinionInstance.from_card(spec, state.next_iid)
         state.next_iid += 1
         minion.exhausted = True
         p.board.insert(pos, minion)
-        _emit(state, log, "summon", side=side, card=cid, slot=pos)
-        if spec.effect is EffectTag.BATTLECRY_DRAW_ONE:
-            _emit(state, log, "trigger", card=cid, effect=spec.effect.value)
+        if log is not None:
+            log.emit(state.step, "summon", side=side, card=cid, slot=pos)
+        state.step += 1
+        if spec.effect is _BATTLECRY_DRAW_ONE:
+            if log is not None:
+                log.emit(state.step, "trigger", card=cid, effect=spec.effect.value)
+            state.step += 1
             _draw_card(state, log, side)
         if _check_outcome(state, log):
             return
         _process_deaths(state, log)
         return
 
-    if spec.kind is CardKind.WEAPON:
+    if spec.kind is _WEAPON:
         if action.target is not None or action.position is not None:
             raise IllegalAction(f"{cid} takes no target or position")
         p.hero.mana -= spec.cost
         del p.hand[action.hand]
-        _emit(state, log, "play", side=side, card=cid)
+        if log is not None:
+            log.emit(state.step, "play", side=side, card=cid)
+        state.step += 1
         if p.hero.weapon is not None:
             state.removed += 1
-            _emit(state, log, "weapon_break", side=side, replaced=True)
+            if log is not None:
+                log.emit(state.step, "weapon_break", side=side, replaced=True)
+            state.step += 1
         p.hero.weapon = Weapon(spec.attack or 0, spec.health or 0)
-        _emit(state, log, "equip", side=side, card=cid,
-              attack=p.hero.weapon.attack, durability=p.hero.weapon.durability)
+        if log is not None:
+            log.emit(state.step, "equip", side=side, card=cid,
+                     attack=p.hero.weapon.attack, durability=p.hero.weapon.durability)
+        state.step += 1
         return
 
     # Spell.
@@ -472,14 +560,14 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
     p.hero.mana -= spec.cost
     del p.hand[action.hand]
     state.removed += 1
-    _emit(state, log, "play", side=side, card=cid,
-          **({"target": action.target.to_json_obj()} if action.target else {}))
+    if log is not None:
+        log.emit(state.step, "play", side=side, card=cid,
+                 **({"target": action.target.to_json_obj()} if action.target else {}))
+    state.step += 1
     _resolve_spell(state, log, side, spec, action.target)
     if _check_outcome(state, log):
         return
     _process_deaths(state, log)
-    if _decided(state):
-        return
     _auctioneer_draws(state, log, side)
 
 
@@ -524,8 +612,10 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
         if any(m.taunt for m in opp.board) and not defender_minion.taunt:
             raise IllegalAction("a taunt minion is in the way")
 
-    _emit(state, log, "attack",
-          attacker=atk_ref.to_json_obj(), defender=def_ref.to_json_obj())
+    if log is not None:
+        log.emit(state.step, "attack",
+                 attacker=atk_ref.to_json_obj(), defender=def_ref.to_json_obj())
+    state.step += 1
 
     retaliation = defender_minion.attack if defender_minion is not None else 0
 
@@ -537,7 +627,9 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
         if p.hero.weapon.durability <= 0:
             p.hero.weapon = None
             state.removed += 1
-            _emit(state, log, "weapon_break", side=side)
+            if log is not None:
+                log.emit(state.step, "weapon_break", side=side)
+            state.step += 1
 
     # Both combat damages are simultaneous: amounts were fixed above.
     if defender_minion is not None:
@@ -567,13 +659,17 @@ def _begin_turn(state: GameState, log: EventLog | None) -> None:
     for m in p.board:
         m.exhausted = False
         m.attacked = False
-    _emit(state, log, "start_turn", side=side, turn=state.turn, mana=p.hero.mana)
+    if log is not None:
+        log.emit(state.step, "start_turn", side=side, turn=state.turn, mana=p.hero.mana)
+    state.step += 1
     _draw_card(state, log, side)
 
 
 def _end_turn(state: GameState, log: EventLog | None) -> None:
     side = state.active
-    _emit(state, log, "end_turn", side=side)
+    if log is not None:
+        log.emit(state.step, "end_turn", side=side)
+    state.step += 1
     # Thaw at the end of the owner's turn.
     p = state.players[side]
     p.hero.frozen = False
@@ -583,7 +679,9 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
     state.turn += 1
     if state.turn > state.turn_limit:
         state.outcome = Outcome.DRAW
-        _emit(state, log, "outcome", result=state.outcome.value, reason="turn_limit")
+        if log is not None:
+            log.emit(state.step, "outcome", result=state.outcome.value, reason="turn_limit")
+        state.step += 1
         return
     nxt = state.players[state.active]
     nxt.hero.mana_crystals = min(nxt.hero.mana_crystals + 1, MAX_MANA)
@@ -603,7 +701,7 @@ def apply_in_place(state: GameState, action: Action, log: EventLog | None = None
     step counter included), so an action that raises ``IllegalAction``
     leaves ``state`` untouched and logs nothing.
     """
-    if _decided(state):
+    if state.outcome is not _ONGOING:
         raise IllegalAction("the game is already decided")
     if isinstance(action, PlayCard):
         _play_card(state, log, action)
@@ -645,7 +743,7 @@ def replay(
     """
     state = start_game(config, log)
     for idx, action in enumerate(actions):
-        if _decided(state):
+        if state.outcome is not _ONGOING:
             break
         try:
             apply_in_place(state, action, log)

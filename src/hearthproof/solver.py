@@ -356,6 +356,12 @@ class SkeletonResult:
     def verdict(self) -> str:
         return value_verdict(self.value)
 
+    @property
+    def deviation_vector(self) -> tuple[str, ...]:
+        """The vector whose line deviation checks probe: the optimal one if
+        it wins, else all-``x``."""
+        return self.vector if self.value == WIN else ("x",) * len(self.vector)
+
 
 def _run_scripted(state: GameState, step: ScriptStep) -> None:
     """Apply one scripted step in place with the line-replay skip rule."""
@@ -632,8 +638,7 @@ class DeviationChecker:
         rejoin_nodes: int = 200_000,
     ):
         if vector is None:
-            sk = skeleton_solve(config, line)
-            vector = sk.vector if sk.value == WIN else ("x",) * line.n
+            vector = skeleton_solve(config, line).deviation_vector
         self.vector = vector
         self.probe_horizon = probe_horizon
         self.value_depth = value_depth
@@ -821,11 +826,11 @@ def deviation_check(
 ) -> DeviationReport:
     """Probe alternatives to the line's scripted steps.
 
-    ``vector`` defaults to the skeleton-optimal decisions when those win,
-    else all-``x``.  With ``max_turns=None`` (the default) only the named
-    structural spot checks run — see :func:`named_deviations`; with an
-    integer, every legal alternative at every step of turns up to it is
-    probed.  See :class:`DeviationChecker` for probe semantics.
+    ``vector`` defaults to :attr:`SkeletonResult.deviation_vector`; a caller
+    that has already solved the skeleton passes that instead.  With
+    ``max_turns=None`` (the default) only the named structural spot checks
+    run — see :func:`named_deviations`; with an integer, every legal
+    alternative at every step of turns up to it is probed.  See :class:`DeviationChecker` for probe semantics.
     """
     checker = DeviationChecker(
         config, line, vector,

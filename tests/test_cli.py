@@ -7,8 +7,10 @@ import json
 
 import pytest
 
+from hearthproof import cli, solver
 from hearthproof.cards import database_to_json
 from hearthproof.cli import main
+from hearthproof.solver import skeleton_solve
 from hearthproof.state import GameConfig
 
 WORKED = {"pairs": [[1, 2], [4, 3], [5, 6], [8, 8]], "target": 18}
@@ -121,6 +123,21 @@ class TestVerify:
         assert out["deviations"]["refuted"] > 0
         manifest = read_manifest_line(captured.err)
         assert manifest["command"] == "verify"
+
+    def test_solves_the_skeleton_once(self, instance_file, monkeypatch,
+                                      capsys) -> None:
+        """The deviation check reuses the verdict's skeleton solution."""
+        calls = []
+
+        def counted(config, line):
+            calls.append(line)
+            return skeleton_solve(config, line)
+
+        monkeypatch.setattr(cli, "skeleton_solve", counted)
+        monkeypatch.setattr(solver, "skeleton_solve", counted)
+        assert main(["verify", instance_file]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_tampered_config_fails(self, instance_file, compiled_dir, tmp_path,
                                    capsys) -> None:

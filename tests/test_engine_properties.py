@@ -1,5 +1,6 @@
 """Property-based engine checks: random legal walks uphold the invariants,
-and ``apply_in_place`` and ``replay`` agree with ``apply``."""
+and ``apply_in_place`` (with and without a log) and ``replay`` agree with
+``apply``."""
 
 from __future__ import annotations
 
@@ -193,17 +194,28 @@ class TestApplyInPlace:
         return states + line[::5]
 
     def test_matches_apply_and_rejects_without_mutation(self, probed_states) -> None:
+        """Also run without a log: the state, ``step`` included, must come
+        out as with one, and ``step`` must count every logged event."""
         rejected = applied = decided = 0
         for state in probed_states:
             decided += state.outcome is not Outcome.ONGOING
             before = snapshot(state)
             for action in legal_actions(state) + illegal_probes(state):
                 pure_log, live_log = EventLog(), EventLog()
-                live = state.clone()
+                live, quiet = state.clone(), state.clone()
                 try:
                     expected = apply(state, action, pure_log)
                 except IllegalAction:
                     expected = None
+                try:
+                    apply_in_place(quiet, action)
+                except IllegalAction:
+                    assert expected is None, action
+                    assert snapshot(quiet) == before, action
+                else:
+                    assert expected is not None, action
+                    assert snapshot(quiet) == snapshot(expected), action
+                    assert quiet.step == state.step + len(pure_log.events), action
                 try:
                     apply_in_place(live, action, live_log)
                 except IllegalAction:

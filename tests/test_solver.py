@@ -272,3 +272,22 @@ class TestDeviations:
         assert report.improved == 0
         for finding in report.findings:
             assert finding.status in ("refuted", "dominated")
+
+    def test_check_all_on_turn_one(self) -> None:
+        """Every legal alternative on turn 1 of a one-pair line: small
+        probe budgets leave some unresolved, but an exhausted budget never
+        gives a wrong verdict."""
+        compiled = compile_instance(PartitionInstance(((1, 2),), 2),
+                                    validate="none")
+        report = deviation_check(compiled.config, compiled.line, max_turns=1,
+                                 rejoin_nodes=2000, value_nodes=200)
+        assert report.improved == 0
+        assert (report.refuted + report.dominated + report.improved
+                + report.unresolved) == len(report.findings) > 0
+        for finding in report.findings:
+            assert finding.alternative != finding.scripted
+            if finding.status == "unresolved":
+                assert finding.reason == "budget"
+        records, _ = walk_line(compiled.config, compiled.line, report.vector)
+        assert report.checked_steps == sum(
+            rec.taken for rec in records if rec.turn <= 1)
