@@ -197,6 +197,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
 
     verdict = "unknown"
     vector = None  # deviation_check solves the skeleton itself in full mode
+    counts = {"refuted": 0, "dominated": 0, "improved": 0, "unresolved": 0}
     try:
         if args.mode == "full":
             solved = minimax(
@@ -208,24 +209,22 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
         else:
             solved = skeleton_solve(config, result.line)
             verdict, vector = solved.verdict, solved.deviation_vector
+        if verdict != "unknown":
+            report = deviation_check(
+                config, result.line, vector, max_turns=args.deviation_turns
+            )
+            counts = {
+                "refuted": report.refuted,
+                "dominated": report.dominated,
+                "improved": report.improved,
+                "unresolved": report.unresolved,
+            }
     except IllegalAction:
         # The line cannot even be replayed against this configuration
         # (possible only with --config-override); counts as a mismatch.
         verdict = "unknown"
 
     match = verdict != "unknown" and (verdict == "win") == oracle
-
-    counts = {"refuted": 0, "dominated": 0, "improved": 0, "unresolved": 0}
-    if verdict != "unknown":
-        report = deviation_check(
-            config, result.line, vector, max_turns=args.deviation_turns
-        )
-        counts = {
-            "refuted": report.refuted,
-            "dominated": report.dominated,
-            "improved": report.improved,
-            "unresolved": report.unresolved,
-        }
 
     out = {
         "formatVersion": 1,

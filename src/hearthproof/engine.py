@@ -27,6 +27,7 @@ payload is built at all (no keyword dict, no ``.value``, no
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from .cards import CardKind, CardSpec, EffectTag, Tribe, card
@@ -188,16 +189,56 @@ def _hero_can_attack(player: PlayerState) -> bool:
     )
 
 
-def _defender_refs(state: GameState, side: int) -> list[CharRef]:
-    """Legal defenders for the active ``side``: taunts restrict the choice."""
-    opp_side = 1 - side
-    opp = state.players[opp_side]
+# A character is named by (side, index): index is its board slot, or
+# ``_HERO`` for the hero.
+_HERO = MAX_BOARD
+_END_TURN = EndTurn()
+
+
+@functools.cache
+def _shared_actions() -> tuple:
+    """Every action value ``legal_actions`` can return, built once.
+
+    ``CharRef``, ``PlayCard`` and ``Attack`` are frozen dataclasses that
+    take 1-3 µs each to build, so ``legal_actions`` hands out these shared
+    values instead.  Boards never exceed ``MAX_BOARD`` and hands never
+    exceed ``MAX_HAND``.  The tables (about 400 values) are filled on first
+    use, not at import, so a process that never enumerates actions does not
+    build them.  Returns ``(refs, summons, untargeted, targeted, attacks)``,
+    indexed ``refs[side][index]``, ``summons[hand][position]``,
+    ``untargeted[hand]``, ``targeted[hand][side][index]`` and
+    ``attacks[side][attacker index][defender index]``, the defender on the
+    other side.
+    """
+    refs = tuple(
+        tuple(minion_ref(side, k) for k in range(MAX_BOARD)) + (hero_ref(side),)
+        for side in (0, 1)
+    )
+    summons = tuple(
+        tuple(PlayCard(hi, None, pos) for pos in range(MAX_BOARD)) for hi in range(MAX_HAND)
+    )
+    untargeted = tuple(PlayCard(hi) for hi in range(MAX_HAND))
+    targeted = tuple(
+        tuple(tuple(PlayCard(hi, ref) for ref in side_refs) for side_refs in refs)
+        for hi in range(MAX_HAND)
+    )
+    attacks = tuple(
+        tuple(tuple(Attack(a, d) for d in refs[1 - side]) for a in refs[side])
+        for side in (0, 1)
+    )
+    return refs, summons, untargeted, targeted, attacks
+
+
+def _defender_indexes(state: GameState, side: int) -> list[int]:
+    """Legal defenders for the active ``side``, as indexes on the
+    opponent's side: taunts restrict the choice."""
+    opp = state.players[1 - side]
     taunts = [k for k, m in enumerate(opp.board) if m.taunt]
     if taunts:
-        return [minion_ref(opp_side, k) for k in taunts]
-    refs = [minion_ref(opp_side, k) for k in range(len(opp.board))]
-    refs.append(hero_ref(opp_side))
-    return refs
+        return taunts
+    indexes = list(range(len(opp.board)))
+    indexes.append(_HERO)
+    return indexes
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +247,14 @@ def _defender_refs(state: GameState, side: int) -> list[CharRef]:
 
 
 def legal_actions(state: GameState) -> list[Action]:
-    """Every action the active player may take, in a stable canonical order."""
+    """Every action the active player may take, in a stable canonical order.
+
+    The list is new on every call, but the actions in it are shared
+    immutable values, built once per process.
+    """
     if state.outcome is not _ONGOING:
         return []
+    refs, summons, untargeted, targeted, attacks = _shared_actions()
     side = state.active
     p = state.players[side]
     acts: list[Action] = []
@@ -220,35 +266,31 @@ def legal_actions(state: GameState) -> list[Action]:
         if spec.kind is _MINION:
             if len(p.board) >= MAX_BOARD:
                 continue
-            for pos in range(len(p.board) + 1):
-                acts.append(PlayCard(hi, None, pos))
+            acts += summons[hi][: len(p.board) + 1]
         elif spec.kind is _WEAPON:
-            acts.append(PlayCard(hi))
+            acts.append(untargeted[hi])
         elif spec.effect in _TARGETED_SPELLS:
-            for ref in _candidate_targets(state):
-                if _spell_target_ok(state, side, spec.effect, ref) is None:
-                    acts.append(PlayCard(hi, ref))
+            # Each side's hero, then its minions.
+            for t_side in (0, 1):
+                side_refs, plays = refs[t_side], targeted[hi][t_side]
+                for k in (_HERO, *range(len(state.players[t_side].board))):
+                    if _spell_target_ok(state, side, spec.effect, side_refs[k]) is None:
+                        acts.append(plays[k])
         else:
-            acts.append(PlayCard(hi))
+            acts.append(untargeted[hi])
 
-    defenders = _defender_refs(state, side)
+    defenders = _defender_indexes(state, side)
+    own_attacks = attacks[side]
     for k, m in enumerate(p.board):
         if m.can_attack():
-            for d in defenders:
-                acts.append(Attack(minion_ref(side, k), d))
+            row = own_attacks[k]
+            acts += [row[d] for d in defenders]
     if _hero_can_attack(p):
-        for d in defenders:
-            acts.append(Attack(hero_ref(side), d))
+        row = own_attacks[_HERO]
+        acts += [row[d] for d in defenders]
 
-    acts.append(EndTurn())
+    acts.append(_END_TURN)
     return acts
-
-
-def _candidate_targets(state: GameState) -> Iterable[CharRef]:
-    for side in (0, 1):
-        yield hero_ref(side)
-        for k in range(len(state.players[side].board)):
-            yield minion_ref(side, k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ state its caller owns and leaves it untouched when it rejects the action.
 Decks are shared immutable tuples with a per-player draw cursor so cloning
 is O(board + hand), not O(deck).  Decks are interned, so equal decks are one
 object for the life of the process.
+
+Search tables key positions by :func:`position_key`: one flat tuple of
+ints, bools and None, pickled once, in which the hand and board lengths
+come before the parts they measure.  It therefore splits back into its
+fields one way only, which makes the key exact.  Actions are frozen values;
+the engine shares one instance of each among all the lists it returns.
 """
 from __future__ import annotations
 
 import copy
-import io
 import json
 import pickle
 from dataclasses import dataclass
@@ -467,8 +472,10 @@ class GameState:
 # ---------------------------------------------------------------------------
 
 
-# Small integer codes for card ids, which keep position keys short.
+# Small integer codes for card ids and outcomes, which keep position keys
+# short and free of strings.
 _CARD_CODES = {card_id: code for code, card_id in enumerate(card_database())}
+_OUTCOME_CODES = {outcome: code for code, outcome in enumerate(Outcome)}
 
 
 def position_key(state: GameState) -> bytes:
@@ -476,32 +483,72 @@ def position_key(state: GameState) -> bytes:
 
     Covers the same fields as :meth:`GameState.canonical` (so it ignores
     ``step``), but names each deck by ``(id(deck), deck_pos)`` instead of
-    spelling out the remaining cards, and each card id by a small code.
-    Decks are interned and never freed, so equal keys always mean equal
-    positions; and since the engine only moves ``deck_pos``, equal positions
-    have equal keys whenever their decks are equal, as for every state
-    reached from one start.  The tuple is pickled without a memo, so the
-    bytes depend on its values alone, never on which objects it shares.
-    The bytes are tied to this process; :func:`state_hash` is the stable
-    digest.
+    spelling out the remaining cards, and each card id and the outcome by a
+    small code.  Decks are interned and never freed, so equal keys always
+    mean equal positions; and since the engine only moves ``deck_pos``,
+    equal positions have equal keys whenever their decks are equal, as for
+    every state reached from one start.
+
+    The fields go into one flat sequence of ints, bools and None:
+
+    * ``active``, ``turn``, ``turn_limit``, the outcome code, ``removed``;
+    * then, for each player: the hero's health, max health, mana crystals,
+      mana, attacked, frozen and fatigue, ``id(deck)``, ``deck_pos``, the
+      hand length and the board length; the weapon as None or as attack
+      and durability; the hand's card codes; and nine fields per minion
+      (card code, attack, health, max health, taunt, frozen, exhausted,
+      charge, attacked).
+
+    The lengths come before the parts they measure and a weapon's attack
+    is never None, so the sequence splits back into its fields one way
+    only: the key is exact.  A flat tuple of scalars shares no
+    sub-objects, so its pickle depends on its values alone.  The bytes are
+    tied to this process; :func:`state_hash` is the stable digest.
     """
-    players = [
-        (
-            p.hero.canonical(),
+    key = [
+        state.active,
+        state.turn,
+        state.turn_limit,
+        _OUTCOME_CODES[state.outcome],
+        state.removed,
+    ]
+    codes = _CARD_CODES
+    for p in state.players:
+        h = p.hero
+        hand = p.hand
+        board = p.board
+        key += (
+            h.health,
+            h.max_health,
+            h.mana_crystals,
+            h.mana,
+            h.attacked,
+            h.frozen,
+            h.fatigue,
             id(p.deck),
             p.deck_pos,
-            tuple([_CARD_CODES[c] for c in p.hand]),
-            tuple([(_CARD_CODES[m.card_id], *m.canonical()[1:]) for m in p.board]),
+            len(hand),
+            len(board),
         )
-        for p in state.players
-    ]
-    out = io.BytesIO()
-    pickler = pickle.Pickler(out, 3)
-    pickler.fast = True
-    pickler.dump(
-        (*players, state.active, state.turn, state.turn_limit, state.outcome.value, state.removed)
-    )
-    return out.getvalue()
+        w = h.weapon
+        if w is None:
+            key.append(None)
+        else:
+            key += (w.attack, w.durability)
+        key += [codes[c] for c in hand]
+        for m in board:
+            key += (
+                codes[m.card_id],
+                m.attack,
+                m.health,
+                m.max_health,
+                m.taunt,
+                m.frozen,
+                m.exhausted,
+                m.charge,
+                m.attacked,
+            )
+    return pickle.dumps(tuple(key), 3)
 
 
 def _encode(value: Any, out: bytearray) -> None:

@@ -12,6 +12,7 @@ from hearthproof.cards import database_to_json
 from hearthproof.cli import main
 from hearthproof.solver import skeleton_solve
 from hearthproof.state import GameConfig
+from micro_positions import micro_positions
 
 WORKED = {"pairs": [[1, 2], [4, 3], [5, 6], [8, 8]], "target": 18}
 
@@ -168,6 +169,27 @@ class TestVerify:
         assert out["match"] is False
         assert out["deviations"] == {
             "refuted": 0, "dominated": 0, "improved": 0, "unresolved": 0}
+
+    def test_full_mode_with_unreplayable_override_is_a_mismatch(
+            self, tmp_path, capsys) -> None:
+        """A micro configuration the compiled line cannot be replayed on:
+        full mode solves it, then reports the failed deviation replay as a
+        mismatch with its manifest, as skeleton mode does."""
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps({"pairs": [[1, 2]], "target": 1}))
+        label, config, _ = micro_positions()[0]
+        assert label == "weapon_race_win"
+        override = tmp_path / "micro.json"
+        override.write_text(config.to_json())
+        for mode in ("skeleton", "full"):
+            code = main(["verify", str(instance), "--mode", mode,
+                         "--config-override", str(override)])
+            captured = capsys.readouterr()
+            assert code == 1
+            out = json.loads(captured.out)
+            assert out["skeleton"] == "unknown"
+            assert out["match"] is False
+            assert read_manifest_line(captured.err)["command"] == "verify"
 
 
 class TestReplay:

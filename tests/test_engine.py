@@ -390,6 +390,35 @@ class TestTurnStructure:
             apply(done, EndTurn())
 
 
+class TestLegalActions:
+    def test_order_and_shared_values(self) -> None:
+        """Summons by position, the weapon, targeted spells (heroes, then
+        minions, side by side; shielded ones left out), untargeted spells,
+        then attacks through the taunt and the end of turn.  Each call
+        builds a new list of the same shared action values."""
+        state = build(
+            f_hand=["Leper Gnome", "Light's Justice", "Backstab", "Innervate"],
+            f_board=[minion("Novice Engineer")],
+            f_weapon={"attack": 1, "durability": 2},
+            e_board=[minion("Leper Gnome", taunt=True), minion("Wee Spellstopper"),
+                     minion("Novice Engineer")],
+        )
+        first, second = legal_actions(state), legal_actions(state)
+        assert first == [
+            PlayCard(0, None, 0),
+            PlayCard(0, None, 1),
+            PlayCard(1),
+            PlayCard(2, minion_ref(0, 0)),
+            PlayCard(2, minion_ref(1, 1)),
+            PlayCard(3),
+            Attack(minion_ref(0, 0), minion_ref(1, 0)),
+            Attack(hero_ref(0), minion_ref(1, 0)),
+            EndTurn(),
+        ]
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
+
 class TestPurity:
     def test_apply_does_not_mutate_input(self) -> None:
         state = build(

@@ -258,6 +258,35 @@ class TestDeviations:
             assert finding.status == "refuted"
             assert finding.reason in ("forced_loss", "derailed")
 
+    def test_named_findings_are_pinned(self, worked_compiled) -> None:
+        """Status, reason and nodes searched of each worked named probe: a
+        probe change that alters the search has to change these numbers."""
+        checker = DeviationChecker(
+            worked_compiled.config, worked_compiled.line, WORKED_VECTOR)
+        names = [name for name, _, _ in named_deviations(checker)]
+        report = check_named_deviations(checker)
+        assert [(name, f.status, f.reason, f.nodes)
+                for name, f in zip(names, report.findings, strict=True)] == [
+            ("skip_freeze", "refuted", "forced_loss", 88),
+            ("carrier_position_0", "refuted", "forced_loss", 6),
+            ("carrier_position_1", "refuted", "forced_loss", 6),
+            ("carrier_position_2", "refuted", "forced_loss", 6),
+            ("carrier_position_3", "refuted", "forced_loss", 6),
+            ("carrier_position_4", "refuted", "forced_loss", 6),
+            ("double_spend", "refuted", "derailed", 2899),
+        ]
+
+    def test_rejoin_probe_leaves_its_argument_alone(self, worked_compiled) -> None:
+        """The probe steps its own copy in place; the state it is given,
+        which the loss probe reads next, comes back unchanged."""
+        checker = DeviationChecker(
+            worked_compiled.config, worked_compiled.line, WORKED_VECTOR)
+        for _, rec, alternative in named_deviations(checker):
+            child = apply(rec.state_before, alternative)
+            before = (child.canonical(), child.step, child.next_iid)
+            checker._rejoin_probe(rec).analyze(child)
+            assert (child.canonical(), child.step, child.next_iid) == before
+
     def test_single_pair_line_has_no_freeze_probe(self) -> None:
         """A single-pair line opens on the verification turn, which casts
         no field-wide freeze, so that probe family is empty."""

@@ -3,19 +3,24 @@ clone isolation."""
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from conftest import WORKED_PAIRS, WORKED_TARGET
+from hearthproof.cards import card
 from hearthproof.compiler import PartitionInstance, compile_instance
 from hearthproof.engine import apply, legal_actions
 from hearthproof.state import (
+    _CARD_CODES,
     Attack,
     ConfigError,
     EndTurn,
     GameConfig,
+    MinionInstance,
     PlayCard,
+    Weapon,
     action_from_json_obj,
     action_to_json_obj,
     hero_ref,
@@ -133,6 +138,38 @@ class TestHashing:
         assert state_hash(base) != state_hash(clamped)
 
 
+def split_key(key: bytes) -> list[tuple]:
+    """Each player's part of a position key, read back by the layout that
+    ``position_key`` documents: header, weapon, hand codes, minion fields,
+    the last two sized by the header's hand and board lengths."""
+    rest = list(pickle.loads(key))[5:]
+    players = []
+    for _ in range(2):
+        header, rest = rest[:11], rest[11:]
+        n_hand, n_board = header[9], header[10]
+        width = 1 if rest[0] is None else 2
+        weapon, rest = rest[:width], rest[width:]
+        hand, rest = rest[:n_hand], rest[n_hand:]
+        board, rest = rest[:9 * n_board], rest[9 * n_board:]
+        players.append((header[:9], weapon, hand, board))
+    assert rest == []
+    return players
+
+
+def key_fields(state) -> list[tuple]:
+    """The same per-player parts, built from the state's fields."""
+    players = []
+    for p in state.players:
+        h = p.hero
+        header = [h.health, h.max_health, h.mana_crystals, h.mana, h.attacked,
+                  h.frozen, h.fatigue, id(p.deck), p.deck_pos]
+        weapon = [None] if h.weapon is None else [h.weapon.attack, h.weapon.durability]
+        hand = [_CARD_CODES[c] for c in p.hand]
+        board = [f for m in p.board for f in (_CARD_CODES[m.card_id], *m.canonical()[1:])]
+        players.append((header, weapon, hand, board))
+    return players
+
+
 class TestPositionKey:
     def test_equal_keys_iff_equal_positions_on_random_walks(self) -> None:
         """Seeded random walks from the worked config and the micro
@@ -175,6 +212,29 @@ class TestPositionKey:
     def test_key_stable_across_conversions(self) -> None:
         config = GameConfig.from_json_obj(micro_config_obj())
         assert position_key(config.to_state()) == position_key(config.to_state())
+
+    def test_keys_differ_at_the_length_prefixes(self) -> None:
+        """Clone pairs that differ only in a weapon, in the order of the
+        same hand cards, or in the last hand card moved to a new minion get
+        different keys; and every key splits back into its state's fields,
+        which holds only while the hand and board lengths lead their
+        parts."""
+        obj = micro_config_obj()
+        obj["players"][0]["hand"] = ["Mortal Coil", "Leper Gnome"]
+        base = GameConfig.from_json_obj(obj).to_state()
+        armed = base.clone()
+        armed.players[0].hero.weapon = Weapon(2, 2)
+        reordered = base.clone()
+        reordered.players[0].hand.reverse()
+        summoned = base.clone()
+        cid = summoned.players[0].hand.pop()
+        summoned.players[0].board.append(
+            MinionInstance.from_card(card(cid), summoned.next_iid))
+        for other in (armed, reordered, summoned):
+            assert position_key(other) != position_key(base)
+            assert other.canonical() != base.canonical()
+        for state in (base, armed, reordered, summoned):
+            assert split_key(position_key(state)) == key_fields(state)
 
 
 class TestCloneIsolation:
