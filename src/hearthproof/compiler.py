@@ -20,10 +20,14 @@ Layout produced (player 0 moves first and owns the odd turns):
   that hit exactly when the chosen values sum to T, freeing the way for a
   weapon swing at the 1-health enemy hero.
 
-Decks are synthesised so that every card arrives exactly when needed: each
+Each side's deck lists the cards its turns play in the order they play them
+(a branch's pair cards first, since both must be in hand when it opens),
+padded with cheap weapons up to the number of cards the side draws.  Each
 spell cast feeds one replacement draw through the caster's draw engine, extra
 mana arrives as just-in-time mana-burst spells, and surplus draws are drained
-by re-equipping cheap weapons.
+by re-equipping cheap weapons.  No hand is modelled outside the engine:
+emission replays both halves of every branch and fails when a card is not in
+hand at its step, or when the halves leave different decks or hands.
 """
 from __future__ import annotations
 
@@ -779,7 +783,7 @@ def weave_plans(
 
 
 # ---------------------------------------------------------------------------
-# Phase 1c: deck supply simulation
+# Phase 1c: decks
 # ---------------------------------------------------------------------------
 
 
@@ -810,49 +814,27 @@ def _needs_of(entries: list[_PlanEntry]) -> list[str]:
     return needs
 
 
-def _simulate_supply(
-    plans: list[tuple[int, int, list[_PlanEntry]]], side: int, branch: str
-) -> list[str]:
-    """Walk one side's turns and derive the exact deck it must contain."""
+def _deck_for(plans: list[tuple[int, int, list[_PlanEntry]]], side: int) -> list[str]:
+    """One side's deck: its cards in the order its turns need them, padded
+    with Light's Justice up to the number of cards it draws.
+
+    The side draws once at each turn start, then as ``_entry_draws`` counts
+    (the x half of each window; both halves draw alike).  The emitter's
+    engine replay is the check that every card is in hand when played.
+    """
+    def draws(entries: list[_PlanEntry]) -> int:
+        return sum(
+            draws(e.x_entries) if isinstance(e, _Window) else _entry_draws(e)
+            for e in entries
+        )
+
     needs: list[str] = []
+    count = 0
     for _, s, entries in plans:
         if s == side:
             needs.extend(_needs_of(entries))
-    supply: list[str] = []
-    frontier = 0
-    hand: list[str] = []
-
-    def draw() -> None:
-        nonlocal frontier
-        cid = needs[frontier] if frontier < len(needs) else C.LIGHTS_JUSTICE
-        if frontier < len(needs):
-            frontier += 1
-        supply.append(cid)
-        hand.append(cid)
-        if len(hand) > 9:
-            raise ScheduleInfeasible(f"hand model overflow on side {side}")
-
-    def run(entries: list[_PlanEntry], turn: int) -> None:
-        for k, entry in enumerate(entries):
-            if isinstance(entry, _Window):
-                run(entry.x_entries if branch == "x" else entry.y_entries, turn)
-                continue
-            if _consumes_card(entry):
-                cid = entry.card if isinstance(entry, (_Cast, _Summon)) else C.LIGHTS_JUSTICE
-                if cid not in hand:
-                    raise ScheduleInfeasible(
-                        f"{cid} not drawn in time", turn=turn, step=k
-                    )
-                hand.remove(cid)
-            for _ in range(_entry_draws(entry)):
-                draw()
-
-    for turn, s, entries in plans:
-        if s != side:
-            continue
-        draw()  # start-of-turn draw
-        run(entries, turn)
-    return supply
+            count += 1 + draws(entries)
+    return needs + [C.LIGHTS_JUSTICE] * (count - len(needs))
 
 
 # ---------------------------------------------------------------------------
@@ -922,12 +904,13 @@ class _Emitter:
     """Replays the woven plan through the real engine, producing concrete
     actions with live hand indices and checking every move is legal.
 
-    Emission runs against a copy of the configuration whose accumulator has
-    inflated hit points.  Hand, mana, deck and board choreography do not
-    depend on the accumulator's exact health, and the inflation guarantees
-    the walk never ends early even for overshooting canonical vectors, so
-    every scripted step of the full line gets emitted.  Replays on the real
-    configuration that end earlier simply truncate at the decided outcome.
+    ``compile_instance`` inflates the accumulator's hit points on the start
+    state (the turn start that ``start_game`` runs does not read them).
+    Hand, mana, deck and board choreography do not depend on the
+    accumulator's exact health, and the inflation guarantees the walk never
+    ends early even for overshooting canonical vectors, so every scripted
+    step of the full line gets emitted.  Replays on the real configuration
+    that end earlier simply truncate at the decided outcome.
     """
 
     def __init__(self, config: GameConfig):
@@ -1128,6 +1111,8 @@ def compile_instance(
     """
     if validate not in ("canonical", "all", "none"):
         raise ValueError(f"unknown validate mode {validate!r}")
+    if validate == "all" and instance.n > 12:
+        raise InstanceError("validate='all' limited to n <= 12")
     shifted, shift = shifted_instance(instance)
     plans = weave_plans(build_turn_plans(shifted))
     if turn_limit < len(plans):
@@ -1135,19 +1120,12 @@ def compile_instance(
             f"line spans {len(plans)} turns but the turn limit is {turn_limit}"
         )
 
-    friendly_deck = _simulate_supply(plans, side=0, branch="x")
-    enemy_deck = _simulate_supply(plans, side=1, branch="x")
-    for side, deck in ((0, friendly_deck), (1, enemy_deck)):
-        alt = _simulate_supply(plans, side=side, branch="y")
-        if alt != deck:
-            raise ScheduleInfeasible(f"deck depends on branch choice (side {side})")
-
-    config = build_config(shifted, friendly_deck, enemy_deck, turn_limit)
-    emit_obj = config.to_json_obj()
+    config = build_config(shifted, _deck_for(plans, 0), _deck_for(plans, 1), turn_limit)
+    emitter = _Emitter(config)
+    wall = emitter.state.players[1].board[0]
     margin = 10 * sum(shifted.values()) + 10 * shifted.target + 10_000
-    emit_obj["players"][1]["board"][0]["health"] += margin
-    emit_obj["players"][1]["board"][0]["maxHealth"] += margin
-    emitter = _Emitter(GameConfig.from_json_obj(emit_obj))
+    wall.health += margin
+    wall.max_health += margin
     turns = emitter.emit(plans)
     line = ScriptedLine(
         instance=instance,
@@ -1160,8 +1138,6 @@ def compile_instance(
     if validate != "none":
         vectors: list[tuple[str, ...]]
         if validate == "all":
-            if instance.n > 12:
-                raise ValueError("validate='all' limited to n <= 12")
             vectors = [
                 tuple("x" if (mask >> k) & 1 == 0 else "y" for k in range(instance.n))
                 for mask in range(1 << instance.n)

@@ -95,40 +95,6 @@ def oracle_left_wins(instance: PartitionInstance) -> bool:
     return wins(0, 0)
 
 
-def oracle_line(instance: PartitionInstance) -> tuple[bool, tuple[str, ...]]:
-    """Optimal-play result and one optimal choice vector.
-
-    Left picks a winning option when one exists, Right a refuting one;
-    ties prefer ``x``.  The vector is a witness line, not unique.
-    """
-    pairs = instance.pairs
-    target = instance.target
-    memo: dict[tuple[int, int], tuple[bool, tuple[str, ...]]] = {}
-
-    def best(i: int, acc: int) -> tuple[bool, tuple[str, ...]]:
-        if i == len(pairs):
-            return acc == target, ()
-        key = (i, acc)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        x, y = pairs[i]
-        rx = best(i + 1, acc + x)
-        ry = best(i + 1, acc + y)
-        if i % 2 == 0:  # Left: prefer a win
-            pick = rx if rx[0] or not ry[0] else ry
-            choice = "x" if pick is rx else "y"
-            result = (pick[0], (choice,) + pick[1])
-        else:  # Right: prefer a refutation
-            pick = rx if not rx[0] or ry[0] else ry
-            choice = "x" if pick is rx else "y"
-            result = (pick[0], (choice,) + pick[1])
-        memo[key] = result
-        return result
-
-    return best(0, 0)
-
-
 # ---------------------------------------------------------------------------
 # Exact alpha-beta over engine states
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from hearthproof import cli, solver
+from hearthproof import cli, compiler, solver
 from hearthproof.cards import database_to_json
 from hearthproof.cli import main
 from hearthproof.solver import skeleton_solve
@@ -106,6 +106,24 @@ class TestCompile:
         code = main(["compile", str(bad), "--out-dir", str(tmp_path / "x")])
         capsys.readouterr()
         assert code == 2
+
+    def test_validate_all_beyond_twelve_pairs_is_an_input_error(
+            self, tmp_path, monkeypatch, capsys) -> None:
+        """The n <= 12 limit of ``--validate all`` is checked before any
+        compiling, and reported as an input error."""
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"pairs": [[1, 2]] * 13, "target": 10}))
+
+        def no_planning(*args):
+            raise AssertionError("compiled before checking the limit")
+
+        monkeypatch.setattr(compiler, "build_turn_plans", no_planning)
+        code = main(["compile", str(path), "--out-dir", str(tmp_path / "x"),
+                     "--validate", "all"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "n <= 12" in captured.err
+        assert not (tmp_path / "x").exists()
 
 
 class TestVerify:

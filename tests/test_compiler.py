@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 
 import pytest
 
 from conftest import WORKED_TARGET, WORKED_VECTOR
+from hearthproof import compiler
 from hearthproof.cards import (
     BACKSTAB,
     BLESSED_CHAMPION,
@@ -15,6 +18,7 @@ from hearthproof.cards import (
     FLOATING_WATCHER,
     GAHZRILLA,
     LEPER_GNOME,
+    LIGHTS_JUSTICE,
     MARK_OF_YSHAARJ,
 )
 from hearthproof.compiler import (
@@ -198,6 +202,12 @@ class TestBuffSimulation:
             assert simulate_buffs(GAHZRILLA, seq.cards) == 10 * v
 
 
+def _swap_last_needed_card_to_the_end(deck: list[str]) -> list[str]:
+    k = max(i for i, cid in enumerate(deck) if cid != LIGHTS_JUSTICE)
+    deck[k], deck[-1] = deck[-1], deck[k]
+    return deck
+
+
 class TestCompiledArtifacts:
     def test_compile_is_deterministic(self, worked_instance) -> None:
         first = compile_instance(worked_instance, validate="none")
@@ -266,6 +276,44 @@ class TestCompiledArtifacts:
             emitter._run_entries(emitter.state, entries, 1)
         assert "not in hand" in info.value.reason
         assert (info.value.turn, info.value.step) == (1, 0)
+
+    def test_seeded_outputs_are_pinned(self) -> None:
+        """Byte pin over 40 seeded instances (n 1-14, values 0-300, every
+        fourth with a zero so the shift path runs).  A deck one card short
+        still compiles and validates, so only this pin guards the padding."""
+        rng = random.Random(20261018)
+        digest = hashlib.sha256()
+        for k in range(40):
+            n = 1 + k % 14
+            pairs = tuple((rng.randint(0, 300), rng.randint(0, 300)) for _ in range(n))
+            if k % 4 == 0:
+                i = rng.randrange(n)
+                pairs = pairs[:i] + ((0, pairs[i][1]),) + pairs[i + 1:]
+            target = rng.randint(0, sum(max(p) for p in pairs))
+            result = compile_instance(PartitionInstance(pairs, target), validate="none")
+            digest.update((result.config.to_json() + result.line.to_json()).encode())
+        assert digest.hexdigest() == (
+            "247a685ee6fc7c202cb7ff246340ce409eebce3ca0a5a47f57635645ea9fdf80")
+
+    @pytest.mark.parametrize("side, mutate, turn", [
+        (0, lambda deck: deck[1:], 1),  # the first card never arrives
+        (1, _swap_last_needed_card_to_the_end, 4),  # a late card comes last
+    ], ids=["first_card_dropped", "late_card_last"])
+    def test_engine_replay_guards_the_deck(self, worked_instance, monkeypatch,
+                                           side, mutate, turn) -> None:
+        """Emission replays every turn through the engine, so a deck that
+        supplies a card late fails there; nothing else models the hand."""
+        deck_for = compiler._deck_for
+
+        def broken(plans, s):
+            deck = deck_for(plans, s)
+            return mutate(deck) if s == side else deck
+
+        monkeypatch.setattr(compiler, "_deck_for", broken)
+        with pytest.raises(ScheduleInfeasible) as info:
+            compile_instance(worked_instance, validate="none")
+        assert "not in hand" in info.value.reason
+        assert info.value.turn == turn
 
 
 class TestValidation:
