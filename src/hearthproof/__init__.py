@@ -19,7 +19,7 @@ from .state import (
     PlayCard,
     state_hash,
 )
-from .engine import apply, apply_in_place, legal_actions, replay, start_game
+from .engine import apply, apply_in_place, legal_actions, replay, run_script, start_game
 
 __all__ = [
     "Action",
@@ -43,6 +43,7 @@ __all__ = [
     "card_database",
     "legal_actions",
     "replay",
+    "run_script",
     "start_game",
     "state_hash",
     "__version__",

@@ -113,6 +113,15 @@ def _load_line(path: str) -> ScriptedLine:
         raise InputProblem(f"{path}: malformed line file: {exc}") from exc
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the search budgets and ``--deviation-turns``: a
+    value below 1 would search or probe nothing, so it is an input error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_choices(text: str, n: int) -> tuple[str, ...]:
     if len(text) != n or any(c not in "xy" for c in text):
         raise InputProblem(
@@ -213,12 +222,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
             report = deviation_check(
                 config, result.line, vector, max_turns=args.deviation_turns
             )
-            counts = {
-                "refuted": report.refuted,
-                "dominated": report.dominated,
-                "improved": report.improved,
-                "unresolved": report.unresolved,
-            }
+            counts = {status: getattr(report, status) for status in counts}
     except IllegalAction:
         # The line cannot even be replayed against this configuration
         # (possible only with --config-override); counts as a mismatch.
@@ -381,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="skeleton: branch decisions only (default); full: exact "
              "minimax over all legal actions (micro configurations only)",
     )
-    p.add_argument("--max-nodes", type=int, default=500_000)
-    p.add_argument("--max-depth", type=int, default=120)
+    p.add_argument("--max-nodes", type=positive_int, default=500_000)
+    p.add_argument("--max-depth", type=positive_int, default=120)
     p.add_argument("--turn-limit", type=int, default=60)
     p.add_argument(
-        "--deviation-turns", type=int, default=None, metavar="N",
+        "--deviation-turns", type=positive_int, default=None, metavar="N",
         help="probe every legal alternative in turns <= N instead of the "
              "default named spot checks",
     )
@@ -410,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact minimax value of a configuration")
     p.add_argument("config", help="config JSON file")
-    p.add_argument("--max-nodes", type=int, default=500_000)
-    p.add_argument("--max-depth", type=int, default=120)
+    p.add_argument("--max-nodes", type=positive_int, default=500_000)
+    p.add_argument("--max-depth", type=positive_int, default=120)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("cards", help="card table utilities")
@@ -428,10 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         return args.func(args, started)
-    except InputProblem as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    except InstanceError as exc:
+    except (InputProblem, InstanceError) as exc:
         _err(str(exc))
         return EXIT_INPUT
     except ScheduleInfeasible as exc:

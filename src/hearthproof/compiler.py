@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Literal
 
 from . import cards as C
 from .cards import CardKind, EffectTag, Tribe, card
-from .engine import _emit, apply_in_place, start_game
+from .engine import _emit, apply_in_place, run_script, start_game
 from .state import (
     Action,
     Attack,
@@ -50,7 +50,7 @@ from .state import (
     IllegalAction,
     Outcome,
     PlayCard,
-    action_from_json_obj,
+    ScriptStep,  # re-exported: line files are made of these
     action_to_json_obj,
     hero_ref,
     minion_ref,
@@ -59,7 +59,7 @@ from .state import (
     MAX_MANA,
 )
 
-# Bound once: the emitter and ``run_line`` test it before every step, and an
+# Bound once: the emitter tests it before every step, and an
 # ``Enum.MEMBER`` lookup costs 120-190 ns on CPython 3.11.
 _ONGOING = Outcome.ONGOING
 
@@ -264,22 +264,6 @@ class ScheduleInfeasible(Exception):
             f", step {step})" if step is not None else ")"
         )
         super().__init__(reason + where)
-
-
-@dataclass(frozen=True)
-class ScriptStep:
-    action: Action
-    optional: bool = False
-
-    def to_json_obj(self) -> dict:
-        obj = {"action": action_to_json_obj(self.action)}
-        if self.optional:
-            obj["optional"] = True
-        return obj
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "ScriptStep":
-        return ScriptStep(action_from_json_obj(obj["action"]), bool(obj.get("optional")))
 
 
 @dataclass(frozen=True)
@@ -690,9 +674,7 @@ def build_turn_plans(shifted: PartitionInstance) -> list[tuple[int, int, list[_P
 
 
 def _cast_cost(entry: _PlanEntry) -> int:
-    if isinstance(entry, _Cast):
-        return card(entry.card).cost
-    if isinstance(entry, _Summon):
+    if isinstance(entry, (_Cast, _Summon)):
         return card(entry.card).cost
     if isinstance(entry, _Equip):
         return card(C.LIGHTS_JUSTICE).cost
@@ -907,10 +889,12 @@ class _Emitter:
     ``compile_instance`` inflates the accumulator's hit points on the start
     state (the turn start that ``start_game`` runs does not read them).
     Hand, mana, deck and board choreography do not depend on the
-    accumulator's exact health, and the inflation guarantees the walk never
-    ends early even for overshooting canonical vectors, so every scripted
-    step of the full line gets emitted.  Replays on the real configuration
-    that end earlier simply truncate at the decided outcome.
+    accumulator's exact health, and the inflated accumulator survives every
+    delivery, so every pair turn and both halves of every branch are run.
+    It then blocks the final weapon swing, and the punishment turn decides
+    the emitter's game (``enemy_wins``) before its last steps, which
+    ``_run_entries`` records without applying them.  That is why it keeps
+    its own loop: ``engine.run_script`` stops at a decided outcome.
     """
 
     def __init__(self, config: GameConfig):
@@ -1034,9 +1018,9 @@ def run_line(
     log: EventLog | None = None,
     on_step: Callable[[int, FlatStep, GameState], None] | None = None,
 ) -> GameState:
-    """Replay the line under a full choice vector.
+    """Replay the line under a full choice vector with ``engine.run_script``.
 
-    Optional steps that are illegal in the current position are skipped; a
+    An illegal optional step is skipped and logged as a ``skip`` event; a
     decided outcome truncates the remainder.  Branch entry emits a
     ``decision`` event carrying the pair's values and carrier stats.
     ``on_step`` is called after every attempted step (applied or skipped)
@@ -1045,32 +1029,27 @@ def run_line(
     and a callback that keeps it must keep a ``clone()``.
     """
     state = start_game(config, log)
-    for index, flat in enumerate(line.flatten(vector)):
-        if state.outcome is not _ONGOING:
-            break
-        if flat.decision is not None:
+    flat_steps = line.flatten(vector)
+
+    def pulled():
+        # ``run_script`` pulls a step only while the game is undecided, so
+        # only a branch the line reaches logs its decision.
+        for flat in flat_steps:
             d = flat.decision
-            destroyed = d.y_destroyed if flat.chosen == "x" else d.x_destroyed
-            _emit(
-                state, log, "decision",
-                decision=d.index, turn=d.turn, chosen=flat.chosen,
-                x_value=d.x_value, y_value=d.y_value,
-                x_attack=d.x_attack, y_attack=d.y_attack,
-                destroyed_at=destroyed,
-            )
-        try:
-            apply_in_place(state, flat.action, log)
-        except IllegalAction as exc:
-            if flat.optional:
+            if d is not None:
                 _emit(
-                    state, log, "skip",
-                    turn=flat.turn, reason=exc.reason,
-                    action=action_to_json_obj(flat.action),
+                    state, log, "decision",
+                    decision=d.index, turn=d.turn, chosen=flat.chosen,
+                    x_value=d.x_value, y_value=d.y_value,
+                    x_attack=d.x_attack, y_attack=d.y_attack,
+                    destroyed_at=d.y_destroyed if flat.chosen == "x" else d.x_destroyed,
                 )
-                if on_step is not None:
-                    on_step(index, flat, state)
-                continue
-            raise IllegalAction(exc.reason, step=index) from exc
+            yield flat
+
+    for index, flat, skipped in run_script(state, pulled(), log):
+        if skipped is not None:
+            _emit(state, log, "skip", turn=flat.turn, reason=skipped,
+                  action=action_to_json_obj(flat.action))
         if on_step is not None:
             on_step(index, flat, state)
     return state

@@ -28,7 +28,7 @@ payload is built at all (no keyword dict, no ``.value``, no
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cards import CardKind, CardSpec, EffectTag, Tribe, card
 from .state import (
@@ -44,6 +44,7 @@ from .state import (
     Outcome,
     PlayCard,
     PlayerState,
+    ScriptStep,
     Weapon,
     MAX_BOARD,
     MAX_HAND,
@@ -774,21 +775,40 @@ def start_game(config: GameConfig, log: EventLog | None = None) -> GameState:
     return state
 
 
+def run_script(
+    state: GameState, steps: Iterable[ScriptStep], log: EventLog | None = None
+) -> Iterator[tuple[int, ScriptStep, str | None]]:
+    """Step ``state`` in place through scripted steps: the one replay rule.
+
+    Yields ``(index, step, skipped)`` after each step: ``skipped`` is None
+    for a step taken, or the reason an ``optional`` step was illegal here
+    (it is skipped and leaves the state as it was).  Any other illegal step
+    raises ``IllegalAction`` with its zero-based index.  Returns once the
+    game is decided, checked before the next step is pulled, so a lazy
+    ``steps`` source is read no further than the deciding step.  A step
+    needs only ``action`` and ``optional``.
+    """
+    if state.outcome is not _ONGOING:
+        return
+    for index, step in enumerate(steps):
+        skipped = None
+        try:
+            apply_in_place(state, step.action, log)
+        except IllegalAction as exc:
+            if not step.optional:
+                raise IllegalAction(exc.reason, step=index) from None
+            skipped = exc.reason
+        yield index, step, skipped
+        if state.outcome is not _ONGOING:
+            return
+
+
 def replay(
     config: GameConfig, actions: Iterable[Action], log: EventLog | None = None
 ) -> GameState:
-    """Run a fixed action sequence; stops early once the outcome is decided.
-
-    The state built from ``config`` is stepped in place.  Raises
-    IllegalAction (annotated with the zero-based step index) if an action
-    fails validation before the game is decided.
-    """
+    """Run a fixed action sequence through :func:`run_script`, every step
+    required, on the state built from ``config``."""
     state = start_game(config, log)
-    for idx, action in enumerate(actions):
-        if state.outcome is not _ONGOING:
-            break
-        try:
-            apply_in_place(state, action, log)
-        except IllegalAction as exc:
-            raise IllegalAction(exc.reason, step=idx) from None
+    for _ in run_script(state, map(ScriptStep, actions), log):
+        pass
     return state

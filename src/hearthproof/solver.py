@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import Branch, PartitionInstance, ScriptStep, ScriptedLine, TurnItem
-from .engine import IllegalAction, apply, apply_in_place, legal_actions, start_game
+from .compiler import Branch, PartitionInstance, ScriptedLine
+from .engine import apply, apply_in_place, legal_actions, run_script, start_game
 from .state import (
     Action,
     EndTurn,
@@ -36,6 +36,7 @@ from .state import (
     GameState,
     Outcome,
     PlayCard,
+    ScriptStep,
     minion_ref,
     position_key,
 )
@@ -45,7 +46,7 @@ DRAW = 0
 WIN = 1
 
 # Bound once: an ``Enum.MEMBER`` lookup costs 120-190 ns on CPython 3.11,
-# and ``terminal_value`` runs before every forced step and probe child.
+# and ``terminal_value`` runs at every probe child.
 _ONGOING = Outcome.ONGOING
 _FRIENDLY_WINS = Outcome.FRIENDLY_WINS
 _ENEMY_WINS = Outcome.ENEMY_WINS
@@ -335,76 +336,63 @@ class SkeletonResult:
         return self.vector if self.value == WIN else ("x",) * len(self.vector)
 
 
-def _run_scripted(state: GameState, step: ScriptStep) -> None:
-    """Apply one scripted step in place with the line-replay skip rule."""
-    try:
-        apply_in_place(state, step.action)
-    except IllegalAction:
-        if not step.optional:
-            raise
-
-
 def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     """Solve the line's decision skeleton by alternating max/min.
 
     Scripted steps between branches are forced for both sides and run in
-    place on one state; each branch is a two-way move by the side whose turn
-    it is, and only there is the state cloned.  Positions are memoised on
-    (item index, position key) so shared continuations are solved once.
+    place on one state through ``engine.run_script``, so an illegal
+    required step raises ``IllegalAction`` with its index in its forced
+    segment or branch half.  Each branch is a two-way move by the side whose
+    turn it is, and only there is the state cloned.  Positions are memoised
+    on (branch index, position key) so shared continuations are solved once.
     A side that already has its best outcome from ``x`` skips ``y``; ties
     prefer ``x`` anyway, so the result is unchanged.  If the script runs
     out with the game still undecided the result is the turn-limit default,
     a draw.
     """
-    items: list[tuple[int, TurnItem]] = []
+    # segments[k] is the forced run before branches[k]; the last follows
+    # the last branch.
+    segments: list[list[ScriptStep]] = [[]]
+    branches: list[tuple[int, Branch]] = []
     for turn in line.turns:
         for item in turn.items:
-            items.append((turn.side, item))
+            if isinstance(item, Branch):
+                branches.append((turn.side, item))
+                segments.append([])
+            else:
+                segments[-1].append(item)
 
     memo: dict[tuple[int, bytes], tuple[int, tuple[str, ...]]] = {}
     counters = {"nodes": 0, "hits": 0}
 
-    def advance(state: GameState, idx: int) -> tuple[int, tuple[str, ...]]:
+    def run(state: GameState, steps) -> int | None:
+        counters["nodes"] += sum(1 for _ in run_script(state, steps))
+        return terminal_value(state)
+
+    def advance(state: GameState, k: int) -> tuple[int, tuple[str, ...]]:
         # ``state`` belongs to this call, which steps it in place.
-        while True:
-            tv = terminal_value(state)
-            if tv is not None:
-                return tv, ()
-            if idx >= len(items):
-                return DRAW, ()
-            side, item = items[idx]
-            if isinstance(item, Branch):
-                break
-            _run_scripted(state, item)
-            counters["nodes"] += 1
-            idx += 1
-        key = (idx, position_key(state))
+        tv = run(state, segments[k])
+        if tv is not None:
+            return tv, ()
+        if k == len(branches):
+            return DRAW, ()
+        key = (k, position_key(state))
         cached = memo.get(key)
         if cached is not None:
             counters["hits"] += 1
             return cached
-        branch = item
+        side, branch = branches[k]
         maximizing = side == 0
         best: tuple[int, tuple[str, ...]] | None = None
         for choice in ("x", "y"):
             # Nothing reads ``state`` once its key is taken, so the last
             # choice may consume it; an earlier one works on a copy.
             child = state.clone() if choice == "x" else state
-            for step in branch.steps(choice):
-                if terminal_value(child) is not None:
-                    break
-                _run_scripted(child, step)
-                counters["nodes"] += 1
-            value, suffix = terminal_value(child), ()
+            value, suffix = run(child, branch.steps(choice)), ()
             if value is None:
-                value, suffix = advance(child, idx + 1)
-            candidate = (value, (choice,) + suffix)
-            if best is None:
-                best = candidate
-            elif maximizing and candidate[0] > best[0]:
-                best = candidate
-            elif not maximizing and candidate[0] < best[0]:
-                best = candidate
+                value, suffix = advance(child, k + 1)
+            if best is None or (value > best[0] if maximizing else value < best[0]):
+                best = (value, (choice,) + suffix)
             if best[0] == (WIN if maximizing else LOSS):
                 break
         assert best is not None
@@ -412,8 +400,7 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
         return best
 
     value, vector = advance(start_game(config), 0)
-    if len(vector) < line.n:
-        vector = vector + ("x",) * (line.n - len(vector))
+    vector += ("x",) * (line.n - len(vector))
     return SkeletonResult(value, vector, counters["nodes"], counters["hits"])
 
 
@@ -437,26 +424,19 @@ class StepRecord:
 def walk_line(
     config: GameConfig, line: ScriptedLine, vector: tuple[str, ...]
 ) -> tuple[list[StepRecord], GameState]:
-    """Replay a fully chosen line recording the position before each step.
+    """Replay a fully chosen line with ``engine.run_script``, recording an
+    independent copy of the position before each step.
 
     Optional steps that are illegal are recorded with ``taken=False`` and
     leave the state unchanged; a decided outcome truncates the walk.
     """
     state = start_game(config)
+    before = state.clone()
     records: list[StepRecord] = []
-    for i, flat in enumerate(line.flatten(vector)):
-        if state.outcome is not _ONGOING:
-            break
-        try:
-            nxt = apply(state, flat.action)
-            taken = True
-        except IllegalAction:
-            if not flat.optional:
-                raise
-            nxt = state
-            taken = False
-        records.append(StepRecord(i, flat.turn, flat.side, flat.action, taken, state))
-        state = nxt
+    for i, flat, skipped in run_script(state, line.flatten(vector)):
+        records.append(StepRecord(i, flat.turn, flat.side, flat.action, skipped is None, before))
+        if skipped is None:
+            before = state.clone()
     return records, state
 
 

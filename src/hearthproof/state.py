@@ -27,9 +27,6 @@ from .cards import CardKind, CardSpec, EffectTag, Tribe, card, card_database
 
 FORMAT_VERSION = 1
 
-FRIENDLY = 0
-ENEMY = 1
-
 MAX_BOARD = 7
 MAX_HAND = 10
 MAX_MANA = 10
@@ -145,6 +142,25 @@ def action_from_json_obj(obj: dict) -> Action:
     if obj.get("end"):
         return EndTurn()
     raise ValueError(f"unrecognised action object: {obj!r}")
+
+
+@dataclass(frozen=True)
+class ScriptStep:
+    """One step of a scripted line, as ``engine.run_script`` reads it: an
+    ``optional`` step is skipped where it is illegal."""
+
+    action: Action
+    optional: bool = False
+
+    def to_json_obj(self) -> dict:
+        obj = {"action": action_to_json_obj(self.action)}
+        if self.optional:
+            obj["optional"] = True
+        return obj
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "ScriptStep":
+        return ScriptStep(action_from_json_obj(obj["action"]), bool(obj.get("optional")))
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +458,6 @@ class GameState:
         s.next_iid = self.next_iid
         s.step = self.step
         return s
-
-    def player(self, side: int) -> PlayerState:
-        return self.players[side]
-
-    def opponent(self, side: int) -> PlayerState:
-        return self.players[1 - side]
 
     def canonical(self) -> tuple:
         """Content tuple that determines the state hash.

@@ -210,6 +210,26 @@ class TestVerify:
             assert read_manifest_line(captured.err)["command"] == "verify"
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--deviation-turns", "0"],
+        ["--deviation-turns", "-1"],
+        ["--mode", "full", "--max-nodes", "-1"],
+        ["--max-depth", "0"],
+    ])
+    def test_budgets_below_one_are_input_errors(self, tmp_path, flags,
+                                                capsys) -> None:
+        """A budget or turn count below 1 would probe nothing and report
+        an empty pass; it is rejected before any work, exit 2."""
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps({"pairs": [[1, 2]], "target": 2}))
+        with pytest.raises(SystemExit) as info:
+            main(["verify", str(instance)] + flags)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert "must be at least 1" in captured.err
+
+
 class TestReplay:
     def test_streams_events_and_final(self, compiled_dir, capsys) -> None:
         code = main(["replay", str(compiled_dir / "config.json"),

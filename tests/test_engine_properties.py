@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import WORKED_VECTOR
 from hearthproof.compiler import PartitionInstance, compile_instance, run_line
-from hearthproof.engine import apply, apply_in_place, legal_actions, replay, start_game
+from hearthproof.engine import (
+    apply, apply_in_place, legal_actions, replay, run_script, start_game)
 from hearthproof.state import (
     Attack,
     EndTurn,
@@ -21,6 +22,7 @@ from hearthproof.state import (
     IllegalAction,
     Outcome,
     PlayCard,
+    ScriptStep,
     hero_ref,
     minion_ref,
     state_hash,
@@ -256,3 +258,55 @@ class TestReplay:
         assert states[-1].outcome is not Outcome.ONGOING
         final = replay(micro_config(), actions + [PlayCard(99), EndTurn()])
         assert final.canonical() == states[-1].canonical()
+
+
+class TestRunScript:
+    """``run_script`` holds the replay rule: skip an illegal optional step,
+    raise on any other illegal step, stop once the game is decided."""
+
+    def test_illegal_optional_step_yields_its_reason(self, worked_compiled) -> None:
+        skipped = 0
+        for config in (micro_config(), worked_compiled.config):
+            states, _ = seeded_walk(config, 3, 30)
+            for state in states[:-1:3]:
+                for action in illegal_probes(state):
+                    try:
+                        apply(state, action)
+                        continue
+                    except IllegalAction as exc:
+                        reason = exc.reason
+                    live = state.clone()
+                    step = ScriptStep(action, optional=True)
+                    assert list(run_script(live, [step])) == [(0, step, reason)]
+                    assert snapshot(live) == snapshot(state), action
+                    skipped += 1
+        assert skipped > 100
+
+    def test_illegal_required_step_raises_with_its_index(self) -> None:
+        states, actions = seeded_walk(micro_config(), 5, 20)
+        for k in (0, len(actions) // 2, len(actions) - 1):
+            steps = [ScriptStep(a) for a in actions[:k]] + [ScriptStep(PlayCard(99))]
+            state = start_game(micro_config())
+            with pytest.raises(IllegalAction) as info:
+                for _ in run_script(state, steps):
+                    pass
+            assert (info.value.step, info.value.reason) == (k, "no card in hand slot 99")
+            assert snapshot(state) == snapshot(states[k])
+
+    def test_pulls_no_step_after_the_deciding_one(self) -> None:
+        states, actions = seeded_walk(micro_config(), 2, 30)
+        assert states[-1].outcome is not Outcome.ONGOING
+        pulled = []
+
+        def source():
+            for action in actions + [PlayCard(99), EndTurn()]:
+                pulled.append(action)
+                yield ScriptStep(action)
+
+        state = start_game(micro_config())
+        ran = [(index, skipped) for index, _, skipped in run_script(state, source())]
+        assert ran == [(k, None) for k in range(len(actions))]
+        assert len(pulled) == len(actions)
+        assert snapshot(state) == snapshot(states[-1])
+        assert list(run_script(state, source())) == []  # decided: pulls nothing
+        assert len(pulled) == len(actions)

@@ -24,7 +24,7 @@ from hearthproof.solver import (
     value_verdict,
     walk_line,
 )
-from hearthproof.state import Outcome
+from hearthproof.state import EventLog, IllegalAction, Outcome
 from micro_positions import micro_positions
 
 
@@ -218,6 +218,51 @@ class TestWalkLine:
         _, second = walk_line(worked_compiled.config, worked_compiled.line,
                               WORKED_VECTOR)
         assert state_hash(first) == state_hash(second)
+
+
+class TestRunnersAgree:
+    """``run_line`` and ``walk_line`` both replay through ``run_script``, so
+    they skip the same steps, see the same positions and end alike."""
+
+    def test_skips_positions_and_final_states_agree(self) -> None:
+        instances = [
+            (((1, 2), (4, 3), (5, 6), (8, 8)), WORKED_TARGET),
+            (((1, 2),), 2),
+            (((0, 3), (2, 2)), 2),
+            (((5, 1), (7, 2), (3, 3)), 9),
+            (((9, 4), (1, 6), (2, 8), (3, 5), (7, 7)), 20),
+        ]
+        skipped = 0
+        for pairs, target in instances:
+            compiled = compile_instance(PartitionInstance(pairs, target), validate="none")
+            for vector in (("x",) * len(pairs), ("y",) * len(pairs)):
+                log = EventLog()
+                after, skips = [], []
+
+                def on_step(index, flat, state) -> None:
+                    after.append(state.canonical())
+                    if log.events[-1].kind == "skip":
+                        skips.append(index)
+
+                final = run_line(compiled.config, compiled.line, vector, log, on_step)
+                records, walked = walk_line(compiled.config, compiled.line, vector)
+                assert [r.index for r in records] == list(range(len(after)))
+                assert [r.index for r in records if not r.taken] == skips
+                before = [r.state_before.canonical() for r in records]
+                assert before[1:] == after[:-1]
+                assert walked.canonical() == final.canonical() == after[-1]
+                skipped += len(skips)
+        assert skipped > 0  # the weapon swing a surviving wall blocks
+
+    def test_foreign_configuration_fails_at_the_same_step(self, worked_compiled) -> None:
+        other = compile_instance(PartitionInstance(((1, 2), (2, 1)), 2), validate="none")
+        failures = []
+        for runner in (run_line, walk_line):
+            with pytest.raises(IllegalAction) as info:
+                runner(other.config, worked_compiled.line, ("x",) * 4)
+            failures.append((info.value.step, info.value.reason))
+        assert failures[0] == failures[1]
+        assert failures[0][0] is not None
 
 
 class TestDeviations:
