@@ -283,15 +283,17 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
     print(json.dumps(
         {"formatVersion": 1, "kind": "replay", "choices": args.choices}
     ))
+    code = EXIT_OK
     try:
         final = run_line(config, line, vector, log, on_step)
     except IllegalAction as exc:
         flush()
         _err(f"scripted step {exc.step} is illegal here: {exc.reason}")
-        return EXIT_FAIL
-    flush()
-    print(json.dumps({"kind": "final", "outcome": final.outcome.value,
-                      "turn": final.turn}))
+        code = EXIT_FAIL
+    else:
+        flush()
+        print(json.dumps({"kind": "final", "outcome": final.outcome.value,
+                          "turn": final.turn}))
     _emit_manifest(_manifest(
         "replay",
         [args.config, args.line],
@@ -299,7 +301,7 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
         config.to_json().encode("utf-8"),
         started,
     ))
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------

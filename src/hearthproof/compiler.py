@@ -1026,7 +1026,8 @@ def run_line(
     ``on_step`` is called after every attempted step (applied or skipped)
     with the flattened step index and the resulting state.  The line runs
     in place on one state, so that state is live: later steps change it,
-    and a callback that keeps it must keep a ``clone()``.
+    and a callback that keeps it must keep a copy.  A ``fork()`` will do
+    for a copy it only reads; one it writes directly needs a ``clone()``.
     """
     state = start_game(config, log)
     flat_steps = line.flatten(vector)

@@ -11,7 +11,11 @@ that the card text leaves open is fixed here one way and kept stable:
 * After damage or a destroy effect, dead minions are removed one at a time —
   scanning the active player's board left to right first, then the opponent's
   — and each death rattle resolves fully (including any further deaths it
-  causes) before the next body is removed.
+  causes) before the next body is removed.  Only an attack and three spell
+  effects (``DEAL_TWO_TO_UNDAMAGED_MINION``, ``DEAL_ONE_DRAW_IF_KILL`` and
+  ``DESTROY_MINION_ATK_5_PLUS``) can bring a minion to 0 health, so only
+  they scan for the dead.  Summons, weapons, draws, freezes, buffs, Mind
+  Control, heals and death rattles never leave a body to remove.
 * A decided outcome (any hero at zero, or both) locks immediately and
   truncates all remaining resolution of the current action.
 * Frozen characters thaw at the end of their controller's turn.
@@ -19,6 +23,11 @@ that the card text leaves open is fixed here one way and kept stable:
   immunity trigger: such a minion cannot be targeted by any spell, friendly
   or hostile.  Untargeted spells and combat ignore the shield; heroes are
   never shielded.
+
+Minions: every write to a minion goes through :func:`_own`, which first
+swaps a private copy into the board slot unless the player already owns the
+minion (see the ``state`` module docstring).  A ``fork()`` of a state thus
+shares each minion with its source until one of them writes it.
 
 Logging: every event advances ``state.step`` by exactly one, whether or not
 a log is passed.  Search and compilation pass ``log=None``; then no event
@@ -80,6 +89,10 @@ _TRIGGER_DOUBLE_ATTACK_ON_DAMAGE = EffectTag.TRIGGER_DOUBLE_ATTACK_ON_DAMAGE
 _DEATHRATTLE_DAMAGE_ENEMY_HERO_2 = EffectTag.DEATHRATTLE_DAMAGE_ENEMY_HERO_2
 _DEATHRATTLE_RESTORE_4_EACH_HERO = EffectTag.DEATHRATTLE_RESTORE_4_EACH_HERO
 
+# The spell effects that can bring a minion to 0 health.
+_LETHAL_SPELLS = frozenset(
+    (_DEAL_TWO_TO_UNDAMAGED_MINION, _DEAL_ONE_DRAW_IF_KILL, _DESTROY_MINION_ATK_5_PLUS))
+
 # ---------------------------------------------------------------------------
 # Event emission
 # ---------------------------------------------------------------------------
@@ -97,6 +110,25 @@ def _emit(state: GameState, log: EventLog | None, kind: str, **data) -> None:
     if log is not None:
         log.emit(state.step, kind, **data)
     state.step += 1
+
+
+# ---------------------------------------------------------------------------
+# Minion ownership
+# ---------------------------------------------------------------------------
+
+
+def _own(player: PlayerState, slot: int) -> MinionInstance:
+    """The minion at ``slot``, made safe for ``player`` to write.
+
+    The one write path for minions.  A minion this player does not own
+    (its ``gen`` differs, as after a fork) may be shared with another state,
+    so a private copy takes its board slot first.
+    """
+    m = player.board[slot]
+    if m.gen != player.gen:
+        m = m.clone(player.gen)
+        player.board[slot] = m
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +360,14 @@ def _draw_card(state: GameState, log: EventLog | None, side: int) -> None:
 
 
 def _damage_minion(
-    state: GameState, log: EventLog | None, side: int, m: MinionInstance, amount: int
+    state: GameState, log: EventLog | None, side: int, slot: int, amount: int
 ) -> None:
     """Apply damage to a minion and fire its on-damage trigger if it survives."""
     if amount <= 0 or state.outcome is not _ONGOING:
         return
+    m = _own(state.players[side], slot)
     m.health -= amount
     if log is not None:
-        slot = state.players[side].board.index(m)
         log.emit(state.step, "damage", target={"side": side, "slot": slot}, amount=amount)
     state.step += 1
     if m.health > 0 and m.effect is _TRIGGER_DOUBLE_ATTACK_ON_DAMAGE:
@@ -367,14 +399,14 @@ def _heal_hero(state: GameState, log: EventLog | None, side: int, amount: int) -
 
 
 def _heal_minion(
-    state: GameState, log: EventLog | None, side: int, m: MinionInstance, amount: int
+    state: GameState, log: EventLog | None, side: int, slot: int, amount: int
 ) -> None:
     if state.outcome is not _ONGOING:
         return
+    m = _own(state.players[side], slot)
     healed = min(amount, m.max_health - m.health)
     m.health += healed
     if log is not None:
-        slot = state.players[side].board.index(m)
         log.emit(state.step, "heal", target={"side": side, "slot": slot}, amount=healed)
     state.step += 1
 
@@ -456,8 +488,10 @@ def _resolve_spell(
         return
     if effect is _FREEZE_ENEMY_MINIONS:
         opp_side = 1 - side
-        for slot, m in enumerate(state.players[opp_side].board):
-            m.frozen = True
+        opp = state.players[opp_side]
+        for slot, m in enumerate(opp.board):
+            if not m.frozen:
+                _own(opp, slot).frozen = True
             if log is not None:
                 log.emit(state.step, "freeze", target={"side": opp_side, "slot": slot})
             state.step += 1
@@ -469,17 +503,18 @@ def _resolve_spell(
         _heal_hero(state, log, target.side, 5)
         return
     owner = state.players[target.side]
-    m = owner.board[target.slot]
+    slot = target.slot
     if effect is _DEAL_TWO_TO_UNDAMAGED_MINION:
-        _damage_minion(state, log, target.side, m, 2)
+        _damage_minion(state, log, target.side, slot, 2)
     elif effect is _DEAL_ONE_DRAW_IF_KILL:
-        _damage_minion(state, log, target.side, m, 1)
-        if m.health <= 0:
+        _damage_minion(state, log, target.side, slot, 1)
+        if owner.board[slot].health <= 0:
             if log is not None:
                 log.emit(state.step, "trigger", card=spec.card_id, effect=effect.value)
             state.step += 1
             _draw_card(state, log, side)
     elif effect is _BUFF_DEMON_PLUS_3_3:
+        m = _own(owner, slot)
         m.attack += 3
         m.health += 3
         m.max_health += 3
@@ -488,6 +523,7 @@ def _resolve_spell(
                      attack=m.attack, health=m.health)
         state.step += 1
     elif effect is _BUFF_PLUS_2_2_DRAW_IF_BEAST:
+        m = _own(owner, slot)
         m.attack += 2
         m.health += 2
         m.max_health += 2
@@ -501,12 +537,14 @@ def _resolve_spell(
             state.step += 1
             _draw_card(state, log, side)
     elif effect is _DOUBLE_ATTACK:
+        m = _own(owner, slot)
         m.attack *= 2
         if log is not None:
             log.emit(state.step, "buff", target=target.to_json_obj(),
                      attack=m.attack, health=m.health)
         state.step += 1
     elif effect is _GIVE_CHARGE_PLUS_2:
+        m = _own(owner, slot)
         m.charge = True
         m.attack += 2
         if log is not None:
@@ -514,17 +552,22 @@ def _resolve_spell(
                      attack=m.attack, health=m.health)
         state.step += 1
     elif effect is _DESTROY_MINION_ATK_5_PLUS:
-        m.health = 0
+        _own(owner, slot).health = 0
     elif effect is _TAKE_CONTROL_ENEMY_MINION:
-        owner.board.remove(m)
+        # A minion the old owner owned passes to the new owner as it is; a
+        # shared one is copied by ``_own``.
+        m = owner.board.pop(slot)
+        if m.gen == owner.gen:
+            m.gen = p.gen
+        p.board.append(m)
+        new_slot = len(p.board) - 1
+        m = _own(p, new_slot)
         m.exhausted = True
-        state.players[side].board.append(m)
         if log is not None:
-            log.emit(state.step, "steal", card=m.card_id, to=side,
-                     slot=len(state.players[side].board) - 1)
+            log.emit(state.step, "steal", card=m.card_id, to=side, slot=new_slot)
         state.step += 1
     elif effect is _RESTORE_FIVE_HEALTH:
-        _heal_minion(state, log, target.side, m, 5)
+        _heal_minion(state, log, target.side, slot, 5)
     else:  # pragma: no cover - the spell table above is exhaustive
         raise AssertionError(f"unhandled spell effect {effect}")
 
@@ -552,10 +595,9 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
         if log is not None:
             log.emit(state.step, "play", side=side, card=cid, position=pos)
         state.step += 1
-        minion = MinionInstance.from_card(spec, state.next_iid)
+        p.board.insert(pos, MinionInstance.from_card(spec, state.next_iid, p.gen))
         state.next_iid += 1
-        minion.exhausted = True
-        p.board.insert(pos, minion)
+        _own(p, pos).exhausted = True
         if log is not None:
             log.emit(state.step, "summon", side=side, card=cid, slot=pos)
         state.step += 1
@@ -564,9 +606,7 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
                 log.emit(state.step, "trigger", card=cid, effect=spec.effect.value)
             state.step += 1
             _draw_card(state, log, side)
-        if _check_outcome(state, log):
-            return
-        _process_deaths(state, log)
+        _check_outcome(state, log)
         return
 
     if spec.kind is _WEAPON:
@@ -610,7 +650,8 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
     _resolve_spell(state, log, side, spec, action.target)
     if _check_outcome(state, log):
         return
-    _process_deaths(state, log)
+    if spec.effect in _LETHAL_SPELLS:
+        _process_deaths(state, log)
     _auctioneer_draws(state, log, side)
 
 
@@ -663,11 +704,13 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
     retaliation = defender_minion.attack if defender_minion is not None else 0
 
     if attacker_minion is not None:
-        attacker_minion.attacked = True
+        _own(p, atk_ref.slot).attacked = True
     else:
         p.hero.attacked = True
-        p.hero.weapon.durability -= 1
-        if p.hero.weapon.durability <= 0:
+        weapon = p.hero.weapon
+        if weapon.durability > 1:
+            p.hero.weapon = Weapon(weapon.attack, weapon.durability - 1)
+        else:
             p.hero.weapon = None
             state.removed += 1
             if log is not None:
@@ -676,11 +719,11 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
 
     # Both combat damages are simultaneous: amounts were fixed above.
     if defender_minion is not None:
-        _damage_minion(state, log, 1 - side, defender_minion, power)
+        _damage_minion(state, log, 1 - side, def_ref.slot, power)
     else:
         _damage_hero(state, log, 1 - side, power)
     if attacker_minion is not None:
-        _damage_minion(state, log, side, attacker_minion, retaliation)
+        _damage_minion(state, log, side, atk_ref.slot, retaliation)
     else:
         _damage_hero(state, log, side, retaliation)
 
@@ -699,9 +742,11 @@ def _begin_turn(state: GameState, log: EventLog | None) -> None:
     side = state.active
     p = state.players[side]
     p.hero.attacked = False
-    for m in p.board:
-        m.exhausted = False
-        m.attacked = False
+    for slot, m in enumerate(p.board):
+        if m.exhausted or m.attacked:
+            m = _own(p, slot)
+            m.exhausted = False
+            m.attacked = False
     if log is not None:
         log.emit(state.step, "start_turn", side=side, turn=state.turn, mana=p.hero.mana)
     state.step += 1
@@ -716,8 +761,9 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
     # Thaw at the end of the owner's turn.
     p = state.players[side]
     p.hero.frozen = False
-    for m in p.board:
-        m.frozen = False
+    for slot, m in enumerate(p.board):
+        if m.frozen:
+            _own(p, slot).frozen = False
     state.active = 1 - side
     state.turn += 1
     if state.turn > state.turn_limit:

@@ -34,6 +34,7 @@ from .state import (
     EndTurn,
     GameConfig,
     GameState,
+    IllegalAction,
     Outcome,
     PlayCard,
     ScriptStep,
@@ -231,7 +232,8 @@ class AlphaBeta:
         saw_unknown = False
         a, b = alpha, beta
         for action in actions:
-            child = apply(state, action)
+            child = state.fork()
+            apply_in_place(child, action)
             v = self.search(child, a, b, depth_left - 1)
             if v is None:
                 if self.exhausted:
@@ -340,15 +342,15 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     """Solve the line's decision skeleton by alternating max/min.
 
     Scripted steps between branches are forced for both sides and run in
-    place on one state through ``engine.run_script``, so an illegal
-    required step raises ``IllegalAction`` with its index in its forced
-    segment or branch half.  Each branch is a two-way move by the side whose
-    turn it is, and only there is the state cloned.  Positions are memoised
-    on (branch index, position key) so shared continuations are solved once.
-    A side that already has its best outcome from ``x`` skips ``y``; ties
-    prefer ``x`` anyway, so the result is unchanged.  If the script runs
-    out with the game still undecided the result is the turn-limit default,
-    a draw.
+    place on one state through ``engine.run_script``.  An illegal required
+    step raises ``IllegalAction`` with its index along the flattened line,
+    as ``run_line`` and ``walk_line`` number it.  Each branch is a two-way
+    move by the side whose turn it is, and only there is the state forked.
+    Positions are memoised on (branch index, position key) so shared
+    continuations are solved once.  A side that already has its best
+    outcome from ``x`` skips ``y``; ties prefer ``x`` anyway, so the result
+    is unchanged.  If the script runs out with the game still undecided the
+    result is the turn-limit default, a draw.
     """
     # segments[k] is the forced run before branches[k]; the last follows
     # the last branch.
@@ -365,13 +367,18 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     memo: dict[tuple[int, bytes], tuple[int, tuple[str, ...]]] = {}
     counters = {"nodes": 0, "hits": 0}
 
-    def run(state: GameState, steps) -> int | None:
-        counters["nodes"] += sum(1 for _ in run_script(state, steps))
+    def run(state: GameState, steps, offset: int) -> int | None:
+        # ``offset`` is the flattened-line index of ``steps[0]``.
+        try:
+            counters["nodes"] += sum(1 for _ in run_script(state, steps))
+        except IllegalAction as exc:
+            raise IllegalAction(exc.reason, step=offset + exc.step) from None
         return terminal_value(state)
 
-    def advance(state: GameState, k: int) -> tuple[int, tuple[str, ...]]:
-        # ``state`` belongs to this call, which steps it in place.
-        tv = run(state, segments[k])
+    def advance(state: GameState, k: int, offset: int) -> tuple[int, tuple[str, ...]]:
+        # ``state`` belongs to this call, which steps it in place;
+        # ``offset`` is where segment ``k`` starts in the flattened line.
+        tv = run(state, segments[k], offset)
         if tv is not None:
             return tv, ()
         if k == len(branches):
@@ -383,14 +390,16 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
             return cached
         side, branch = branches[k]
         maximizing = side == 0
+        offset += len(segments[k])
         best: tuple[int, tuple[str, ...]] | None = None
         for choice in ("x", "y"):
             # Nothing reads ``state`` once its key is taken, so the last
-            # choice may consume it; an earlier one works on a copy.
-            child = state.clone() if choice == "x" else state
-            value, suffix = run(child, branch.steps(choice)), ()
+            # choice may consume it; an earlier one works on a fork.
+            child = state.fork() if choice == "x" else state
+            half = branch.steps(choice)
+            value, suffix = run(child, half, offset), ()
             if value is None:
-                value, suffix = advance(child, k + 1)
+                value, suffix = advance(child, k + 1, offset + len(half))
             if best is None or (value > best[0] if maximizing else value < best[0]):
                 best = (value, (choice,) + suffix)
             if best[0] == (WIN if maximizing else LOSS):
@@ -399,7 +408,7 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
         memo[key] = best
         return best
 
-    value, vector = advance(start_game(config), 0)
+    value, vector = advance(start_game(config), 0, 0)
     vector += ("x",) * (line.n - len(vector))
     return SkeletonResult(value, vector, counters["nodes"], counters["hits"])
 
@@ -424,19 +433,24 @@ class StepRecord:
 def walk_line(
     config: GameConfig, line: ScriptedLine, vector: tuple[str, ...]
 ) -> tuple[list[StepRecord], GameState]:
-    """Replay a fully chosen line with ``engine.run_script``, recording an
-    independent copy of the position before each step.
+    """Replay a fully chosen line with ``engine.run_script``, recording a
+    copy of the position before each step.
+
+    Each copy is a ``fork()`` of the live state: it shares the minions no
+    step has written since, and the engine copies a minion before writing
+    it, so a record stays as it was.  A caller that writes a record's
+    state directly must ``clone()`` it first.
 
     Optional steps that are illegal are recorded with ``taken=False`` and
     leave the state unchanged; a decided outcome truncates the walk.
     """
     state = start_game(config)
-    before = state.clone()
+    before = state.fork()
     records: list[StepRecord] = []
     for i, flat, skipped in run_script(state, line.flatten(vector)):
         records.append(StepRecord(i, flat.turn, flat.side, flat.action, skipped is None, before))
         if skipped is None:
-            before = state.clone()
+            before = state.fork()
     return records, state
 
 
@@ -507,9 +521,11 @@ class _TurnRejoinProbe:
     A child that has ended the turn is compared with the boundary by
     position key only when its :func:`_boundary_signature` matches the
     boundary's; equal positions have equal signatures, so this skips no
-    match.  ``_explore`` owns the state it is given: it clones it for every
-    legal action but the last, which steps that state in place.
-    ``analyze`` therefore hands it a copy, leaving its argument as it was.
+    match.  ``_explore`` owns the state it is given: it forks it for every
+    legal action but the last, which steps that state in place.  A fork
+    shares the minions that an action does not write, so a child costs new
+    state, player and hero objects and two list copies, not a new board.
+    ``analyze`` hands ``_explore`` a fork, leaving its argument as it was.
     """
 
     def __init__(self, turn: int, mover: int, boundary: GameState | None, max_nodes: int):
@@ -526,7 +542,7 @@ class _TurnRejoinProbe:
         if self.exhausted:
             return "budget", 0
         start = self.nodes
-        rejoin, win = self._explore(state.clone())
+        rejoin, win = self._explore(state.fork())
         spent = self.nodes - start
         if self.exhausted:
             return "budget", spent
@@ -563,8 +579,8 @@ class _TurnRejoinProbe:
         last = len(actions) - 1
         for i, action in enumerate(actions):
             # Nothing reads ``state`` once its key is taken, so the last
-            # action may consume it; the others work on copies.
-            child = state.clone() if i < last else state
+            # action may consume it; the others work on forks.
+            child = state.fork() if i < last else state
             apply_in_place(child, action)
             r, w = self._explore(child)
             rejoin = rejoin or r
@@ -657,7 +673,7 @@ class DeviationChecker:
 
     def _loss_probe(self, rec: StepRecord, child: GameState) -> tuple[bool, int]:
         """Prove, if cheap, that the deviation loses within the horizon."""
-        clamped = child.clone()
+        clamped = child.fork()
         clamped.turn_limit = min(child.turn_limit, rec.turn + self.probe_horizon)
         tt = self._value_tts.setdefault(rec.turn, {})
         ab = AlphaBeta(max_depth=self.value_depth, max_nodes=self.value_nodes, tt=tt)
@@ -671,7 +687,8 @@ class DeviationChecker:
 
     def check_step(self, rec: StepRecord, alternative: Action) -> DeviationFinding:
         mover = rec.state_before.active
-        child = apply(rec.state_before, alternative)
+        child = rec.state_before.fork()
+        apply_in_place(child, alternative)
         nodes = 0
 
         def finding(status: str, reason: str) -> DeviationFinding:

@@ -1,11 +1,28 @@
 """Game state value types, configuration IO, position keys and hashing.
 
-States are cheap-to-clone value objects.  The engine's ``apply`` never
-mutates an input state, it clones and returns; ``apply_in_place`` steps a
-state its caller owns and leaves it untouched when it rejects the action.
-Decks are shared immutable tuples with a per-player draw cursor so cloning
+States are value objects with two ways to copy them.  ``clone()`` is deep:
+the copy shares no mutable object with its source, so either may be
+written freely.  ``fork()`` is the cheap copy for searches that branch: it
+builds new state, player and hero objects and new hand and board lists,
+but shares the minions (and, like ``clone()``, the deck and the weapon).
+The engine's ``apply`` never mutates an input state, it clones and
+returns; ``apply_in_place`` steps a state its caller owns and leaves it
+untouched when it rejects the action.
+
+Ownership of shared minions: every ``PlayerState`` carries a ``gen``
+number, fresh on construction, ``clone()`` and ``fork()``, and every
+minion records the ``gen`` of the player that owns it (0 for none).  A
+player may write a minion only when the two agree.  ``fork()`` renews the
+source's ``gen`` as well as the copy's, so after a fork neither side owns
+the minions they share, and the engine's one minion write path,
+``engine._own``, swaps a private copy into the board slot before the first
+write.  Code outside the engine that writes a minion directly must do so
+on a state that has never been forked, or on a ``clone()``.
+
+Decks are shared immutable tuples with a per-player draw cursor so copying
 is O(board + hand), not O(deck).  Decks are interned, so equal decks are one
-object for the life of the process.
+object for the life of the process.  Weapons are immutable values too: the
+engine replaces a hero's weapon rather than changing it.
 
 Search tables key positions by :func:`position_key`: one flat tuple of
 ints, bools and None, pickled once, in which the hand and board lengths
@@ -16,12 +33,13 @@ the engine shares one instance of each among all the lists it returns.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import pickle
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .cards import CardKind, CardSpec, EffectTag, Tribe, card, card_database
 
@@ -203,15 +221,11 @@ class EventLog:
 # ---------------------------------------------------------------------------
 
 
-class Weapon:
-    __slots__ = ("attack", "durability")
+class Weapon(NamedTuple):
+    """An equipped weapon.  Immutable, so heroes and their copies share it."""
 
-    def __init__(self, attack: int, durability: int):
-        self.attack = attack
-        self.durability = durability
-
-    def clone(self) -> "Weapon":
-        return Weapon(self.attack, self.durability)
+    attack: int
+    durability: int
 
     def canonical(self) -> tuple:
         return (self.attack, self.durability)
@@ -231,6 +245,7 @@ class MinionInstance:
         "charge",
         "attacked",
         "iid",
+        "gen",
     )
 
     def __init__(
@@ -247,6 +262,7 @@ class MinionInstance:
         charge: bool = False,
         attacked: bool = False,
         iid: int = 0,
+        gen: int = 0,
     ):
         self.card_id = card_id
         self.effect = effect
@@ -260,9 +276,10 @@ class MinionInstance:
         self.charge = charge
         self.attacked = attacked
         self.iid = iid
+        self.gen = gen
 
     @staticmethod
-    def from_card(spec: CardSpec, iid: int) -> "MinionInstance":
+    def from_card(spec: CardSpec, iid: int, gen: int = 0) -> "MinionInstance":
         assert spec.kind == CardKind.MINION
         return MinionInstance(
             card_id=spec.card_id,
@@ -272,6 +289,7 @@ class MinionInstance:
             health=spec.health or 0,
             max_health=spec.health or 0,
             iid=iid,
+            gen=gen,
         )
 
     @property
@@ -283,7 +301,8 @@ class MinionInstance:
             return False
         return (not self.exhausted) or self.charge
 
-    def clone(self) -> "MinionInstance":
+    def clone(self, gen: int) -> "MinionInstance":
+        """A copy owned by the player whose ``gen`` is given."""
         m = MinionInstance.__new__(MinionInstance)
         m.card_id = self.card_id
         m.effect = self.effect
@@ -297,6 +316,7 @@ class MinionInstance:
         m.charge = self.charge
         m.attacked = self.attacked
         m.iid = self.iid
+        m.gen = gen
         return m
 
     def canonical(self) -> tuple:
@@ -349,7 +369,7 @@ class HeroState:
         h = HeroState.__new__(HeroState)
         h.health = self.health
         h.max_health = self.max_health
-        h.weapon = self.weapon.clone() if self.weapon else None
+        h.weapon = self.weapon
         h.mana_crystals = self.mana_crystals
         h.mana = self.mana
         h.attacked = self.attacked
@@ -375,9 +395,13 @@ class HeroState:
 # contents exactly for the life of the process (see :func:`position_key`).
 _DECKS: dict[tuple[str, ...], tuple[str, ...]] = {}
 
+# Source of ``PlayerState.gen`` numbers; 0 is never drawn, so it marks a
+# minion that no player owns.
+_GENS = itertools.count(1)
+
 
 class PlayerState:
-    __slots__ = ("hero", "deck", "deck_pos", "hand", "board")
+    __slots__ = ("hero", "deck", "deck_pos", "hand", "board", "gen")
 
     def __init__(
         self,
@@ -392,18 +416,33 @@ class PlayerState:
         self.deck_pos = deck_pos
         self.hand = hand
         self.board = board
+        self.gen = next(_GENS)
 
     @property
     def deck_remaining(self) -> int:
         return len(self.deck) - self.deck_pos
 
-    def clone(self) -> "PlayerState":
+    def _copy(self) -> "PlayerState":
+        """A copy with a fresh ``gen``, all but its board."""
         p = PlayerState.__new__(PlayerState)
         p.hero = self.hero.clone()
         p.deck = self.deck
         p.deck_pos = self.deck_pos
         p.hand = list(self.hand)
-        p.board = [m.clone() for m in self.board]
+        p.gen = next(_GENS)
+        return p
+
+    def clone(self) -> "PlayerState":
+        p = self._copy()
+        p.board = [m.clone(p.gen) for m in self.board]
+        return p
+
+    def fork(self) -> "PlayerState":
+        """A copy that shares this player's minions; neither side owns them
+        afterwards (see the module docstring)."""
+        p = self._copy()
+        p.board = list(self.board)
+        self.gen = next(_GENS)
         return p
 
     def canonical(self) -> tuple:
@@ -448,8 +487,17 @@ class GameState:
         self.step = step
 
     def clone(self) -> "GameState":
+        """A deep copy: it shares no mutable object with this state."""
+        return self._copy([p.clone() for p in self.players])
+
+    def fork(self) -> "GameState":
+        """A copy for a search branch: it shares the minions with this state
+        until the engine writes one of them, on either side."""
+        return self._copy([p.fork() for p in self.players])
+
+    def _copy(self, players: list[PlayerState]) -> "GameState":
         s = GameState.__new__(GameState)
-        s.players = [p.clone() for p in self.players]
+        s.players = players
         s.active = self.active
         s.turn = self.turn
         s.turn_limit = self.turn_limit

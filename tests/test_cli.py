@@ -290,6 +290,25 @@ class TestReplay:
         assert code == 1
         assert "illegal" in captured.err
 
+    def test_illegal_step_still_writes_the_manifest(self, compiled_dir, tmp_path,
+                                                    capsys) -> None:
+        """A replay that fails on an illegal step exits 1 and still ends
+        stderr with its run manifest."""
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"pairs": [[1, 2], [2, 1]], "target": 2}))
+        other_dir = tmp_path / "other-out"
+        assert main(["compile", str(other), "--out-dir", str(other_dir)]) == 0
+        capsys.readouterr()
+        code = main(["replay", str(other_dir / "config.json"),
+                     str(compiled_dir / "line.json"), "--choices", "xxxx"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert ("scripted step 51 is illegal here: Mortal Coil needs a target"
+                in captured.err)
+        manifest = read_manifest_line(captured.err)
+        assert manifest["command"] == "replay"
+        assert manifest["flags"] == {"choices": "xxxx", "trace": False}
+
 
 class TestSolve:
     def test_micro_config(self, tmp_path, capsys) -> None:

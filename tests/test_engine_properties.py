@@ -1,6 +1,6 @@
 """Property-based engine checks: random legal walks uphold the invariants,
-and ``apply_in_place`` (with and without a log) and ``replay`` agree with
-``apply``."""
+``apply_in_place`` (with and without a log) and ``replay`` agree with
+``apply``, and a ``fork()`` steps like a deep ``clone()``."""
 
 from __future__ import annotations
 
@@ -25,11 +25,13 @@ from hearthproof.state import (
     ScriptStep,
     hero_ref,
     minion_ref,
+    position_key,
     state_hash,
     total_card_count,
 )
 
 from invariants import assert_invariants
+from micro_positions import micro_positions
 
 
 def micro_config() -> GameConfig:
@@ -310,3 +312,59 @@ class TestRunScript:
         assert snapshot(state) == snapshot(states[-1])
         assert list(run_script(state, source())) == []  # decided: pulls nothing
         assert len(pulled) == len(actions)
+
+
+def random_suffix(state, rng: random.Random, length: int, log: EventLog) -> list:
+    """Step ``state`` in place through up to ``length`` random legal actions."""
+    actions = []
+    for _ in range(length):
+        acts = legal_actions(state)
+        if not acts:
+            break
+        actions.append(rng.choice(acts))
+        apply_in_place(state, actions[-1], log)
+    return actions
+
+
+class TestFork:
+    """A fork shares its source's minions, yet each of the two steps
+    exactly as a deep ``clone()`` would and leaves the other as it was."""
+
+    def test_fork_and_source_step_like_clones(self, worked_compiled, compiled_config) -> None:
+        starts = [worked_compiled.config, compiled_config, micro_config()]
+        starts += [config for _, config, _ in micro_positions()]
+        rng = random.Random(8)
+        seen: set[str] = set()
+        forks = 0
+        for config in starts:
+            for seed in range(8):
+                walk, _ = seeded_walk(config, seed, 60)
+                for k, state in enumerate(walk):
+                    # Every other source is a fork itself: forks of forks
+                    # leave the first state alone too.
+                    source = state.fork() if k % 2 else state.clone()
+                    original = snapshot(state)
+                    reference = source.clone()
+                    fork = source.fork()
+                    assert position_key(fork) == position_key(source)
+                    fork_log, source_log = EventLog(), EventLog()
+                    fork_actions = random_suffix(fork, rng, 16, fork_log)
+                    assert snapshot(source) == snapshot(reference)
+                    fork_after = snapshot(fork)
+                    source_actions = random_suffix(source, rng, 16, source_log)
+                    assert snapshot(fork) == fork_after
+                    for actions, stepped, log in ((fork_actions, fork, fork_log),
+                                                  (source_actions, source, source_log)):
+                        expected, expected_log = reference.clone(), EventLog()
+                        for action in actions:
+                            apply_in_place(expected, action, expected_log)
+                        assert snapshot(stepped) == snapshot(expected)
+                        assert [e.to_json_obj() for e in log.events] == [
+                            e.to_json_obj() for e in expected_log.events]
+                        seen.update(e.kind for e in log.events)
+                    assert snapshot(state) == original
+                    forks += 1
+        assert forks > 500
+        # The suffixes reach every kind of minion write: combat, the
+        # freeze and its thaw at a turn end, buffs, Mind Control, deaths.
+        assert {"damage", "freeze", "end_turn", "buff", "steal", "death"} <= seen

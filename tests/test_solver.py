@@ -255,14 +255,17 @@ class TestRunnersAgree:
         assert skipped > 0  # the weapon swing a surviving wall blocks
 
     def test_foreign_configuration_fails_at_the_same_step(self, worked_compiled) -> None:
+        """All three runners number an illegal step along the flattened
+        line; the skeleton, which tries ``x`` first, meets it on the
+        all-``x`` path."""
         other = compile_instance(PartitionInstance(((1, 2), (2, 1)), 2), validate="none")
         failures = []
-        for runner in (run_line, walk_line):
+        for runner in (run_line, walk_line,
+                       lambda config, line, vector: skeleton_solve(config, line)):
             with pytest.raises(IllegalAction) as info:
                 runner(other.config, worked_compiled.line, ("x",) * 4)
             failures.append((info.value.step, info.value.reason))
-        assert failures[0] == failures[1]
-        assert failures[0][0] is not None
+        assert failures == [(51, "Mortal Coil needs a target")] * 3
 
 
 class TestDeviations:
