@@ -13,22 +13,28 @@ Four layers, each building on the previous:
   (there is no heuristic evaluation to be wrong about).
 * :func:`skeleton_solve` — solves a compiled line as a small game tree
   whose only free moves are the branch choices; everything between
-  branches is replayed verbatim.
+  branches is replayed verbatim.  The wall's health is a symbol in D, the
+  damage dealt so far, so one engine run of a branch half serves every D
+  for which the engine's comparisons on that health answer alike.
 * :func:`deviation_check` — replays a chosen line and, at each scripted
   step, probes every legal alternative with a bounded null-window search
   to classify it as refuted, dominated, improved, or unresolved.
 
 Transposition tables and memos are keyed by
 :func:`~hearthproof.state.position_key`, which is exact: two entries share
-a key only when their positions are equal.
+a key only when their positions are equal.  The skeleton keys its tables by
+the position key with the wall's health masked, plus D, which is as exact.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .compiler import Branch, PartitionInstance, ScriptedLine
-from .engine import apply, apply_in_place, legal_actions, run_script, start_game
+from .engine import _own, apply, apply_in_place, legal_actions, run_script, start_game
 from .state import (
     Action,
     EndTurn,
@@ -312,6 +318,129 @@ def minimax(
 # ---------------------------------------------------------------------------
 
 
+class _Path:
+    """The range of D over which one run's comparisons keep their answers.
+
+    D is the damage dealt to the wall before the run; ``d`` is the run's
+    own D, and ``lo`` and ``hi`` bound the range, both included.
+    """
+
+    __slots__ = ("d", "lo", "hi")
+
+    def __init__(self, d: int):
+        self.d = d
+        self.lo = -math.inf
+        self.hi = math.inf
+
+    def cut(self, t: int) -> None:
+        """Keep the side of the cut between ``t - 1`` and ``t`` that holds ``d``."""
+        if self.d < t:
+            self.hi = min(self.hi, t - 1)
+        else:
+            self.lo = max(self.lo, t)
+
+
+class _Health(int):
+    """The wall's health during one skeleton run: ``c + s * D``, ``s`` = ±1.
+
+    An int of its concrete value, ``c + s * path.d``, so the engine runs on
+    it unchanged.  Adding or subtracting an int, or another symbol of the
+    same run, gives a symbol again, or a plain int once the D terms cancel
+    (as healing to full health does).  A comparison answers from the
+    concrete value and cuts ``path`` down to the D-range on which it gives
+    that same answer.  Every other int operation raises ``TypeError``, and
+    so does pickling, hence ``position_key``: the symbol never silently
+    becomes a plain int or key bytes.  (C code that reads an int's value
+    directly, as sequence indexing and ``range`` do, calls no method that
+    could refuse; the engine reads health in none of those ways, only with
+    ``+``, ``-``, comparisons and ``min``.)
+    """
+
+    def __new__(cls, c: int, s: int, path: _Path) -> "_Health":
+        self = int.__new__(cls, c + s * path.d)
+        self.c, self.s, self.path = c, s, path
+        return self
+
+    def _terms(self, other) -> tuple[int, int]:
+        """``(c, s)`` of an int or of a symbol of the same run."""
+        if type(other) is int:
+            return other, 0
+        if type(other) is _Health and other.path is self.path:
+            return other.c, other.s
+        raise TypeError(f"the wall's health symbol does not combine with {other!r}")
+
+    def _make(self, c: int, s: int) -> int:
+        if s == 0:
+            return c
+        if s not in (1, -1):
+            raise TypeError("the wall's health symbol models D with slope ±1 only")
+        return _Health(c, s, self.path)
+
+    def __add__(self, other) -> int:
+        c, s = self._terms(other)
+        return self._make(self.c + c, self.s + s)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> int:
+        c, s = self._terms(other)
+        return self._make(self.c - c, self.s - s)
+
+    def __rsub__(self, other) -> int:
+        c, s = self._terms(other)
+        return self._make(c - self.c, s - self.s)
+
+    def _compare(self, other, op) -> bool:
+        c, s = self._terms(other)
+        a, s = self.c - c, self.s - s  # self - other == a + s * D
+        if s == 0:
+            return op(a, 0)
+        if s not in (1, -1):
+            raise TypeError("the wall's health symbol models D with slope ±1 only")
+        # self - other == s * (D - z): below z it has the sign of -s, above
+        # z the sign of s.  Cut where the answer changes.
+        z = -a * s
+        if op(-s, 0) != op(0, 0):
+            self.path.cut(z)
+        if op(0, 0) != op(s, 0):
+            self.path.cut(z + 1)
+        return op(a + s * self.path.d, 0)
+
+    def __lt__(self, other) -> bool:
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other) -> bool:
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other) -> bool:
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other) -> bool:
+        return self._compare(other, operator.ge)
+
+    def __eq__(self, other) -> bool:
+        return self._compare(other, operator.eq)
+
+    def __ne__(self, other) -> bool:
+        return self._compare(other, operator.ne)
+
+    def __repr__(self) -> str:
+        return f"_Health({self.c} {'+' if self.s > 0 else '-'} D, D={self.path.d})"
+
+
+def _unmodeled(name: str):
+    def refuse(self, *args, **kwargs):
+        raise TypeError(f"the wall's health symbol does not model {name}")
+    return refuse
+
+
+_HEALTH_KEEPS = {"__new__", "__doc__", "__getattribute__", "__sizeof__"}
+for _name in (*vars(int), "__reduce__", "__reduce_ex__"):
+    if _name not in vars(_Health) and _name not in _HEALTH_KEEPS:
+        _refuse = _unmodeled(_name)
+        setattr(_Health, _name, _refuse if callable(getattr(int, _name)) else property(_refuse))
+
+
 @dataclass
 class SkeletonResult:
     """Result of solving a compiled line over its branch choices.
@@ -319,7 +448,9 @@ class SkeletonResult:
     ``value``/``verdict`` are from the friendly (Left) perspective.  The
     vector holds one optimal choice per pair (ties prefer ``x``); when an
     early decision already decides the game the unreached tail is padded
-    with ``x``.
+    with ``x``.  ``nodes`` counts the engine steps actually run;
+    ``memo_hits`` counts the runs reused from the run cache plus the hits
+    of the decision memo.
     """
 
     value: int | None
@@ -338,79 +469,185 @@ class SkeletonResult:
         return self.vector if self.value == WIN else ("x",) * len(self.vector)
 
 
+class _Run(NamedTuple):
+    """One engine run of a forced segment or a branch half, valid for every
+    D in ``[lo, hi]``.
+
+    ``value`` is the decided value (a draw where the script runs out),
+    else None and ``end`` is the state the run ends in, with the wall's health masked, ``key`` its position key,
+    and ``a + b * D`` the damage the wall has taken there.
+    """
+
+    lo: float
+    hi: float
+    value: int | None
+    key: bytes | None
+    a: int
+    b: int
+    end: GameState | None
+
+
 def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     """Solve the line's decision skeleton by alternating max/min.
 
-    Scripted steps between branches are forced for both sides and run in
-    place on one state through ``engine.run_script``.  An illegal required
-    step raises ``IllegalAction`` with its index along the flattened line,
-    as ``run_line`` and ``walk_line`` number it.  Each branch is a two-way
-    move by the side whose turn it is, and only there is the state forked.
-    Positions are memoised on (branch index, position key) so shared
-    continuations are solved once.  A side that already has its best
-    outcome from ``x`` skips ``y``; ties prefer ``x`` anyway, so the result
-    is unchanged.  If the script runs out with the game still undecided the
-    result is the turn-limit default, a draw.
+    The accumulator wall is the enemy minion at slot 0 of the start
+    position, tracked by its instance id wherever it moves.  D is the
+    damage the wall has taken.  The first forced segment runs once, in
+    place on the start position.  Every later forced segment and each
+    branch half runs concretely through ``engine.run_script`` on a fork of
+    the state it starts from, with the wall's health a symbol, ``H0 - D``;
+    every comparison the engine makes on it narrows the D-range over which
+    the run goes the same way.  The run is cached under (segment or branch
+    half, position key of its start with the wall's health masked) with
+    that range, its end state and the wall's damage there, so a later
+    arrival whose D lies in a recorded range takes the entry with no engine
+    call.  That is the paper's per-turn lemma, checked by the engine: each
+    branch half deals its 10·v + 2 whatever came before.
+
+    Decisions are memoised on (branch index, masked key, D), which is as
+    exact as a position key.  A side that already has its best outcome
+    from ``x`` skips ``y``; ties prefer ``x`` anyway, so the result is
+    unchanged.  If the script runs out with the game still undecided the
+    result is the turn-limit default, a draw.  An illegal required step
+    raises ``IllegalAction`` with its index along the flattened line, as
+    ``run_line`` and ``walk_line`` number it.
     """
-    # segments[k] is the forced run before branches[k]; the last follows
-    # the last branch.
-    segments: list[list[ScriptStep]] = [[]]
-    branches: list[tuple[int, Branch]] = []
-    for turn in line.turns:
-        for item in turn.items:
-            if isinstance(item, Branch):
-                branches.append((turn.side, item))
-                segments.append([])
-            else:
-                segments[-1].append(item)
+    return _Skeleton(config, line).solve_line()
 
-    memo: dict[tuple[int, bytes], tuple[int, tuple[str, ...]]] = {}
-    counters = {"nodes": 0, "hits": 0}
 
-    def run(state: GameState, steps, offset: int) -> int | None:
-        # ``offset`` is the flattened-line index of ``steps[0]``.
+class _Skeleton:
+    """The tables of one :func:`skeleton_solve` call.
+
+    A class rather than closures: a recursive closure is a reference cycle,
+    which would keep the cached end states alive until the cyclic garbage
+    collector runs.
+    """
+
+    def __init__(self, config: GameConfig, line: ScriptedLine):
+        self.line = line
+        # segments[k] is the forced run before branches[k]; the last
+        # follows the last branch.
+        self.segments: list[tuple[ScriptStep, ...]] = []
+        self.branches: list[tuple[int, Branch]] = []
+        segment: list[ScriptStep] = []
+        for turn in line.turns:
+            for item in turn.items:
+                if isinstance(item, Branch):
+                    self.branches.append((turn.side, item))
+                    self.segments.append(tuple(segment))
+                    segment = []
+                else:
+                    segment.append(item)
+        self.segments.append(tuple(segment))
+        self.start = start_game(config)
+        enemy = self.start.players[1].board
+        self.wall = enemy[0].iid if enemy else None
+        self.h0 = enemy[0].health if enemy else 0
+        self.memo: dict[tuple[int, bytes, int], tuple[int, tuple[str, ...]]] = {}
+        self.runs: dict[tuple[int, str, bytes], list[_Run]] = {}
+        self.nodes = 0
+        self.hits = 0
+
+    def swap_health(self, state: GameState, health):
+        """Give the wall ``health``, returning what it had; None if it is gone."""
+        for p in state.players:
+            for slot, m in enumerate(p.board):
+                if m.iid == self.wall:
+                    m = _own(p, slot)
+                    old, m.health = m.health, health
+                    return old
+        return None
+
+    def step(self, state: GameState, steps, offset: int) -> int | None:
+        """Step ``state`` in place; ``offset`` is the flattened-line index
+        of ``steps[0]``."""
         try:
-            counters["nodes"] += sum(1 for _ in run_script(state, steps))
+            self.nodes += sum(1 for _ in run_script(state, steps))
         except IllegalAction as exc:
             raise IllegalAction(exc.reason, step=offset + exc.step) from None
         return terminal_value(state)
 
-    def advance(state: GameState, k: int, offset: int) -> tuple[int, tuple[str, ...]]:
-        # ``state`` belongs to this call, which steps it in place;
-        # ``offset`` is where segment ``k`` starts in the flattened line.
-        tv = run(state, segments[k], offset)
-        if tv is not None:
-            return tv, ()
-        if k == len(branches):
-            return DRAW, ()
-        key = (k, position_key(state))
-        cached = memo.get(key)
+    def run(self, k: int, part: str, start: GameState, key: bytes, d: int,
+            offset: int) -> _Run:
+        """The run of segment ``k`` (``part`` "-") or of a half of branch
+        ``k`` ("x" or "y") from ``start`` at damage ``d``: cached, or made
+        on a fork of ``start``.  ``offset`` is where it starts in the
+        flattened line."""
+        entries = self.runs.setdefault((k, part, key), [])
+        for entry in entries:
+            if entry.lo <= d <= entry.hi:
+                self.hits += 1
+                return entry
+        state = start.fork()
+        path = _Path(d)
+        self.swap_health(state, _Health(self.h0, -1, path))
+        steps = self.segments[k] if part == "-" else self.branches[k][1].steps(part)
+        value = self.step(state, steps, offset)
+        if value is None and part == "-" and k == len(self.branches):
+            value = DRAW
+        if value is not None:
+            entry = _Run(path.lo, path.hi, value, None, 0, 0, None)
+        else:
+            health = self.swap_health(state, None)
+            if health is None:
+                a, b = 0, 0
+            elif type(health) is _Health:
+                a, b = self.h0 - health.c, -health.s
+            else:
+                a, b = self.h0 - health, 0
+            entry = _Run(path.lo, path.hi, None, position_key(state), a, b, state)
+        entries.append(entry)
+        return entry
+
+    def solve(self, k: int, key: bytes, d: int, node: GameState, offset: int
+              ) -> tuple[int, tuple[str, ...]]:
+        """Value and choices from ``node``, the position before branch
+        ``k`` with the wall's health masked, at damage ``d``.
+
+        ``node`` is never written, only forked; ``offset`` is where the
+        branch starts in the flattened line.
+        """
+        memo_key = (k, key, d)
+        cached = self.memo.get(memo_key)
         if cached is not None:
-            counters["hits"] += 1
+            self.hits += 1
             return cached
-        side, branch = branches[k]
+        side, branch = self.branches[k]
         maximizing = side == 0
-        offset += len(segments[k])
         best: tuple[int, tuple[str, ...]] | None = None
         for choice in ("x", "y"):
-            # Nothing reads ``state`` once its key is taken, so the last
-            # choice may consume it; an earlier one works on a fork.
-            child = state.fork() if choice == "x" else state
-            half = branch.steps(choice)
-            value, suffix = run(child, half, offset), ()
+            # The half, then the forced segment after it.
+            after = self.run(k, choice, node, key, d, offset)
+            d_after = after.a + after.b * d
+            at = offset + len(branch.steps(choice))
+            if after.value is None:
+                after = self.run(k + 1, "-", after.end, after.key, d_after, at)
+                d_after = after.a + after.b * d_after
+                at += len(self.segments[k + 1])
+            value, suffix = after.value, ()
             if value is None:
-                value, suffix = advance(child, k + 1, offset + len(half))
+                value, suffix = self.solve(k + 1, after.key, d_after, after.end, at)
             if best is None or (value > best[0] if maximizing else value < best[0]):
                 best = (value, (choice,) + suffix)
             if best[0] == (WIN if maximizing else LOSS):
                 break
         assert best is not None
-        memo[key] = best
+        self.memo[memo_key] = best
         return best
 
-    value, vector = advance(start_game(config), 0, 0)
-    vector += ("x",) * (line.n - len(vector))
-    return SkeletonResult(value, vector, counters["nodes"], counters["hits"])
+    def solve_line(self) -> SkeletonResult:
+        # The first segment runs once, in place on the start position.
+        state = self.start
+        value = self.step(state, self.segments[0], 0)
+        vector: tuple[str, ...] = ()
+        if value is None and not self.branches:
+            value = DRAW
+        elif value is None:
+            health = self.swap_health(state, None)
+            d = 0 if health is None else self.h0 - health
+            value, vector = self.solve(0, position_key(state), d, state, len(self.segments[0]))
+        vector += ("x",) * (self.line.n - len(vector))
+        return SkeletonResult(value, vector, self.nodes, self.hits)
 
 
 # ---------------------------------------------------------------------------

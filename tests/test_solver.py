@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import math
+import operator
+import pickle
 import random
 
 import pytest
 
 from conftest import WORKED_TARGET, WORKED_VECTOR
+from hearthproof import engine
+from hearthproof.cards import LEPER_GNOME
 from hearthproof.compiler import PartitionInstance, chosen_sum, compile_instance, run_line
-from hearthproof.engine import apply, legal_actions
+from hearthproof.engine import apply, legal_actions, start_game
 from hearthproof.solver import (
     DRAW,
     LOSS,
     WIN,
     DeviationChecker,
+    _Health,
+    _Path,
     check_named_deviations,
     deviation_check,
     minimax,
@@ -24,7 +33,7 @@ from hearthproof.solver import (
     value_verdict,
     walk_line,
 )
-from hearthproof.state import EventLog, IllegalAction, Outcome
+from hearthproof.state import EventLog, IllegalAction, Outcome, position_key
 from micro_positions import micro_positions
 
 
@@ -152,21 +161,25 @@ class TestSkeleton:
         assert result.verdict == "loss"
 
     def test_agrees_with_oracle_on_seeded_instances(self) -> None:
-        """Verdicts match the oracle on 200 seeded instances with up to
-        eight pairs, and a winning vector really wins the compiled game."""
+        """Verdicts match the oracle on 200 seeded instances with up to ten
+        pairs of values 0-64 (zeros and overshooting targets included), a
+        winning vector really wins the compiled game, and a seeded random
+        vector wins ``run_line`` iff its picks sum to the target."""
         rng = random.Random(20230521)
-        wins = 0
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            pairs = tuple((rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
-            if rng.random() < 0.5:
+        wins = line_wins = 0
+        for k in range(200):
+            n = rng.randint(1, 10)
+            lo, hi = ((1, 9), (0, 9), (1, 64), (0, 64))[k % 4]
+            pairs = tuple((rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(n))
+            vector = tuple(rng.choice("xy") for _ in range(n))
+            if k % 8 < 4:
                 # Right's picks cannot matter and the target is reachable,
                 # so Left wins.
                 pairs = tuple((x, x) if i % 2 else (x, y)
                               for i, (x, y) in enumerate(pairs))
-                target = sum(rng.choice(pair) for pair in pairs)
+                target = chosen_sum(PartitionInstance(pairs, 0), vector)
             else:
-                target = rng.randint(n, 9 * n)
+                target = rng.randint(0, sum(max(pair) for pair in pairs) + hi)
             inst = PartitionInstance(pairs, target)
             compiled = compile_instance(inst, validate="none")
             result = skeleton_solve(compiled.config, compiled.line)
@@ -175,7 +188,49 @@ class TestSkeleton:
                 wins += 1
                 final = run_line(compiled.config, compiled.line, result.vector)
                 assert final.outcome is Outcome.FRIENDLY_WINS, inst
-        assert 80 < wins < 140
+            final = run_line(compiled.config, compiled.line, vector)
+            hit = chosen_sum(inst, vector) == target
+            assert (final.outcome is Outcome.FRIENDLY_WINS) == hit, (inst, vector)
+            line_wins += hit
+        assert 100 < wins < 140
+        assert 100 < line_wins < 140
+
+    def test_seeded_results_are_pinned(self) -> None:
+        """Byte pin over ``(value, vector)`` of 120 seeded instances (n 1-13;
+        values 1-9, 1-64, 0-9 and 0-64; a quarter Right-indifferent, so Left
+        wins; targets reachable or random, overshoot included), taken from
+        the solver that replayed every running sum."""
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+        for k in range(120):
+            n = 1 + k % 13
+            lo, hi = ((1, 9), (1, 64), (0, 9), (1, 9), (1, 64), (0, 64))[k % 6]
+            pairs = tuple((rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(n))
+            if k % 4 == 1:
+                pairs = tuple((x, x) if i % 2 else (x, y)
+                              for i, (x, y) in enumerate(pairs))
+            if k % 2:
+                target = sum(rng.choice(pair) for pair in pairs)
+            else:
+                target = rng.randint(0, sum(max(pair) for pair in pairs) + hi)
+            compiled = compile_instance(PartitionInstance(pairs, target), validate="none")
+            result = skeleton_solve(compiled.config, compiled.line)
+            digest.update(f"{result.value} {''.join(result.vector)}\n".encode())
+        assert digest.hexdigest() == (
+            "40479e483569274b2f737bfc84ecc98452a08e0d4fe91a966f6e85da699293e9")
+
+    def test_large_instance_runs_each_gadget_a_few_times(self) -> None:
+        """n = 100 with values 1-64: running sums rarely coincide, so a
+        solver that replays each of them steps the engine 10 M times on
+        this instance.  Runs reused over D-ranges take about 18 k steps."""
+        rng = random.Random(100)
+        pairs = tuple((rng.randint(1, 64), rng.randint(1, 64)) for _ in range(100))
+        target = rng.randint(sum(map(min, pairs)), sum(map(max, pairs)))
+        inst = PartitionInstance(pairs, target)
+        compiled = compile_instance(inst, validate="none")
+        result = skeleton_solve(compiled.config, compiled.line)
+        assert (result.value == WIN) == oracle_left_wins(inst)
+        assert result.nodes < 50_000
 
     def test_search_does_not_rest_on_the_state_digest(
         self, worked_compiled, monkeypatch
@@ -195,6 +250,108 @@ class TestSkeleton:
             DeviationChecker(worked_compiled.config, worked_compiled.line))
         assert report.refuted == 7
         assert report.unresolved == 0
+
+
+class TestWallHealth:
+    """The skeleton's symbol for the wall's health, ``c + s * D``, where D
+    is the damage the wall took before the run."""
+
+    OPS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+
+    @staticmethod
+    def expected_range(answers: dict[int, bool], d: int) -> tuple[float, float]:
+        """The widest run of D around ``d`` with ``d``'s answer; a run that
+        reaches the edge of the checked window goes on to infinity."""
+        lo = hi = d
+        while lo - 1 in answers and answers[lo - 1] == answers[d]:
+            lo -= 1
+        while hi + 1 in answers and answers[hi + 1] == answers[d]:
+            hi += 1
+        return (-math.inf if lo == min(answers) else lo,
+                math.inf if hi == max(answers) else hi)
+
+    @pytest.mark.parametrize("slope", [-1, 1])
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_each_comparison_records_its_exact_d_range(self, op, slope) -> None:
+        """At every D on both sides of the boundary and on it (the value
+        meets the other side at D = 10), with the symbol left or right of
+        the operator: the answer is the concrete one, and the range
+        recorded is exactly the run of D that gives the same answer."""
+        c, t = 30 - 10 * slope, 30  # c + slope * D == t at D = 10
+        for flipped in (False, True):
+            def compare(left, right):
+                return op(right, left) if flipped else op(left, right)
+            answers = {d: compare(c + slope * d, t) for d in range(21)}
+            for d in answers:
+                health = _Health(c, slope, _Path(d))
+                assert compare(health, t) is answers[d]
+                assert (health.path.lo, health.path.hi) == self.expected_range(answers, d), d
+
+    def test_comparisons_narrow_one_shared_range(self) -> None:
+        path = _Path(12)
+        health = _Health(40, -1, path)  # 28 at D = 12
+        damaged = health - 20  # 20 - D, on the same path
+        assert damaged > 0 and health <= 30
+        assert (path.lo, path.hi) == (10, 19)
+        assert health < health + 5  # the D terms cancel: no cut
+        assert (path.lo, path.hi) == (10, 19)
+
+    @pytest.mark.parametrize("d, dies", [(28, False), (29, True), (30, True)])
+    def test_the_equality_point_of_a_lethal_hit(self, worked_compiled, d, dies) -> None:
+        """The engine's own damage and death checks on a wall at ``30 - D``
+        hit for 1: it dies from D = 29, where the hit leaves exactly 0."""
+        state = start_game(worked_compiled.config)
+        path = _Path(d)
+        state.players[1].board[0].health = _Health(30, -1, path)
+        engine._damage_minion(state, None, 1, 0, 1)
+        engine._process_deaths(state, None)
+        assert (state.players[1].board[0].card_id != LEPER_GNOME) is dies
+        assert (path.lo, path.hi) == ((29, math.inf) if dies else (-math.inf, 28))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 7])
+    def test_healing_to_full_health_gives_a_plain_int(self, worked_compiled, d) -> None:
+        """A wall at ``30 - D`` of 30 healed for 5: below D = 5 the heal is
+        ``min(5, 30 - health) = D``, whose D term cancels, so the health is
+        the plain int 30; from D = 5 on it heals 5 and stays a symbol."""
+        state = start_game(worked_compiled.config)
+        wall = state.players[1].board[0]
+        wall.max_health = 30
+        path = _Path(d)
+        wall.health = _Health(30, -1, path)
+        engine._heal_minion(state, None, 1, 0, 5)
+        health = state.players[1].board[0].health
+        if d < 5:
+            assert type(health) is int and health == 30
+            assert (path.lo, path.hi) == (-math.inf, 4)
+        else:
+            assert type(health) is _Health and (health.c, health.s) == (35, -1)
+            assert (path.lo, path.hi) == (5, math.inf)
+
+    @pytest.mark.parametrize("use", [
+        lambda h: h * 2, lambda h: 2 * h, lambda h: -h, lambda h: +h, lambda h: abs(h),
+        lambda h: ~h, lambda h: h // 2, lambda h: h / 2, lambda h: h % 3,
+        lambda h: h ** 2, lambda h: h << 1, lambda h: h & 1, lambda h: 1 | h,
+        lambda h: divmod(h, 2), lambda h: int(h), lambda h: float(h),
+        lambda h: h.__index__(), lambda h: hash(h), lambda h: round(h),
+        lambda h: math.floor(h), lambda h: f"{h}", lambda h: h.real,
+        lambda h: h.bit_length(), lambda h: h + 1.5, lambda h: h + True,
+        lambda h: h + _Health(40, -1, _Path(12)), lambda h: h + h,
+        lambda h: h < 30 - h, lambda h: h == "40", lambda h: not h,
+        lambda h: pickle.dumps(h), lambda h: copy.copy(h),
+    ])
+    def test_operations_not_modelled_raise(self, use) -> None:
+        """None of them may quietly turn the symbol into a plain int.  (C
+        code that reads an int's value directly, as sequence indexing and
+        ``range`` do, calls no method at all; the engine reads health in
+        none of those ways.)"""
+        with pytest.raises(TypeError):
+            use(_Health(40, -1, _Path(12)))
+
+    def test_a_position_key_refuses_the_symbol(self, worked_compiled) -> None:
+        state = start_game(worked_compiled.config)
+        state.players[1].board[0].health = _Health(40, -1, _Path(12))
+        with pytest.raises(TypeError):
+            position_key(state)
 
 
 class TestWalkLine:
