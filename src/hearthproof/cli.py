@@ -48,8 +48,9 @@ from .state import (
     EventLog,
     GameConfig,
     IllegalAction,
+    SnapshotMemo,
     action_to_json_obj,
-    state_to_json_obj,
+    snapshot_json,
 )
 
 EXIT_OK = 0
@@ -114,8 +115,9 @@ def _load_line(path: str) -> ScriptedLine:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of the search budgets and ``--deviation-turns``: a
-    value below 1 would search or probe nothing, so it is an input error."""
+    """argparse type of the search budgets, ``--deviation-turns`` and
+    ``--turn-limit``: a value below 1 would search or probe nothing, or
+    describe a game that ends before it starts, so it is an input error."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -273,12 +275,12 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
             print(json.dumps(log.events[cursor].to_json_obj()))
             cursor += 1
 
+    memo = SnapshotMemo()
+
     def on_step(index: int, flat, state) -> None:
         flush()
         if args.trace:
-            snap = {"kind": "snapshot", "stepIndex": index}
-            snap.update(state_to_json_obj(state))
-            print(json.dumps(snap))
+            print(snapshot_json(state, index, memo))
 
     print(json.dumps(
         {"formatVersion": 1, "kind": "replay", "choices": args.choices}
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile an instance to config + line")
     p.add_argument("instance", help="instance JSON file (pairs + target)")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--turn-limit", type=int, default=60)
+    p.add_argument("--turn-limit", type=positive_int, default=60)
     p.add_argument(
         "--validate", choices=["canonical", "all", "none"], default="canonical",
         help="post-compile replay checking (default: canonical vector only)",
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-nodes", type=positive_int, default=500_000)
     p.add_argument("--max-depth", type=positive_int, default=120)
-    p.add_argument("--turn-limit", type=int, default=60)
+    p.add_argument("--turn-limit", type=positive_int, default=60)
     p.add_argument(
         "--deviation-turns", type=positive_int, default=None, metavar="N",
         help="probe every legal alternative in turns <= N instead of the "

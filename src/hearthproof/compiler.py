@@ -372,6 +372,33 @@ class FlatStep:
     chosen: str | None = None
 
 
+# Writers of ``json.dumps(..., indent=2, sort_keys=True)`` text from parts
+# already written.  ``depth`` is the nesting level of the value; its lines
+# are indented by ``depth`` steps of two spaces.
+
+
+def _dumps(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` nested ``depth`` deep.
+    A JSON string holds no raw newline, so each newline starts a line."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _object(fields: dict[str, str], depth: int) -> str:
+    """A non-empty object from its values' texts, which are written for
+    ``depth + 1``; the keys are plain names, which JSON prints unescaped."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ",".join(f'{pad}"{key}": {fields[key]}' for key in sorted(fields))
+    return "{" + body + "\n" + "  " * depth + "}"
+
+
+def _array(items: list[str], depth: int) -> str:
+    """An array from its items' texts, which are written for ``depth + 1``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 @dataclass(frozen=True)
 class ScriptedLine:
     instance: PartitionInstance
@@ -407,18 +434,54 @@ class ScriptedLine:
                     out.append(FlatStep(item.action, item.optional, turn.turn, turn.side))
         return out
 
-    def to_json_obj(self) -> dict:
+    def _head_obj(self) -> dict:
+        """Every field of the line file but ``turns``."""
         return {
             "formatVersion": FORMAT_VERSION,
             "kind": "line",
             "instance": self.instance.to_json_obj(),
             "valueShift": self.value_shift,
             "decisions": [d.to_json_obj() for d in self.decisions],
-            "turns": [t.to_json_obj() for t in self.turns],
         }
 
+    def to_json_obj(self) -> dict:
+        return {**self._head_obj(), "turns": [t.to_json_obj() for t in self.turns]}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        """The line file: exactly ``json.dumps(self.to_json_obj(), indent=2,
+        sort_keys=True) + "\\n"``, written without building that object.
+
+        A line repeats about twenty distinct steps hundreds of times, and
+        ``indent`` sends ``json.dumps`` through the pure-Python encoder.  So
+        each distinct step is encoded once per call and depth, the turn,
+        item and branch structure around the steps is written directly, and
+        only the small head goes through ``json.dumps`` whole.
+        """
+        memo: dict[tuple[ScriptStep, int], str] = {}
+
+        def step(s: ScriptStep, depth: int) -> str:
+            text = memo.get((s, depth))
+            if text is None:
+                text = memo[(s, depth)] = _dumps(s.to_json_obj(), depth)
+            return text
+
+        def half(steps: tuple[ScriptStep, ...]) -> str:
+            return _array([step(s, 7) for s in steps], 6)
+
+        def item(it: TurnItem) -> str:
+            if isinstance(it, Branch):
+                branch = _object({"decision": str(it.decision), "x": half(it.x_steps),
+                                  "y": half(it.y_steps)}, 5)
+                return _object({"branch": branch}, 4)
+            return _object({"step": step(it, 5)}, 4)
+
+        fields = {key: _dumps(value, 1) for key, value in self._head_obj().items()}
+        fields["turns"] = _array([
+            _object({"items": _array([item(it) for it in t.items], 3),
+                     "side": str(t.side), "turn": str(t.turn)}, 2)
+            for t in self.turns
+        ], 1)
+        return _object(fields, 0) + "\n"
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ScriptedLine":

@@ -515,6 +515,11 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     return _Skeleton(config, line).solve_line()
 
 
+# The choices of a skeleton solution from some branch on: the first choice
+# and the chain of the rest, or None past the last choice made.
+_Choices = tuple[str, "_Choices"] | None
+
+
 class _Skeleton:
     """The tables of one :func:`skeleton_solve` call.
 
@@ -543,7 +548,7 @@ class _Skeleton:
         enemy = self.start.players[1].board
         self.wall = enemy[0].iid if enemy else None
         self.h0 = enemy[0].health if enemy else 0
-        self.memo: dict[tuple[int, bytes, int], tuple[int, tuple[str, ...]]] = {}
+        self.memo: dict[tuple[int, bytes, int], tuple[int, _Choices]] = {}
         self.runs: dict[tuple[int, str, bytes], list[_Run]] = {}
         self.nodes = 0
         self.hits = 0
@@ -600,9 +605,10 @@ class _Skeleton:
         return entry
 
     def solve(self, k: int, key: bytes, d: int, node: GameState, offset: int
-              ) -> tuple[int, tuple[str, ...]]:
+              ) -> tuple[int, _Choices]:
         """Value and choices from ``node``, the position before branch
-        ``k`` with the wall's health masked, at damage ``d``.
+        ``k`` with the wall's health masked, at damage ``d``.  The choices
+        come as a chain, so a node adds its own without copying the rest.
 
         ``node`` is never written, only forked; ``offset`` is where the
         branch starts in the flattened line.
@@ -614,7 +620,7 @@ class _Skeleton:
             return cached
         side, branch = self.branches[k]
         maximizing = side == 0
-        best: tuple[int, tuple[str, ...]] | None = None
+        best: tuple[int, _Choices] | None = None
         for choice in ("x", "y"):
             # The half, then the forced segment after it.
             after = self.run(k, choice, node, key, d, offset)
@@ -624,11 +630,11 @@ class _Skeleton:
                 after = self.run(k + 1, "-", after.end, after.key, d_after, at)
                 d_after = after.a + after.b * d_after
                 at += len(self.segments[k + 1])
-            value, suffix = after.value, ()
+            value, rest = after.value, None
             if value is None:
-                value, suffix = self.solve(k + 1, after.key, d_after, after.end, at)
+                value, rest = self.solve(k + 1, after.key, d_after, after.end, at)
             if best is None or (value > best[0] if maximizing else value < best[0]):
-                best = (value, (choice,) + suffix)
+                best = (value, (choice, rest))
             if best[0] == (WIN if maximizing else LOSS):
                 break
         assert best is not None
@@ -639,15 +645,18 @@ class _Skeleton:
         # The first segment runs once, in place on the start position.
         state = self.start
         value = self.step(state, self.segments[0], 0)
-        vector: tuple[str, ...] = ()
+        vector: list[str] = []
         if value is None and not self.branches:
             value = DRAW
         elif value is None:
             health = self.swap_health(state, None)
             d = 0 if health is None else self.h0 - health
-            value, vector = self.solve(0, position_key(state), d, state, len(self.segments[0]))
-        vector += ("x",) * (self.line.n - len(vector))
-        return SkeletonResult(value, vector, self.nodes, self.hits)
+            value, chain = self.solve(0, position_key(state), d, state, len(self.segments[0]))
+            while chain is not None:
+                choice, chain = chain
+                vector.append(choice)
+        vector += ["x"] * (self.line.n - len(vector))
+        return SkeletonResult(value, tuple(vector), self.nodes, self.hits)
 
 
 # ---------------------------------------------------------------------------

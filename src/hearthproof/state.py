@@ -36,7 +36,7 @@ import copy
 import itertools
 import json
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import blake2b
 from typing import Any, Iterable, NamedTuple
@@ -801,55 +801,103 @@ def config_to_state(config: GameConfig) -> GameState:
     )
 
 
-def state_to_json_obj(state: GameState) -> dict:
-    """Informational snapshot of a live state (used by --trace output)."""
-
-    def minion_obj(m: MinionInstance) -> dict:
-        flags = [
-            name
-            for name, val in (
-                ("taunt", m.taunt),
-                ("frozen", m.frozen),
-                ("exhausted", m.exhausted),
-                ("charge", m.charge),
-                ("attacked", m.attacked),
-            )
-            if val
-        ]
-        return {
-            "card": m.card_id,
-            "attack": m.attack,
-            "health": m.health,
-            "maxHealth": m.max_health,
-            "flags": flags,
-        }
-
-    def player_obj(p: PlayerState) -> dict:
-        hero = {
-            "health": p.hero.health,
-            "maxHealth": p.hero.max_health,
-            "manaCrystals": p.hero.mana_crystals,
-            "mana": p.hero.mana,
-            "fatigue": p.hero.fatigue,
-        }
-        if p.hero.weapon:
-            hero["weapon"] = {
-                "attack": p.hero.weapon.attack,
-                "durability": p.hero.weapon.durability,
-            }
-        return {
-            "hero": hero,
-            "hand": list(p.hand),
-            "deckRemaining": p.deck_remaining,
-            "board": [minion_obj(m) for m in p.board],
-        }
-
+def _minion_obj(m: MinionInstance) -> dict:
+    flags = [
+        name
+        for name, val in (
+            ("taunt", m.taunt),
+            ("frozen", m.frozen),
+            ("exhausted", m.exhausted),
+            ("charge", m.charge),
+            ("attacked", m.attacked),
+        )
+        if val
+    ]
     return {
-        "players": [player_obj(p) for p in state.players],
+        "card": m.card_id,
+        "attack": m.attack,
+        "health": m.health,
+        "maxHealth": m.max_health,
+        "flags": flags,
+    }
+
+
+def _hero_obj(h: HeroState) -> dict:
+    hero = {
+        "health": h.health,
+        "maxHealth": h.max_health,
+        "manaCrystals": h.mana_crystals,
+        "mana": h.mana,
+        "fatigue": h.fatigue,
+    }
+    if h.weapon:
+        hero["weapon"] = {"attack": h.weapon.attack, "durability": h.weapon.durability}
+    return hero
+
+
+def state_to_json_obj(state: GameState) -> dict:
+    """Informational snapshot of a live state, the body of a ``--trace``
+    snapshot line.  :func:`snapshot_json` writes the same line as text."""
+    return {
+        "players": [
+            {
+                "hero": _hero_obj(p.hero),
+                "hand": list(p.hand),
+                "deckRemaining": p.deck_remaining,
+                "board": [_minion_obj(m) for m in p.board],
+            }
+            for p in state.players
+        ],
         "active": state.active,
         "turn": state.turn,
         "outcome": state.outcome.value,
     }
+
+
+@dataclass
+class SnapshotMemo:
+    """The texts :func:`snapshot_json` has written during one replay, one
+    table per part, each keyed on the fields its part prints."""
+
+    minions: dict[tuple, str] = field(default_factory=dict)
+    heroes: dict[tuple, str] = field(default_factory=dict)
+    hands: dict[tuple[str, ...], str] = field(default_factory=dict)
+
+
+def snapshot_json(state: GameState, step_index: int, memo: SnapshotMemo) -> str:
+    """The ``--trace`` snapshot line of ``state``: exactly
+    ``json.dumps({"kind": "snapshot", "stepIndex": step_index,
+    **state_to_json_obj(state)})``.
+
+    A replay prints a snapshot after every step, and most steps leave most
+    minions, both heroes and a hand as they were.  So each minion, hero and
+    hand is encoded once per replay, as ``json.dumps`` of the dict
+    :func:`state_to_json_obj` builds for it, and kept in ``memo``; the
+    player and snapshot objects around them are written directly.
+    """
+    players = []
+    for p in state.players:
+        h = p.hero
+        key = (h.health, h.max_health, h.mana_crystals, h.mana, h.fatigue, h.weapon)
+        hero = memo.heroes.get(key)
+        if hero is None:
+            hero = memo.heroes[key] = json.dumps(_hero_obj(h))
+        hand_key = tuple(p.hand)
+        hand = memo.hands.get(hand_key)
+        if hand is None:
+            hand = memo.hands[hand_key] = json.dumps(p.hand)
+        board = []
+        for m in p.board:
+            key = m.canonical()  # exactly the fields _minion_obj prints
+            text = memo.minions.get(key)
+            if text is None:
+                text = memo.minions[key] = json.dumps(_minion_obj(m))
+            board.append(text)
+        players.append(f'{{"hero": {hero}, "hand": {hand}, "deckRemaining": '
+                       f'{p.deck_remaining}, "board": [{", ".join(board)}]}}')
+    return (f'{{"kind": "snapshot", "stepIndex": {step_index}, "players": '
+            f'[{", ".join(players)}], "active": {state.active}, "turn": '
+            f'{state.turn}, "outcome": "{state.outcome.value}"}}')
 
 
 def total_card_count(state: GameState) -> int:

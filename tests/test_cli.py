@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -92,6 +93,23 @@ class TestCompile:
         assert code == 3
         assert "schedule infeasible" in captured.err
         assert "\x1b" not in captured.err  # no ANSI colour when not a tty
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_turn_limit_below_one_is_an_input_error(self, instance_file, tmp_path,
+                                                    command, limit, capsys) -> None:
+        """A game whose turn limit is below 1 is no game: bad input, exit 2,
+        not an infeasible schedule."""
+        argv = [command, instance_file, "--turn-limit", limit]
+        if command == "compile":
+            argv += ["--out-dir", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert "must be at least 1" in captured.err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_input_file(self, tmp_path, capsys) -> None:
         code = main(["compile", str(tmp_path / "nope.json"),
@@ -259,6 +277,37 @@ class TestReplay:
         indexes = [s["stepIndex"] for s in snaps]
         assert indexes == sorted(indexes)
         assert "players" in snaps[0] and "turn" in snaps[0]
+
+    def test_seeded_traces_are_pinned(self, tmp_path, capsys) -> None:
+        """Byte pin over the traced replays of nine seeded instances
+        (n 4-12, values 1-9), alternately under a winning choice string and
+        a losing one: their snapshots cover boards, hands and outcomes the
+        worked trace never reaches."""
+        rng = random.Random(20261018)
+        digest = hashlib.sha256()
+        for n in range(4, 13):
+            pairs = [[rng.randint(1, 9), rng.randint(1, 9)] for _ in range(n)]
+            winning = "".join(rng.choice("xy") for _ in range(n))
+            choices = winning
+            if n % 2:  # flip one choice of a pair whose values differ
+                k = next(i for i, (x, y) in enumerate(pairs) if x != y)
+                choices = winning[:k] + "xy"[winning[k] == "x"] + winning[k + 1:]
+            target = sum(p[c == "y"] for p, c in zip(pairs, winning))
+            path = tmp_path / f"seeded-{n}.json"
+            path.write_text(json.dumps({"pairs": pairs, "target": target}))
+            out = tmp_path / f"seeded-{n}"
+            assert main(["compile", str(path), "--out-dir", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["replay", str(out / "config.json"),
+                         str(out / "line.json"), "--choices", choices,
+                         "--trace"]) == 0
+            text = capsys.readouterr().out
+            final = json.loads(text.splitlines()[-1])
+            want = "enemy_wins" if n % 2 else "friendly_wins"
+            assert final["outcome"] == want
+            digest.update(text.encode("utf-8"))
+        assert digest.hexdigest() == (
+            "65060d8010707ee2206ac3a5566941fae5a0998670b5db57454dd487b04c23a4")
 
     def test_losing_choices_still_stream(self, compiled_dir, capsys) -> None:
         # xxyx sums to 19, missing the target of 18.

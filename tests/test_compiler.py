@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 
@@ -314,6 +315,69 @@ class TestCompiledArtifacts:
             compile_instance(worked_instance, validate="none")
         assert "not in hand" in info.value.reason
         assert info.value.turn == turn
+
+
+def _stdlib_line_text(line: ScriptedLine) -> str:
+    return json.dumps(line.to_json_obj(), indent=2, sort_keys=True) + "\n"
+
+
+def _step(action: dict, optional: bool = False) -> dict:
+    return {"action": action, "optional": True} if optional else {"action": action}
+
+
+class TestLineText:
+    """``ScriptedLine.to_json`` writes, from memoised step texts, the text
+    the standard library writes of ``to_json_obj``."""
+
+    def test_seeded_lines_match_the_stdlib(self) -> None:
+        rng = random.Random(20261020)
+        for k in range(28):
+            n = 1 + k % 14
+            pairs = tuple((rng.randint(0, 40), rng.randint(0, 40)) for _ in range(n))
+            if k % 4 == 0:  # a zero, so the value shift shows in the head
+                pairs = ((0, pairs[0][1]),) + pairs[1:]
+            target = rng.randint(0, sum(max(p) for p in pairs))
+            line = compile_instance(PartitionInstance(pairs, target), validate="none").line
+            assert line.to_json() == _stdlib_line_text(line)
+
+    def test_hand_built_line_matches_the_stdlib(self) -> None:
+        """An empty turn and an empty branch half, optional steps, spell
+        targets, a summon position and hero attacks; the same step both
+        plain and inside a branch, where it sits two levels deeper."""
+        ping = {"play": {"hand": 0, "target": {"side": 1, "slot": 2}}}
+        swing = {"attack": {"attacker": {"hero": 0}, "defender": {"hero": 1}}}
+        obj = {
+            "formatVersion": 1,
+            "kind": "line",
+            "instance": {"pairs": [[0, 2], [3, 1]], "target": 3},
+            "valueShift": 1,
+            "decisions": [
+                {"index": 1, "turn": 1, "x": 0, "y": 2, "xAttack": 12, "yAttack": 32,
+                 "xDestroyed": 10, "yDestroyed": 30},
+                {"index": 2, "turn": 3, "x": 3, "y": 1, "xAttack": 42, "yAttack": 22,
+                 "xDestroyed": 40, "yDestroyed": 20},
+            ],
+            "turns": [
+                {"turn": 1, "side": 0, "items": [
+                    {"step": _step(ping)},
+                    {"step": _step({"play": {"hand": 2, "position": 6}})},
+                    {"branch": {"decision": 1, "x": [_step(ping), _step(swing, True)],
+                                "y": []}},
+                    {"step": _step({"end": True})},
+                ]},
+                {"turn": 2, "side": 1, "items": []},
+                {"turn": 3, "side": 0, "items": [
+                    {"branch": {"decision": 2, "x": [],
+                                "y": [_step({"play": {"hand": 1, "target": {"hero": 1}}}),
+                                      _step({"end": True})]}},
+                    {"step": _step(swing, True)},
+                ]},
+            ],
+        }
+        line = ScriptedLine.from_json_obj(obj)
+        text = line.to_json()
+        assert text == _stdlib_line_text(line)
+        assert json.loads(text) == obj
 
 
 class TestValidation:

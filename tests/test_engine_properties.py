@@ -1,9 +1,11 @@
 """Property-based engine checks: random legal walks uphold the invariants,
 ``apply_in_place`` (with and without a log) and ``replay`` agree with
-``apply``, and a ``fork()`` steps like a deep ``clone()``."""
+``apply``, a ``fork()`` steps like a deep ``clone()``, and the snapshot
+writer matches ``json.dumps`` on the states these walks reach."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -23,10 +25,13 @@ from hearthproof.state import (
     Outcome,
     PlayCard,
     ScriptStep,
+    SnapshotMemo,
     hero_ref,
     minion_ref,
     position_key,
+    snapshot_json,
     state_hash,
+    state_to_json_obj,
     total_card_count,
 )
 
@@ -368,3 +373,44 @@ class TestFork:
         # The suffixes reach every kind of minion write: combat, the
         # freeze and its thaw at a turn end, buffs, Mind Control, deaths.
         assert {"damage", "freeze", "end_turn", "buff", "steal", "death"} <= seen
+
+
+class TestSnapshotText:
+    """``snapshot_json`` writes, from memoised part texts, the text
+    ``json.dumps`` makes of the snapshot dict."""
+
+    def test_matches_json_dumps_on_walks_and_lines(self, worked_compiled,
+                                                   compiled_config) -> None:
+        seen: set[str] = set()
+
+        def check(state, index: int, memo: SnapshotMemo) -> None:
+            obj = {"kind": "snapshot", "stepIndex": index, **state_to_json_obj(state)}
+            assert snapshot_json(state, index, memo) == json.dumps(obj)
+            seen.add(obj["outcome"])
+            for player in obj["players"]:
+                seen.update(flag for m in player["board"] for flag in m["flags"])
+                seen.update(part for part in ("weapon", "fatigue") if player["hero"].get(part))
+
+        # One memo across every walk, so a key that misses a printed field
+        # meets a part that differs from a memoised one in that field alone.
+        memo = SnapshotMemo()
+        starts = [worked_compiled.config, compiled_config, micro_config()]
+        starts += [config for _, config, _ in micro_positions()]
+        for config in starts:
+            for seed in range(4):
+                walk, _ = seeded_walk(config, seed, 60)
+                for k, state in enumerate(walk):
+                    check(state, k, memo)
+
+        # Seeded lines as ``replay --trace`` prints them: a memo per run.
+        rng = random.Random(20261021)
+        for n in range(1, 9):
+            pairs = tuple((rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
+            vector = tuple(rng.choice("xy") for _ in range(n))
+            compiled = compile_instance(PartitionInstance(pairs, 3 * n), validate="none")
+            run_memo = SnapshotMemo()
+            run_line(compiled.config, compiled.line, vector,
+                     on_step=lambda index, flat, state: check(state, index, run_memo))
+
+        assert {"taunt", "frozen", "exhausted", "charge", "attacked", "weapon",
+                "fatigue", "ongoing", "friendly_wins", "enemy_wins"} <= seen
