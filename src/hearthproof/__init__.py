@@ -17,7 +17,6 @@ from .state import (
     IllegalAction,
     Outcome,
     PlayCard,
-    state_hash,
 )
 from .engine import apply, apply_in_place, legal_actions, replay, run_script, start_game
 
@@ -45,6 +44,5 @@ __all__ = [
     "replay",
     "run_script",
     "start_game",
-    "state_hash",
     "__version__",
 ]

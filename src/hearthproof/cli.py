@@ -20,6 +20,7 @@ error, 3 infeasible schedule.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -354,7 +355,10 @@ def cmd_cards_dump(args: argparse.Namespace, started: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it
+    as it was, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="hearthproof",
         description="Compile pair-sum games into scripted card-game "

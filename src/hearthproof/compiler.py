@@ -1031,23 +1031,16 @@ class _Emitter:
     ) -> None:
         """Both branch halves must leave identical positions apart from the
         accumulator's hit points and, on enemy turns, the parked survivor."""
-        def comparable(s: GameState) -> tuple:
-            parts = []
-            for side in (0, 1):
-                p = s.players[side]
-                board = []
-                for slot, m in enumerate(p.board):
-                    if side == 1 and slot == 0:
-                        board.append(("accumulator", m.card_id))  # hp masked
-                    elif side == 1 and slot == 4 and turn % 2 == 0:
-                        board.append(("survivor",))  # differs by design
-                    else:
-                        board.append(m.canonical())
-                parts.append(
-                    (p.hero.canonical(), p.deck[p.deck_pos:], tuple(p.hand), tuple(board))
-                )
-            return (tuple(parts), s.active, s.turn, s.removed)
-        if comparable(sx) != comparable(sy):
+        def masked(s: GameState) -> tuple:
+            hero, deck, hand, board = s.players[1].canonical()
+            board = list(board)
+            if board:
+                board[0] = board[0][0]  # the accumulator's card id
+            if turn % 2 == 0 and len(board) > 4:
+                board[4] = None  # the survivor differs by design
+            enemy = (hero, deck, hand, board)
+            return (s.players[0].canonical(), enemy, s.active, s.turn, s.removed)
+        if masked(sx) != masked(sy):
             raise ScheduleInfeasible(
                 "branch halves fail to reconverge", turn=turn, step=decision
             )

@@ -1,4 +1,4 @@
-"""Game state value types, configuration IO, position keys and hashing.
+"""Game state value types, configuration IO and position keys.
 
 States are value objects with two ways to copy them.  ``clone()`` is deep:
 the copy shares no mutable object with its source, so either may be
@@ -38,7 +38,6 @@ import json
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
-from hashlib import blake2b
 from typing import Any, Iterable, NamedTuple
 
 from .cards import CardKind, CardSpec, EffectTag, Tribe, card, card_database
@@ -227,9 +226,6 @@ class Weapon(NamedTuple):
     attack: int
     durability: int
 
-    def canonical(self) -> tuple:
-        return (self.attack, self.durability)
-
 
 class MinionInstance:
     __slots__ = (
@@ -381,7 +377,7 @@ class HeroState:
         return (
             self.health,
             self.max_health,
-            self.weapon.canonical() if self.weapon else None,
+            self.weapon,
             self.mana_crystals,
             self.mana,
             self.attacked,
@@ -508,7 +504,9 @@ class GameState:
         return s
 
     def canonical(self) -> tuple:
-        """Content tuple that determines the state hash.
+        """The reference encoding of the position: the nested tuple that
+        :func:`position_key` must agree with (``TestPositionKey`` checks that
+        keys are equal exactly when these tuples are).
 
         Deliberately excludes the event-log cursor (``step``); two states that
         differ only in how many events were emitted along the way are the same
@@ -526,7 +524,7 @@ class GameState:
 
 
 # ---------------------------------------------------------------------------
-# Position keys and canonical 64-bit hashing
+# Position keys
 # ---------------------------------------------------------------------------
 
 
@@ -561,7 +559,7 @@ def position_key(state: GameState) -> bytes:
     is never None, so the sequence splits back into its fields one way
     only: the key is exact.  A flat tuple of scalars shares no
     sub-objects, so its pickle depends on its values alone.  The bytes are
-    tied to this process; :func:`state_hash` is the stable digest.
+    tied to this process.
     """
     key = [
         state.active,
@@ -607,40 +605,6 @@ def position_key(state: GameState) -> bytes:
                 m.attacked,
             )
     return pickle.dumps(tuple(key), 3)
-
-
-def _encode(value: Any, out: bytearray) -> None:
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, int):
-        out += b"i%d;" % value
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"s%d:" % len(raw)
-        out += raw
-    elif isinstance(value, tuple):
-        out += b"("
-        for item in value:
-            _encode(item, out)
-        out += b")"
-    else:
-        raise TypeError(f"unhashable canonical element: {value!r}")
-
-
-def canonical_bytes(value: Any) -> bytes:
-    out = bytearray()
-    _encode(value, out)
-    return bytes(out)
-
-
-def state_hash(state: GameState) -> int:
-    """Stable 64-bit digest of the position (platform and run independent)."""
-    digest = blake2b(canonical_bytes(state.canonical()), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -689,44 +653,48 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _int_in(value: Any, low: int, high: float = float("inf")) -> bool:
+    """Whether ``value`` is an integer (not a bool) in ``[low, high]``."""
+    return type(value) is int and low <= value <= high
+
+
 def _validate_config(obj: dict) -> None:
     _require(isinstance(obj, dict), "config must be an object")
     _require(obj.get("formatVersion") == FORMAT_VERSION, "formatVersion must be 1")
     players = obj.get("players")
     _require(isinstance(players, list) and len(players) == 2, "need exactly 2 players")
-    _require(obj.get("active") in (0, 1), "active must be 0 or 1")
-    _require(isinstance(obj.get("turn"), int) and obj["turn"] >= 1, "turn must be >= 1")
+    _require(_int_in(obj.get("active"), 0, 1), "active must be 0 or 1")
+    _require(_int_in(obj.get("turn"), 1), "turn must be >= 1")
     limit = obj.get("turnLimit", DEFAULT_TURN_LIMIT)
-    _require(isinstance(limit, int) and limit >= 1, "turnLimit must be >= 1")
+    _require(_int_in(limit, 1), "turnLimit must be >= 1")
     for idx, ps in enumerate(players):
         where = f"players[{idx}]"
         _require(isinstance(ps, dict), f"{where} must be an object")
         hero = ps.get("hero")
         _require(isinstance(hero, dict), f"{where}.hero missing")
-        _require(
-            isinstance(hero.get("health"), int) and hero["health"] >= 1,
-            f"{where}.hero.health must be a positive integer",
-        )
+        _require(_int_in(hero.get("health"), 1),
+                 f"{where}.hero.health must be a positive integer")
         max_health = hero.get("maxHealth", MAX_HERO_HEALTH)
-        _require(hero["health"] <= max_health, f"{where}.hero.health exceeds maxHealth")
+        _require(_int_in(max_health, hero["health"]),
+                 f"{where}.hero.maxHealth must be an integer >= health")
         crystals = hero.get("manaCrystals", MAX_MANA)
-        _require(0 <= crystals <= MAX_MANA, f"{where}.hero.manaCrystals out of range")
+        _require(_int_in(crystals, 0, MAX_MANA), f"{where}.hero.manaCrystals out of range")
         weapon = hero.get("weapon")
         if weapon is not None:
             _require(
                 isinstance(weapon, dict)
-                and weapon.get("attack", 0) >= 0
-                and weapon.get("durability", 0) >= 1,
+                and _int_in(weapon.get("attack"), 0)
+                and _int_in(weapon.get("durability"), 1),
                 f"{where}.hero.weapon malformed",
             )
         for zone in ("deck", "hand"):
             ids = ps.get(zone, [])
             _require(isinstance(ids, list), f"{where}.{zone} must be a list")
-            for cid in ids:
-                try:
+            try:
+                for cid in ids:
                     card(cid)
-                except KeyError:
-                    raise ConfigError(f"{where}.{zone}: unknown card {cid!r}")
+            except (KeyError, TypeError):  # TypeError: a list or object, not a name
+                raise ConfigError(f"{where}.{zone}: unknown card {cid!r}")
         _require(len(ps.get("hand", [])) <= MAX_HAND, f"{where}.hand exceeds {MAX_HAND}")
         board = ps.get("board", [])
         _require(isinstance(board, list) and len(board) <= MAX_BOARD, f"{where}.board too large")
@@ -735,14 +703,19 @@ def _validate_config(obj: dict) -> None:
             _require(isinstance(entry, dict) and "card" in entry, f"{bwhere} needs a card")
             try:
                 spec = card(entry["card"])
-            except KeyError:
+            except (KeyError, TypeError):
                 raise ConfigError(f"{bwhere}: unknown card {entry['card']!r}")
             _require(spec.kind == CardKind.MINION, f"{bwhere}: {entry['card']} is not a minion")
-            for flag in entry.get("flags", []):
+            flags = entry.get("flags", [])
+            _require(isinstance(flags, list), f"{bwhere}: flags must be a list")
+            for flag in flags:
                 _require(flag in _BOARD_FLAGS, f"{bwhere}: unknown flag {flag!r}")
+            _require(_int_in(entry.get("attack", spec.attack), 0),
+                     f"{bwhere}: attack must be a non-negative integer")
             health = entry.get("health", spec.health)
+            _require(_int_in(health, 1), f"{bwhere}: health out of range")
             max_h = entry.get("maxHealth", max(health, spec.health))
-            _require(1 <= health <= max_h, f"{bwhere}: health out of range")
+            _require(_int_in(max_h, health), f"{bwhere}: health out of range")
 
 
 def config_to_state(config: GameConfig) -> GameState:

@@ -31,7 +31,7 @@ from hearthproof.solver import (
     oracle_left_wins,
     skeleton_solve,
 )
-from hearthproof.state import EventLog, Outcome, state_hash, total_card_count
+from hearthproof.state import EventLog, Outcome, total_card_count
 from invariants import assert_invariants
 from micro_positions import micro_positions
 from test_compiler import simulate_buffs
@@ -167,7 +167,7 @@ def test_criterion_6_random_walk_invariants(capfd) -> None:
         compiled = compile_instance(
             PartitionInstance(((1, 2),), 1), validate="none").config
 
-        def walk(seed: int) -> tuple[int, int]:
+        def walk(seed: int) -> tuple[tuple, int]:
             rng = random.Random(seed)
             if seed % 10 == 0:
                 state = start_game(compiled)
@@ -183,7 +183,7 @@ def test_criterion_6_random_walk_invariants(capfd) -> None:
                 state = apply(state, actions[rng.randrange(len(actions))])
                 assert_invariants(state, expected_total)
                 steps += 1
-            return state_hash(state), steps
+            return state.canonical(), steps
 
         for seed in range(10_000):
             walk(seed)

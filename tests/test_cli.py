@@ -375,6 +375,22 @@ class TestSolve:
         assert out["exhausted"] is False
         assert out["pv"], "expected a best-play prefix"
 
+    def test_wrong_typed_config_field_is_an_input_error(
+            self, instance_file, compiled_dir, tmp_path, capsys) -> None:
+        """Every command that reads a config file rejects a string where a
+        number belongs with exit 2 and an error line, not a traceback."""
+        obj = json.loads((compiled_dir / "config.json").read_text())
+        obj["players"][0]["hero"]["maxHealth"] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["solve", str(bad)],
+                     ["replay", str(bad), str(compiled_dir / "line.json"),
+                      "--choices", "xyyx"],
+                     ["verify", instance_file, "--config-override", str(bad)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "maxHealth" in err
+
 
 class TestCards:
     def test_dump_matches_embedded_table(self, capsys) -> None:

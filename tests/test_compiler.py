@@ -21,6 +21,7 @@ from hearthproof.cards import (
     LEPER_GNOME,
     LIGHTS_JUSTICE,
     MARK_OF_YSHAARJ,
+    card,
 )
 from hearthproof.compiler import (
     InstanceError,
@@ -39,7 +40,8 @@ from hearthproof.compiler import (
     _Emitter,
 )
 from hearthproof.engine import apply
-from hearthproof.state import EventLog, GameConfig, Outcome, PlayCard, hero_ref, minion_ref
+from hearthproof.state import (
+    EventLog, GameConfig, MinionInstance, Outcome, PlayCard, hero_ref, minion_ref)
 
 
 class TestInstance:
@@ -277,6 +279,27 @@ class TestCompiledArtifacts:
             emitter._run_entries(emitter.state, entries, 1)
         assert "not in hand" in info.value.reason
         assert (info.value.turn, info.value.step) == (1, 0)
+
+    def test_branch_halves_must_reconverge(self, worked_compiled) -> None:
+        """The convergence check ignores the accumulator's health, and the
+        parked survivor at enemy slot 4 on even turns only; any other
+        difference between the halves is infeasible."""
+        emitter = _Emitter(worked_compiled.config)
+        base = emitter.state.clone()
+        base.players[1].board.append(
+            MinionInstance.from_card(card(LEPER_GNOME), base.next_iid))
+        hurt = base.clone()
+        hurt.players[1].board[0].health -= 1
+        emitter._check_convergence(base, hurt, 1, 1)
+        survivor = base.clone()
+        survivor.players[1].board[4].health += 1
+        emitter._check_convergence(base, survivor, 2, 2)
+        drew = base.clone()
+        drew.players[0].hand.append(FLASH_HEAL)
+        for other, turn in ((survivor, 3), (drew, 2)):
+            with pytest.raises(ScheduleInfeasible) as info:
+                emitter._check_convergence(base, other, turn, turn)
+            assert info.value.reason == "branch halves fail to reconverge"
 
     def test_seeded_outputs_are_pinned(self) -> None:
         """Byte pin over 40 seeded instances (n 1-14, values 0-300, every

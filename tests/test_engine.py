@@ -15,7 +15,6 @@ from hearthproof.state import (
     PlayCard,
     hero_ref,
     minion_ref,
-    state_hash,
 )
 
 
@@ -426,9 +425,9 @@ class TestPurity:
             f_deck=["Innervate"],
             e_board=[minion("Novice Engineer", attack=1, health=1)],
         )
-        before = state_hash(state)
+        before = state.canonical()
         apply(state, PlayCard(0, target=minion_ref(1, 0)))
-        assert state_hash(state) == before
+        assert state.canonical() == before
 
     def test_determinism(self) -> None:
         state = build(
@@ -439,7 +438,7 @@ class TestPurity:
         log_a, log_b = EventLog(), EventLog()
         a = apply(state, PlayCard(0), log_a)
         b = apply(state, PlayCard(0), log_b)
-        assert state_hash(a) == state_hash(b)
+        assert a.canonical() == b.canonical()
         assert [e.to_json_obj() for e in log_a.events] == [
             e.to_json_obj() for e in log_b.events
         ]

@@ -30,7 +30,6 @@ from hearthproof.state import (
     minion_ref,
     position_key,
     snapshot_json,
-    state_hash,
     state_to_json_obj,
     total_card_count,
 )
@@ -130,11 +129,11 @@ class TestActionEnumeration:
             if not actions:
                 break
             action = actions[data.draw(st.integers(0, len(actions) - 1))]
-            before = state_hash(state)
+            before = state.canonical()
             first = apply(state, action)
             second = apply(state, action)
-            assert state_hash(first) == state_hash(second)
-            assert state_hash(state) == before
+            assert first.canonical() == second.canonical()
+            assert state.canonical() == before
             state = first
 
 

@@ -232,25 +232,6 @@ class TestSkeleton:
         assert (result.value == WIN) == oracle_left_wins(inst)
         assert result.nodes < 50_000
 
-    def test_search_does_not_rest_on_the_state_digest(
-        self, worked_compiled, monkeypatch
-    ) -> None:
-        """A digest where every position collides leaves the results alone:
-        search keys are exact position keys, not ``state_hash``."""
-        import hearthproof.solver
-        import hearthproof.state
-
-        expected = skeleton_solve(worked_compiled.config, worked_compiled.line)
-        monkeypatch.setattr(hearthproof.state, "state_hash", lambda state: 0)
-        monkeypatch.setattr(hearthproof.solver, "state_hash", lambda state: 0,
-                            raising=False)
-        result = skeleton_solve(worked_compiled.config, worked_compiled.line)
-        assert (result.verdict, result.vector) == ("win", expected.vector)
-        report = check_named_deviations(
-            DeviationChecker(worked_compiled.config, worked_compiled.line))
-        assert report.refuted == 7
-        assert report.unresolved == 0
-
 
 class TestWallHealth:
     """The skeleton's symbol for the wall's health, ``c + s * D``, where D
@@ -368,13 +349,11 @@ class TestWalkLine:
             assert rec.side == (0 if rec.turn % 2 == 1 else 1)
 
     def test_walk_is_repeatable(self, worked_compiled) -> None:
-        from hearthproof.state import state_hash
-
         _, first = walk_line(worked_compiled.config, worked_compiled.line,
                              WORKED_VECTOR)
         _, second = walk_line(worked_compiled.config, worked_compiled.line,
                               WORKED_VECTOR)
-        assert state_hash(first) == state_hash(second)
+        assert first.canonical() == second.canonical()
 
 
 class TestRunnersAgree:

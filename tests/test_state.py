@@ -1,4 +1,4 @@
-"""State layer: config validation, action JSON, hashing, position keys,
+"""State layer: config validation, action JSON, position keys,
 clone isolation."""
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from hearthproof.state import (
     hero_ref,
     minion_ref,
     position_key,
-    state_hash,
     state_to_json_obj,
 )
 from micro_positions import micro_positions
@@ -89,6 +88,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             GameConfig.from_json_obj(obj)
 
+    @pytest.mark.parametrize("zone, field, value", [
+        ("hero", "maxHealth", "x"),
+        ("hero", "manaCrystals", "x"),
+        ("hero", "manaCrystals", 2.5),
+        ("hero", "weapon", {"attack": "x", "durability": 2}),
+        ("hero", "weapon", {"attack": 1, "durability": "x"}),
+        ("hero", "weapon", {"durability": 2}),
+        ("board", "attack", "x"),
+        ("board", "attack", -5),
+        ("board", "health", "x"),
+        ("board", "maxHealth", "x"),
+        ("board", "card", ["Leper Gnome"]),
+        ("board", "flags", 5),
+        ("deck", 0, ["Innervate"]),
+        ("config", "active", 1.0),
+    ], ids=["hero_max_health_str", "crystals_str", "crystals_float",
+            "weapon_attack_str", "weapon_durability_str", "weapon_attack_missing",
+            "board_attack_str", "board_attack_negative", "board_health_str",
+            "board_max_health_str", "board_card_list", "board_flags_int",
+            "deck_card_list", "active_float"])
+    def test_rejects_wrong_typed_fields(self, zone, field, value) -> None:
+        """Numbers must be integers in range and card ids strings; anything
+        else is a ConfigError, not a TypeError from deeper in."""
+        obj = micro_config_obj()
+        player = obj["players"][0]
+        target = {"config": obj, "board": player["board"][0]}.get(zone, player.get(zone))
+        target[field] = value
+        with pytest.raises(ConfigError):
+            GameConfig.from_json_obj(obj)
+
     def test_config_isolated_from_caller_mutation(self) -> None:
         obj = micro_config_obj()
         config = GameConfig.from_json_obj(obj)
@@ -112,30 +141,6 @@ class TestActionJson:
         ]
         for action in actions:
             assert action_from_json_obj(action_to_json_obj(action)) == action
-
-
-class TestHashing:
-    def test_hash_stable_across_conversions(self) -> None:
-        config = GameConfig.from_json_obj(micro_config_obj())
-        assert state_hash(config.to_state()) == state_hash(config.to_state())
-
-    def test_hash_sees_content_changes(self) -> None:
-        base = GameConfig.from_json_obj(micro_config_obj()).to_state()
-        changed = base.clone()
-        changed.players[1].hero.health -= 1
-        assert state_hash(base) != state_hash(changed)
-
-    def test_hash_ignores_event_cursor(self) -> None:
-        base = GameConfig.from_json_obj(micro_config_obj()).to_state()
-        shifted = base.clone()
-        shifted.step += 17
-        assert state_hash(base) == state_hash(shifted)
-
-    def test_hash_sees_turn_limit(self) -> None:
-        base = GameConfig.from_json_obj(micro_config_obj()).to_state()
-        clamped = base.clone()
-        clamped.turn_limit = 3
-        assert state_hash(base) != state_hash(clamped)
 
 
 def split_key(key: bytes) -> list[tuple]:
@@ -214,14 +219,16 @@ class TestPositionKey:
         assert position_key(config.to_state()) == position_key(config.to_state())
 
     def test_keys_differ_at_the_length_prefixes(self) -> None:
-        """Clone pairs that differ only in a weapon, in the order of the
-        same hand cards, or in the last hand card moved to a new minion get
-        different keys; and every key splits back into its state's fields,
+        """Clone pairs that differ only in a hero's health, in a weapon, in
+        the order of the same hand cards, or in the last hand card moved to
+        a new minion get different keys; and every key splits back into its state's fields,
         which holds only while the hand and board lengths lead their
         parts."""
         obj = micro_config_obj()
         obj["players"][0]["hand"] = ["Mortal Coil", "Leper Gnome"]
         base = GameConfig.from_json_obj(obj).to_state()
+        wounded = base.clone()
+        wounded.players[1].hero.health -= 1
         armed = base.clone()
         armed.players[0].hero.weapon = Weapon(2, 2)
         reordered = base.clone()
@@ -230,10 +237,10 @@ class TestPositionKey:
         cid = summoned.players[0].hand.pop()
         summoned.players[0].board.append(
             MinionInstance.from_card(card(cid), summoned.next_iid))
-        for other in (armed, reordered, summoned):
+        for other in (wounded, armed, reordered, summoned):
             assert position_key(other) != position_key(base)
             assert other.canonical() != base.canonical()
-        for state in (base, armed, reordered, summoned):
+        for state in (base, wounded, armed, reordered, summoned):
             assert split_key(position_key(state)) == key_fields(state)
 
 
