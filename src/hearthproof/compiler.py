@@ -22,12 +22,14 @@ Layout produced (player 0 moves first and owns the odd turns):
 
 Each side's deck lists the cards its turns play in the order they play them
 (a branch's pair cards first, since both must be in hand when it opens),
-padded with cheap weapons up to the number of cards the side draws.  Each
-spell cast feeds one replacement draw through the caster's draw engine, extra
-mana arrives as just-in-time mana-burst spells, and surplus draws are drained
-by re-equipping cheap weapons.  No hand is modelled outside the engine:
-emission replays both halves of every branch and fails when a card is not in
-hand at its step, or when the halves leave different decks or hands.
+padded with cheap weapons up to the number of cards the side draws, which
+the weave counts once as it schedules the turns.  Each spell cast feeds one
+replacement draw through the caster's draw engine, extra mana arrives as
+just-in-time mana-burst spells, and surplus draws are drained by re-equipping
+cheap weapons.  No hand is modelled outside the engine: emission replays both
+halves of every branch and fails when a card is not in hand at its step, or
+when the halves leave different decks or hands.  The emitter builds one
+``ScriptStep`` object per distinct step and reuses it wherever the step recurs.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ from .state import (
     Outcome,
     PlayCard,
     ScriptStep,  # re-exported: line files are made of these
+    _validate_config,
     action_to_json_obj,
     hero_ref,
     minion_ref,
@@ -112,10 +115,13 @@ class PartitionInstance:
     @staticmethod
     def from_json_obj(obj: dict) -> "PartitionInstance":
         try:
-            pairs = tuple((int(x), int(y)) for x, y in obj["pairs"])
-            target = int(obj["target"])
+            pairs = tuple((x, y) for x, y in obj["pairs"])
+            target = obj["target"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"malformed instance: {exc}") from exc
+        for value in (target, *(v for pair in pairs for v in pair)):
+            if type(value) is not int:  # a float, a numeric string or a bool
+                raise InstanceError(f"malformed instance: not an integer: {value!r}")
         return PartitionInstance(pairs, target)
 
     @staticmethod
@@ -756,6 +762,7 @@ def _consumes_card(entry: _PlanEntry) -> bool:
 class _WeaveState:
     mana: int
     hand: int  # drawn-but-unplayed card count (model)
+    draws: int = 0  # cards drawn so far, along the x half of each window
 
 
 def _weave_entries(
@@ -770,7 +777,9 @@ def _weave_entries(
             before = st.mana
             out.append(_Cast(C.INNERVATE))
             st.mana = min(st.mana + 2, MAX_MANA)
-            st.hand += _entry_draws(out[-1]) - 1
+            drawn = _entry_draws(out[-1])
+            st.hand += drawn - 1
+            st.draws += drawn
             if st.mana == before:
                 raise ScheduleInfeasible(
                     f"cannot fund cost {cost} at mana cap", turn=turn
@@ -786,16 +795,16 @@ def _weave_entries(
 
     for entry in entries:
         if isinstance(entry, _Window):
-            entry_state = _WeaveState(st.mana, st.hand)
-            wx = _weave_entries(entry.x_entries, entry_state, turn)
+            x_state = _WeaveState(st.mana, st.hand, st.draws)
+            wx = _weave_entries(entry.x_entries, x_state, turn)
             y_state = _WeaveState(st.mana, st.hand)
             wy = _weave_entries(entry.y_entries, y_state, turn)
-            if (entry_state.mana, entry_state.hand) != (y_state.mana, y_state.hand):
+            if (x_state.mana, x_state.hand) != (y_state.mana, y_state.hand):
                 raise ScheduleInfeasible(
                     "branch halves diverge in mana or hand flow", turn=turn
                 )
             out.append(_Window(entry.decision, wx, wy, entry.pair_cards))
-            st.mana, st.hand = entry_state.mana, entry_state.hand
+            st.mana, st.hand, st.draws = x_state.mana, x_state.hand, x_state.draws
             continue
         cost = _cast_cost(entry)
         if _consumes_card(entry) and not _gains_mana(entry):
@@ -807,7 +816,9 @@ def _weave_entries(
         out.append(entry)
         if _consumes_card(entry):
             st.hand -= 1
-        st.hand += _entry_draws(entry)
+        drawn = _entry_draws(entry)
+        st.hand += drawn
+        st.draws += drawn
         if st.hand < 0:
             raise ScheduleInfeasible("hand flow underrun", turn=turn)
         if not isinstance(entry, (_Att, _End)):
@@ -815,15 +826,20 @@ def _weave_entries(
     return out
 
 
-def weave_plans(
-    plans: list[tuple[int, int, list[_PlanEntry]]]
-) -> list[tuple[int, int, list[_PlanEntry]]]:
-    hand_carry = {0: 0, 1: 0}
-    woven: list[tuple[int, int, list[_PlanEntry]]] = []
+class WovenPlans(list):
+    """Woven ``(turn, side, entries)``; ``draws[side]`` counts that side's draws."""
+
+    draws: dict[int, int]
+
+
+def weave_plans(plans: list[tuple[int, int, list[_PlanEntry]]]) -> WovenPlans:
+    states = {0: _WeaveState(MAX_MANA, 0), 1: _WeaveState(MAX_MANA, 0)}
+    woven = WovenPlans()
     for turn, side, entries in plans:
-        st = _WeaveState(mana=MAX_MANA, hand=hand_carry[side] + 1)  # +1 start draw
+        st = states[side]
+        st.mana, st.hand, st.draws = MAX_MANA, st.hand + 1, st.draws + 1  # +1 start draw
         woven.append((turn, side, _weave_entries(entries, st, turn)))
-        hand_carry[side] = st.hand
+    woven.draws = {side: st.draws for side, st in states.items()}
     return woven
 
 
@@ -850,36 +866,19 @@ def _needs_of(entries: list[_PlanEntry]) -> list[str]:
                     pair[cid] -= 1
                 else:
                     needs.append(cid)
-        elif isinstance(entry, _Cast):
-            needs.append(entry.card)
-        elif isinstance(entry, _Summon):
+        elif isinstance(entry, (_Cast, _Summon)):
             needs.append(entry.card)
         elif isinstance(entry, _Equip):
             needs.append(C.LIGHTS_JUSTICE)
     return needs
 
 
-def _deck_for(plans: list[tuple[int, int, list[_PlanEntry]]], side: int) -> list[str]:
+def _deck_for(plans: WovenPlans, side: int) -> list[str]:
     """One side's deck: its cards in the order its turns need them, padded
-    with Light's Justice up to the number of cards it draws.
-
-    The side draws once at each turn start, then as ``_entry_draws`` counts
-    (the x half of each window; both halves draw alike).  The emitter's
-    engine replay is the check that every card is in hand when played.
-    """
-    def draws(entries: list[_PlanEntry]) -> int:
-        return sum(
-            draws(e.x_entries) if isinstance(e, _Window) else _entry_draws(e)
-            for e in entries
-        )
-
-    needs: list[str] = []
-    count = 0
-    for _, s, entries in plans:
-        if s == side:
-            needs.extend(_needs_of(entries))
-            count += 1 + draws(entries)
-    return needs + [C.LIGHTS_JUSTICE] * (count - len(needs))
+    with Light's Justice up to the number of cards the weave counted it
+    drawing.  The emitter's engine replay checks each card is in hand."""
+    needs = [cid for _, s, entries in plans if s == side for cid in _needs_of(entries)]
+    return needs + [C.LIGHTS_JUSTICE] * (plans.draws[side] - len(needs))
 
 
 # ---------------------------------------------------------------------------
@@ -906,14 +905,14 @@ def build_config(
     enemy_deck: list[str],
     turn_limit: int,
 ) -> GameConfig:
+    """Validated and wrapped as built: no caller holds the dict to copy it from."""
     big = big_attack(shifted.max_value)
     hp = leper_health(shifted.target, shifted.n)
-    hero = {
-        "health": 1,
-        "maxHealth": 30,
-        "weapon": {"attack": 1, "durability": 4},
-        "manaCrystals": 10,
-    }
+
+    def hero() -> dict:
+        weapon = {"attack": 1, "durability": 4}
+        return {"health": 1, "maxHealth": 30, "weapon": weapon, "manaCrystals": 10}
+
     friendly_board = [
         _board_entry(C.WEE_SPELLSTOPPER, flags=["frozen"]),
         _board_entry(C.WEE_SPELLSTOPPER, flags=["frozen"]),
@@ -930,14 +929,15 @@ def build_config(
     obj = {
         "formatVersion": FORMAT_VERSION,
         "players": [
-            {"hero": dict(hero), "deck": list(friendly_deck), "hand": [], "board": friendly_board},
-            {"hero": dict(hero), "deck": list(enemy_deck), "hand": [], "board": enemy_board},
+            {"hero": hero(), "deck": list(friendly_deck), "hand": [], "board": friendly_board},
+            {"hero": hero(), "deck": list(enemy_deck), "hand": [], "board": enemy_board},
         ],
         "active": 0,
         "turn": 1,
         "turnLimit": turn_limit,
     }
-    return GameConfig.from_json_obj(obj)
+    _validate_config(obj)
+    return GameConfig(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -956,81 +956,81 @@ class _Emitter:
     delivery, so every pair turn and both halves of every branch are run.
     It then blocks the final weapon swing, and the punishment turn decides
     the emitter's game (``enemy_wins``) before its last steps, which
-    ``_run_entries`` records without applying them.  That is why it keeps
-    its own loop: ``engine.run_script`` stops at a decided outcome.
+    ``_step`` records without applying them.  That is why it keeps its own
+    loop: ``engine.run_script`` stops at a decided outcome.
+
+    A line repeats about twenty distinct steps hundreds of times, so each
+    distinct ``ScriptStep`` is built once, keyed by its action's type and
+    arguments, and shared by every equal step of the compile.
     """
 
     def __init__(self, config: GameConfig):
         self.state = start_game(config)
+        self._steps: dict[tuple, ScriptStep] = {}
 
-    def _action_for(self, state: GameState, entry: _PlanEntry, turn: int, k: int) -> Action:
-        hand = state.players[state.active].hand
-
-        def slot(cid: str) -> int:
-            if cid not in hand:
-                raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k)
-            return hand.index(cid)
-
-        if isinstance(entry, _Cast):
-            return PlayCard(slot(entry.card), entry.target)
-        if isinstance(entry, _Summon):
-            return PlayCard(slot(entry.card), None, entry.position)
-        if isinstance(entry, _Equip):
-            return PlayCard(slot(C.LIGHTS_JUSTICE))
+    def _step(self, state: GameState, entry: _PlanEntry, turn: int, k: int) -> ScriptStep:
+        """Apply the entry's step, step ``k`` of its turn, to ``state`` in
+        place and return it."""
         if isinstance(entry, _Att):
-            return Attack(entry.attacker, entry.defender)
-        if isinstance(entry, _End):
-            return EndTurn()
-        raise AssertionError(f"unexpected entry {entry!r}")
+            key = Attack, (entry.attacker, entry.defender), entry.optional
+        elif isinstance(entry, _End):
+            key = EndTurn, (), False
+        else:
+            cid = C.LIGHTS_JUSTICE if isinstance(entry, _Equip) else entry.card
+            try:
+                slot = state.players[state.active].hand.index(cid)
+            except ValueError:
+                raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k) from None
+            args = slot, getattr(entry, "target", None), getattr(entry, "position", None)
+            key = PlayCard, args, False
+        step = self._steps.get(key)
+        if step is None:
+            kind, args, optional = key
+            step = self._steps[key] = ScriptStep(kind(*args), optional)
+        if state.outcome is _ONGOING:
+            try:
+                apply_in_place(state, step.action)
+            except IllegalAction as exc:
+                if not step.optional:
+                    raise ScheduleInfeasible(
+                        f"scripted action rejected: {exc.reason}", turn=turn, step=k
+                    ) from exc
+        return step
 
     def _run_entries(
-        self, state: GameState, entries: list[_PlanEntry], turn: int
-    ) -> list[ScriptStep]:
-        """Emit the entries' steps, applying each to ``state`` in place."""
-        steps: list[ScriptStep] = []
-        for k, entry in enumerate(entries):
-            if isinstance(entry, _Window):
-                raise AssertionError("nested windows are not supported")
-            action = self._action_for(state, entry, turn, k)
-            optional = isinstance(entry, _Att) and entry.optional
-            if state.outcome is not _ONGOING:
-                steps.append(ScriptStep(action, optional))
-                continue
-            try:
-                apply_in_place(state, action)
-            except IllegalAction as exc:
-                if optional:
-                    steps.append(ScriptStep(action, True))
-                    continue
-                raise ScheduleInfeasible(
-                    f"scripted action rejected: {exc.reason}", turn=turn, step=k
-                ) from exc
-            steps.append(ScriptStep(action, optional))
-        return steps
+        self, state: GameState, entries: list[_PlanEntry], turn: int, k: int = 0
+    ) -> tuple[ScriptStep, ...]:
+        """A branch half's steps, applied to ``state`` in place; the first is
+        step ``k`` of its turn."""
+        return tuple(self._step(state, entry, turn, k + i) for i, entry in enumerate(entries))
 
-    def emit(
-        self, plans: list[tuple[int, int, list[_PlanEntry]]]
-    ) -> tuple[TurnScript, ...]:
+    def emit(self, plans: list[tuple[int, int, list[_PlanEntry]]]) -> tuple[TurnScript, ...]:
+        """A failing step is numbered by its position in its turn, counting a
+        branch's steps along the half that failed (the x half, after it)."""
+        state = self.state
         turns: list[TurnScript] = []
         for turn, side, entries in plans:
             items: list[TurnItem] = []
+            k = 0
             for entry in entries:
-                if not isinstance(entry, _Window):
-                    items.extend(self._run_entries(self.state, [entry], turn))
-                    continue
-                fork = self.state.clone()
-                x_steps = self._run_entries(self.state, entry.x_entries, turn)
-                y_steps = self._run_entries(fork, entry.y_entries, turn)
-                self._check_convergence(self.state, fork, turn, entry.decision)
-                items.append(Branch(entry.decision, tuple(x_steps), tuple(y_steps)))
+                if isinstance(entry, _Window):
+                    fork = state.fork()
+                    x_steps = self._run_entries(state, entry.x_entries, turn, k)
+                    y_steps = self._run_entries(fork, entry.y_entries, turn, k)
+                    self._check_convergence(state, fork, turn, k)
+                    items.append(Branch(entry.decision, x_steps, y_steps))
+                    k += len(x_steps)
+                else:
+                    items.append(self._step(state, entry, turn, k))
+                    k += 1
             turns.append(TurnScript(turn, side, tuple(items)))
         return tuple(turns)
 
     def _check_convergence(
-        self, sx: GameState, sy: GameState, turn: int, decision: int
+        self, sx: GameState, sy: GameState, turn: int, k: int
     ) -> None:
-        """Both branch halves must leave identical positions apart from the
-        accumulator's hit points and, on enemy turns, the parked survivor."""
+        """Both halves of the branch opened at step ``k`` must leave the same
+        position but for the accumulator's health and an enemy turn's survivor."""
         def masked(s: GameState) -> tuple:
             hero, deck, hand, board = s.players[1].canonical()
             board = list(board)
@@ -1042,7 +1042,7 @@ class _Emitter:
             return (s.players[0].canonical(), enemy, s.active, s.turn, s.removed)
         if masked(sx) != masked(sy):
             raise ScheduleInfeasible(
-                "branch halves fail to reconverge", turn=turn, step=decision
+                "branch halves fail to reconverge", turn=turn, step=k
             )
 
 

@@ -125,6 +125,21 @@ class TestCompile:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_non_integer_instance_values_are_input_errors(
+            self, command, tmp_path, capsys) -> None:
+        """A float or a numeric string is not rounded into an instance."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"pairs": [[1.5, 1]], "target": "1"}))
+        argv = [command, str(bad)]
+        if command == "compile":
+            argv += ["--out-dir", str(tmp_path / "x")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not an integer" in captured.err
+
     def test_validate_all_beyond_twelve_pairs_is_an_input_error(
             self, tmp_path, monkeypatch, capsys) -> None:
         """The n <= 12 limit of ``--validate all`` is checked before any

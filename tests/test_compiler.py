@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -26,9 +27,11 @@ from hearthproof.cards import (
 from hearthproof.compiler import (
     InstanceError,
     PartitionInstance,
+    Branch,
     ScheduleInfeasible,
     ScriptedLine,
     big_attack,
+    build_turn_plans,
     chosen_sum,
     compile_instance,
     leper_health,
@@ -36,8 +39,12 @@ from hearthproof.compiler import (
     shifted_instance,
     synthesize_beast_buffs,
     synthesize_demon_buffs,
+    weave_plans,
+    _Att,
     _Cast,
     _Emitter,
+    _Window,
+    _entry_draws,
 )
 from hearthproof.engine import apply
 from hearthproof.state import (
@@ -72,6 +79,20 @@ class TestInstance:
             PartitionInstance.from_json('{"pairs": [[1]], "target": 0}')
         with pytest.raises(InstanceError):
             PartitionInstance.from_json('{"target": 0}')
+
+    @pytest.mark.parametrize("text", [
+        '{"pairs": [[1.5, 1]], "target": 1}',
+        '{"pairs": [[1, 1]], "target": 1.0}',
+        '{"pairs": [[1, 1]], "target": "1"}',
+        '{"pairs": [["2", 1]], "target": 1}',
+        '{"pairs": [[1, true]], "target": 1}',
+        '{"pairs": [[1, 1]], "target": false}',
+    ], ids=["float_value", "float_target", "string_target", "string_value",
+            "bool_value", "bool_target"])
+    def test_rejects_values_that_are_not_integers(self, text) -> None:
+        """A float, a numeric string or a bool is malformed, not coerced."""
+        with pytest.raises(InstanceError, match="not an integer"):
+            PartitionInstance.from_json(text)
 
 
 class TestZeroShift:
@@ -280,6 +301,23 @@ class TestCompiledArtifacts:
         assert "not in hand" in info.value.reason
         assert (info.value.turn, info.value.step) == (1, 0)
 
+    def test_failing_step_is_numbered_along_its_half(self, worked_compiled) -> None:
+        """A step's number is its position in its turn; inside a branch it
+        counts the steps of the half that failed."""
+        swing = _Att(hero_ref(0), hero_ref(1), optional=True)  # blocked by the taunt
+        missing = _Cast(FLASH_HEAL, hero_ref(0))
+        window = _Window(1, x_entries=[swing] * 3, y_entries=[swing, missing])
+        emitter = _Emitter(worked_compiled.config)
+        with pytest.raises(ScheduleInfeasible) as info:
+            emitter.emit([(1, 0, [swing, swing, window, swing])])
+        assert "not in hand" in info.value.reason
+        assert (info.value.turn, info.value.step) == (1, 3)
+        emitter = _Emitter(worked_compiled.config)
+        window = _Window(1, x_entries=[swing] * 3, y_entries=[swing] * 3)
+        with pytest.raises(ScheduleInfeasible) as info:
+            emitter.emit([(1, 0, [swing, swing, window, swing, missing])])
+        assert (info.value.turn, info.value.step) == (1, 6)
+
     def test_branch_halves_must_reconverge(self, worked_compiled) -> None:
         """The convergence check ignores the accumulator's health, and the
         parked survivor at enemy slot 4 on even turns only; any other
@@ -305,28 +343,23 @@ class TestCompiledArtifacts:
         """Byte pin over 40 seeded instances (n 1-14, values 0-300, every
         fourth with a zero so the shift path runs).  A deck one card short
         still compiles and validates, so only this pin guards the padding."""
-        rng = random.Random(20261018)
         digest = hashlib.sha256()
-        for k in range(40):
-            n = 1 + k % 14
-            pairs = tuple((rng.randint(0, 300), rng.randint(0, 300)) for _ in range(n))
-            if k % 4 == 0:
-                i = rng.randrange(n)
-                pairs = pairs[:i] + ((0, pairs[i][1]),) + pairs[i + 1:]
-            target = rng.randint(0, sum(max(p) for p in pairs))
-            result = compile_instance(PartitionInstance(pairs, target), validate="none")
+        for instance in _pinned_instances():
+            result = compile_instance(instance, validate="none")
             digest.update((result.config.to_json() + result.line.to_json()).encode())
         assert digest.hexdigest() == (
             "247a685ee6fc7c202cb7ff246340ce409eebce3ca0a5a47f57635645ea9fdf80")
 
-    @pytest.mark.parametrize("side, mutate, turn", [
-        (0, lambda deck: deck[1:], 1),  # the first card never arrives
-        (1, _swap_last_needed_card_to_the_end, 4),  # a late card comes last
+    @pytest.mark.parametrize("side, mutate, turn, step, cid", [
+        (0, lambda deck: deck[1:], 1, 0, "Arcane Intellect"),  # the first card never arrives
+        (1, _swap_last_needed_card_to_the_end, 4, 50, "Frost Nova"),  # a late card comes last
     ], ids=["first_card_dropped", "late_card_last"])
     def test_engine_replay_guards_the_deck(self, worked_instance, monkeypatch,
-                                           side, mutate, turn) -> None:
+                                           side, mutate, turn, step, cid) -> None:
         """Emission replays every turn through the engine, so a deck that
-        supplies a card late fails there; nothing else models the hand."""
+        supplies a card late fails there, at the step that plays it (Frost
+        Nova is the second-last of turn 4's 52 steps); nothing else models
+        the hand."""
         deck_for = compiler._deck_for
 
         def broken(plans, s):
@@ -336,8 +369,57 @@ class TestCompiledArtifacts:
         monkeypatch.setattr(compiler, "_deck_for", broken)
         with pytest.raises(ScheduleInfeasible) as info:
             compile_instance(worked_instance, validate="none")
-        assert "not in hand" in info.value.reason
-        assert info.value.turn == turn
+        assert info.value.reason == f"{cid} not in hand"
+        assert (info.value.turn, info.value.step) == (turn, step)
+
+    def test_weave_counts_each_sides_draws(self) -> None:
+        """The draw totals the weave records, which size the decks, equal a
+        fresh walk: one start-of-turn draw per turn, plus ``_entry_draws`` of
+        every entry, along the x half of each window.  Over the
+        criterion-3 pair space and the 40 pinned instances."""
+        def walk(entries) -> int:
+            return sum(walk(e.x_entries) if isinstance(e, _Window) else _entry_draws(e)
+                       for e in entries)
+
+        space = list(itertools.product(range(3), repeat=2))
+        pair_sets = [pairs for n in (1, 2, 3) for pairs in itertools.product(space, repeat=n)]
+        pair_sets += [instance.pairs for instance in _pinned_instances()]
+        for pairs in pair_sets:
+            shifted, _ = shifted_instance(PartitionInstance(tuple(pairs), 0))
+            woven = weave_plans(build_turn_plans(shifted))
+            expected = {0: 0, 1: 0}
+            for _, side, entries in woven:
+                expected[side] += 1 + walk(entries)
+            assert woven.draws == expected, pairs
+
+    def test_line_shares_one_object_per_distinct_step(self, worked_compiled) -> None:
+        lines = [worked_compiled.line] + [
+            compile_instance(instance, validate="none").line
+            for instance in _pinned_instances()[:8]]
+        for line in lines:
+            steps = []
+            for turn in line.turns:
+                for item in turn.items:
+                    if isinstance(item, Branch):
+                        steps += item.x_steps + item.y_steps
+                    else:
+                        steps.append(item)
+            assert len({id(s) for s in steps}) == len(set(steps)) < len(steps)
+
+
+def _pinned_instances() -> list[PartitionInstance]:
+    """The 40 seeded instances of the compile pin."""
+    rng = random.Random(20261018)
+    out = []
+    for k in range(40):
+        n = 1 + k % 14
+        pairs = tuple((rng.randint(0, 300), rng.randint(0, 300)) for _ in range(n))
+        if k % 4 == 0:
+            i = rng.randrange(n)
+            pairs = pairs[:i] + ((0, pairs[i][1]),) + pairs[i + 1:]
+        target = rng.randint(0, sum(max(p) for p in pairs))
+        out.append(PartitionInstance(pairs, target))
+    return out
 
 
 def _stdlib_line_text(line: ScriptedLine) -> str:
