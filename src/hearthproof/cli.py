@@ -11,7 +11,9 @@ Subcommands wire the library layers together behind stable file formats:
 
 Every run writes a single-line JSON run manifest to stderr (command, inputs,
 flags, tool version, config hash, duration); ``compile`` also writes it to
-``manifest.json``.  Primary stdout/file outputs are byte-deterministic.
+``manifest.json``, and ``verify`` adds the deviation probe's ``counters``
+(nodes searched, scripted steps checked).  Primary stdout/file outputs are
+byte-deterministic.
 
 Exit codes: 0 success / match, 1 verification or replay failure, 2 input
 error, 3 infeasible schedule.
@@ -210,6 +212,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
     verdict = "unknown"
     vector = None  # deviation_check solves the skeleton itself in full mode
     counts = {"refuted": 0, "dominated": 0, "improved": 0, "unresolved": 0}
+    counters = {"deviationNodes": 0, "checkedSteps": 0}
     try:
         if args.mode == "full":
             solved = minimax(
@@ -226,6 +229,8 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
                 config, result.line, vector, max_turns=args.deviation_turns
             )
             counts = {status: getattr(report, status) for status in counts}
+            counters = {"deviationNodes": report.nodes,
+                        "checkedSteps": report.checked_steps}
     except IllegalAction:
         # The line cannot even be replayed against this configuration
         # (possible only with --config-override); counts as a mismatch.
@@ -242,7 +247,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
         "deviations": counts,
     }
     print(json.dumps(out))
-    _emit_manifest(_manifest(
+    manifest = _manifest(
         "verify",
         [args.instance] + ([args.config_override] if args.config_override else []),
         {"mode": args.mode, "maxNodes": args.max_nodes,
@@ -251,7 +256,9 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
          "allowUnresolved": args.allow_unresolved},
         config.to_json().encode("utf-8"),
         started,
-    ))
+    )
+    manifest["counters"] = counters
+    _emit_manifest(manifest)
 
     ok = match and (counts["unresolved"] == 0 or args.allow_unresolved)
     return EXIT_OK if ok else EXIT_FAIL

@@ -56,6 +56,7 @@ from .state import (
     _validate_config,
     action_to_json_obj,
     hero_ref,
+    json_int,
     minion_ref,
     DEFAULT_TURN_LIMIT,
     FORMAT_VERSION,
@@ -115,13 +116,10 @@ class PartitionInstance:
     @staticmethod
     def from_json_obj(obj: dict) -> "PartitionInstance":
         try:
-            pairs = tuple((x, y) for x, y in obj["pairs"])
-            target = obj["target"]
+            target = json_int(obj["target"])
+            pairs = tuple((json_int(x), json_int(y)) for x, y in obj["pairs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"malformed instance: {exc}") from exc
-        for value in (target, *(v for pair in pairs for v in pair)):
-            if type(value) is not int:  # a float, a numeric string or a bool
-                raise InstanceError(f"malformed instance: not an integer: {value!r}")
         return PartitionInstance(pairs, target)
 
     @staticmethod
@@ -297,7 +295,7 @@ class Branch:
     @staticmethod
     def from_json_obj(obj: dict) -> "Branch":
         return Branch(
-            int(obj["decision"]),
+            json_int(obj["decision"]),
             tuple(ScriptStep.from_json_obj(s) for s in obj["x"]),
             tuple(ScriptStep.from_json_obj(s) for s in obj["y"]),
         )
@@ -334,9 +332,9 @@ class Decision:
     @staticmethod
     def from_json_obj(obj: dict) -> "Decision":
         return Decision(
-            int(obj["index"]), int(obj["turn"]), int(obj["x"]), int(obj["y"]),
-            int(obj["xAttack"]), int(obj["yAttack"]),
-            int(obj["xDestroyed"]), int(obj["yDestroyed"]),
+            *(json_int(obj[name]) for name in (
+                "index", "turn", "x", "y",
+                "xAttack", "yAttack", "xDestroyed", "yDestroyed")),
         )
 
 
@@ -363,7 +361,7 @@ class TurnScript:
                 items.append(Branch.from_json_obj(entry["branch"]))
             else:
                 items.append(ScriptStep.from_json_obj(entry["step"]))
-        return TurnScript(int(obj["turn"]), int(obj["side"]), tuple(items))
+        return TurnScript(json_int(obj["turn"]), json_int(obj["side"]), tuple(items))
 
 
 @dataclass(frozen=True)
@@ -495,7 +493,7 @@ class ScriptedLine:
             raise InstanceError("unsupported line formatVersion")
         return ScriptedLine(
             PartitionInstance.from_json_obj(obj["instance"]),
-            int(obj.get("valueShift", 0)),
+            json_int(obj.get("valueShift", 0)),
             tuple(Decision.from_json_obj(d) for d in obj["decisions"]),
             tuple(TurnScript.from_json_obj(t) for t in obj["turns"]),
         )

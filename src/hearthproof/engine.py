@@ -754,6 +754,18 @@ def _begin_turn(state: GameState, log: EventLog | None) -> None:
 
 
 def _end_turn(state: GameState, log: EventLog | None) -> None:
+    """End the active player's turn and start the next player's.
+
+    Two facts the rejoin probe (``solver._TurnRejoinProbe``) relies on:
+
+    1. It leaves the ending player's ``deck_pos`` and hand size and both
+       boards' sizes as they were.  The thaw, the next player's refresh and
+       a draw from a non-empty deck change flags and the next player's zones
+       only (a burn adds to ``removed``), and nobody dies: no minion is at
+       health <= 0 between actions.
+    2. While the next player has a card to draw, it damages no hero, so the
+       result is ongoing or a turn-limit draw, never a win.
+    """
     side = state.active
     if log is not None:
         log.emit(state.step, "end_turn", side=side)

@@ -753,6 +753,13 @@ def _boundary_signature(state: GameState) -> tuple[int, ...]:
             len(p0.board), len(p1.board))
 
 
+def _end_turn_counters(state: GameState, side: int) -> tuple[int, int, int, int]:
+    """The counters that ``side`` ending its turn leaves as they are: its
+    deck position and hand size, and the size of each board."""
+    p = state.players[side]
+    return p.deck_pos, len(p.hand), len(state.players[0].board), len(state.players[1].board)
+
+
 class _TurnRejoinProbe:
     """Exhaustive reachability over the deviator's remaining turn.
 
@@ -768,10 +775,16 @@ class _TurnRejoinProbe:
     position key only when its :func:`_boundary_signature` matches the
     boundary's; equal positions have equal signatures, so this skips no
     match.  ``_explore`` owns the state it is given: it forks it for every
-    legal action but the last, which steps that state in place.  A fork
+    action it tries but the last, which steps that state in place.  A fork
     shares the minions that an action does not write, so a child costs new
     state, player and hero objects and two list copies, not a new board.
     ``analyze`` hands ``_explore`` a fork, leaving its argument as it was.
+
+    ``EndTurn`` is not tried where its child can neither rejoin nor win
+    (:meth:`_end_turn_is_inert`), judged from counters that ending the turn
+    leaves unchanged (see ``engine._end_turn``).  Such a child returns
+    ``(False, False)`` before it is counted or memoised, so the probe
+    counts, memoises and budgets exactly the nodes it would otherwise.
     """
 
     def __init__(self, turn: int, mover: int, boundary: GameState | None, max_nodes: int):
@@ -779,6 +792,7 @@ class _TurnRejoinProbe:
         self.mover = mover
         self.boundary = None if boundary is None else position_key(boundary)
         self.signature = None if boundary is None else _boundary_signature(boundary)
+        self.counters = None if boundary is None else _end_turn_counters(boundary, mover)
         self.max_nodes = max_nodes
         self.memo: dict[bytes, tuple[bool, bool]] = {}
         self.nodes = 0
@@ -822,6 +836,8 @@ class _TurnRejoinProbe:
             return False, False
         rejoin = win = False
         actions = legal_actions(state)
+        if self._end_turn_is_inert(state):
+            actions.pop()  # ``EndTurn``, always the last legal action
         last = len(actions) - 1
         for i, action in enumerate(actions):
             # Nothing reads ``state`` once its key is taken, so the last
@@ -836,6 +852,21 @@ class _TurnRejoinProbe:
         if not self.exhausted:
             self.memo[key] = (rejoin, win)
         return rejoin, win
+
+    def _end_turn_is_inert(self, state: GameState) -> bool:
+        """True when ending the turn from ``state``, a position of the
+        probed turn, can neither rejoin the boundary nor win for the mover.
+
+        While the next player has a card to draw, ending the turn damages
+        no hero, so the child is ongoing or a turn-limit draw: not a win.
+        It keeps the mover's deck position and hand size and both board
+        sizes, so if these differ from the boundary's, it is not the
+        boundary either.
+        """
+        nxt = state.players[1 - self.mover]
+        return nxt.deck_pos < len(nxt.deck) and (
+            self.counters is None or _end_turn_counters(state, self.mover) != self.counters
+        )
 
 
 class DeviationChecker:

@@ -91,8 +91,17 @@ class CharRef:
     @staticmethod
     def from_json_obj(obj: dict) -> "CharRef":
         if "hero" in obj:
-            return CharRef(int(obj["hero"]), None)
-        return CharRef(int(obj["side"]), int(obj["slot"]))
+            return CharRef(json_int(obj["hero"]), None)
+        return CharRef(json_int(obj["side"]), json_int(obj["slot"]))
+
+
+def json_int(value: Any) -> int:
+    """``value``, read from a JSON file, if it is an integer.  A float, a
+    numeric string or a bool raises ``ValueError`` rather than being
+    coerced."""
+    if type(value) is not int:
+        raise ValueError(f"not an integer: {value!r}")
+    return value
 
 
 def hero_ref(side: int) -> CharRef:
@@ -149,7 +158,9 @@ def action_from_json_obj(obj: dict) -> Action:
         play = obj["play"]
         target = CharRef.from_json_obj(play["target"]) if "target" in play else None
         position = play.get("position")
-        return PlayCard(int(play["hand"]), target, position)
+        if position is not None:
+            position = json_int(position)
+        return PlayCard(json_int(play["hand"]), target, position)
     if "attack" in obj:
         atk = obj["attack"]
         return Attack(

@@ -176,6 +176,25 @@ class TestVerify:
         manifest = read_manifest_line(captured.err)
         assert manifest["command"] == "verify"
 
+    def test_manifest_counts_the_deviation_probe(self, instance_file,
+                                                 capsys) -> None:
+        """The manifest's counters say how much the probe searched; stdout
+        keeps the bytes it had before the counters existed."""
+        assert main(["verify", instance_file]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            '{"formatVersion": 1, "instance": {"pairs": [[1, 2], [4, 3], '
+            '[5, 6], [8, 8]], "target": 18}, "oracle": true, "skeleton": '
+            '"win", "match": true, "deviations": {"refuted": 7, "dominated": '
+            '0, "improved": 0, "unresolved": 0}}\n')
+        assert read_manifest_line(captured.err)["counters"] == {
+            "deviationNodes": 3017, "checkedSteps": 3}
+
+        assert main(["verify", instance_file, "--mode", "full",
+                     "--max-nodes", "200"]) == 1
+        manifest = read_manifest_line(capsys.readouterr().err)
+        assert manifest["counters"] == {"deviationNodes": 0, "checkedSteps": 0}
+
     def test_solves_the_skeleton_once(self, instance_file, monkeypatch,
                                       capsys) -> None:
         """The deviation check reuses the verdict's skeleton solution."""
@@ -372,6 +391,47 @@ class TestReplay:
         manifest = read_manifest_line(captured.err)
         assert manifest["command"] == "replay"
         assert manifest["flags"] == {"choices": "xxxx", "trace": False}
+
+
+    @staticmethod
+    def _first_action(obj: dict, kind: str) -> dict:
+        return next(item["step"]["action"][kind] for turn in obj["turns"]
+                    for item in turn["items"]
+                    if kind in item.get("step", {}).get("action", {}))
+
+    @staticmethod
+    def _decisions_and_shift(obj: dict) -> None:
+        """Every branch's decision number plus 0.9, and a string shift."""
+        for turn in obj["turns"]:
+            for item in turn["items"]:
+                if "branch" in item:
+                    item["branch"]["decision"] += 0.9
+        obj["valueShift"] = "0"
+
+    @pytest.mark.parametrize("tamper", [
+        lambda obj: TestReplay._decisions_and_shift(obj),
+        lambda obj: obj.update(valueShift=0.0),
+        lambda obj: obj["decisions"][0].update(xAttack=12.0),
+        lambda obj: obj["turns"][0].update(side=False),
+        lambda obj: TestReplay._first_action(obj, "play").update(hand=0.5),
+        lambda obj: TestReplay._first_action(obj, "attack")["attacker"].update(
+            slot="1"),
+    ], ids=["decision_and_shift", "shift", "decision_record", "turn_side",
+            "hand_index", "char_ref"])
+    def test_non_integer_line_numbers_are_input_errors(
+            self, compiled_dir, tmp_path, capsys, tamper) -> None:
+        """A float, a numeric string or a bool in a line file is not
+        rounded into the line: the replay exits 2 before any output."""
+        obj = json.loads((compiled_dir / "line.json").read_text())
+        tamper(obj)
+        bad = tmp_path / "bad-line.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["replay", str(compiled_dir / "config.json"), str(bad),
+                     "--choices", "xyyx"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not an integer" in captured.err
 
 
 class TestSolve:

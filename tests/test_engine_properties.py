@@ -374,6 +374,45 @@ class TestFork:
         assert {"damage", "freeze", "end_turn", "buff", "steal", "death"} <= seen
 
 
+class TestEndTurn:
+    """The two facts about ``EndTurn`` that the rejoin probe's skip rests
+    on (see ``engine._end_turn``), at every state of seeded walks."""
+
+    def test_keeps_the_mover_counters_and_harms_no_hero_before_fatigue(
+            self, worked_compiled, compiled_config) -> None:
+        starts = [worked_compiled.config, compiled_config, micro_config()]
+        starts += [config for _, config, _ in micro_positions()]
+        seen = {"draws": 0, "fatigue": 0}
+        for config in starts:
+            for seed in range(8):
+                walk, _ = seeded_walk(config, seed, 60)
+                for state in walk:
+                    if state.outcome is not Outcome.ONGOING:
+                        continue
+                    side = state.active
+                    child = apply(state, EndTurn())
+                    mover, was = child.players[side], state.players[side]
+                    # 1. The mover's deck position and hand size and both
+                    #    board sizes stay as they were.
+                    assert (mover.deck_pos, len(mover.hand)) == (
+                        was.deck_pos, len(was.hand))
+                    assert [len(p.board) for p in child.players] == [
+                        len(p.board) for p in state.players]
+                    nxt = state.players[1 - side]
+                    if nxt.deck_pos == len(nxt.deck):
+                        seen["fatigue"] += 1
+                        continue
+                    # 2. With a card to draw, no hero takes damage, and the
+                    #    game goes on or ends in a turn-limit draw.
+                    seen["draws"] += 1
+                    assert [p.hero.health for p in child.players] == [
+                        p.hero.health for p in state.players]
+                    assert child.outcome is Outcome.ONGOING or (
+                        child.outcome is Outcome.DRAW
+                        and child.turn > child.turn_limit)
+        assert seen["draws"] > 100 and seen["fatigue"] > 100
+
+
 class TestSnapshotText:
     """``snapshot_json`` writes, from memoised part texts, the text
     ``json.dumps`` makes of the snapshot dict."""

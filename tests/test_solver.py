@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import math
 import operator
 import pickle
@@ -23,6 +24,7 @@ from hearthproof.solver import (
     DeviationChecker,
     _Health,
     _Path,
+    _TurnRejoinProbe,
     check_named_deviations,
     deviation_check,
     minimax,
@@ -33,7 +35,9 @@ from hearthproof.solver import (
     value_verdict,
     walk_line,
 )
-from hearthproof.state import EventLog, IllegalAction, Outcome, position_key
+from hearthproof.state import (
+    EndTurn, EventLog, GameConfig, IllegalAction, Outcome, action_to_json_obj,
+    position_key)
 from micro_positions import micro_positions
 
 
@@ -492,3 +496,114 @@ class TestDeviations:
         records, _ = walk_line(compiled.config, compiled.line, report.vector)
         assert report.checked_steps == sum(
             rec.taken for rec in records if rec.turn <= 1)
+
+    @pytest.mark.parametrize("target, totals, digest", [
+        (2, (125, 0, 0, 66, 14861),
+         "9d5f99c08c3dacffb0b3044184e34b55efa75da288ea94742ddb964090025c6a"),
+        (1, (126, 0, 0, 90, 18918),
+         "5dbb9aa7987c1be3a48c6fac7b9044729cd918d977a67af14eed1506e37a01df"),
+    ])
+    def test_turn_one_findings_are_pinned(self, target, totals, digest) -> None:
+        """Every turn-1 alternative of a one-pair line under small budgets:
+        counts, nodes, and a byte pin over each finding's ``(step_index,
+        alternative, status, reason, nodes)``, taken from the probe that
+        built every ``EndTurn`` child."""
+        compiled = compile_instance(PartitionInstance(((1, 2),), target),
+                                    validate="none")
+        report = deviation_check(compiled.config, compiled.line, max_turns=1,
+                                 rejoin_nodes=2000, value_nodes=200)
+        assert (report.refuted, report.dominated, report.improved,
+                report.unresolved, report.nodes) == totals
+        rows = [[f.step_index, action_to_json_obj(f.alternative), f.status,
+                 f.reason, f.nodes] for f in report.findings]
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def assert_end_turn_child_is_inert(probe: _TurnRejoinProbe, state) -> None:
+    """The ``EndTurn`` child of ``state``, which ``probe`` skips, neither
+    rejoins the boundary nor wins for the mover."""
+    child = apply(state, EndTurn())
+    assert child.turn > probe.turn
+    assert probe.boundary is None or position_key(child) != probe.boundary
+    assert terminal_value(child) != (WIN if probe.mover == 0 else LOSS)
+
+
+class TestEndTurnSkip:
+    """The rejoin probe's ``EndTurn`` skip drops only children that could
+    neither rejoin nor win."""
+
+    @staticmethod
+    def _checking(monkeypatch) -> dict:
+        """Check the rule at every position a probe expands from now on."""
+        seen = {"expanded": 0, "skipped": 0}
+        rule = _TurnRejoinProbe._end_turn_is_inert
+
+        def checked(probe, state):
+            skips = rule(probe, state)
+            seen["expanded"] += 1
+            if skips:
+                seen["skipped"] += 1
+                assert_end_turn_child_is_inert(probe, state)
+            return skips
+
+        monkeypatch.setattr(_TurnRejoinProbe, "_end_turn_is_inert", checked)
+        return seen
+
+    def test_on_the_worked_named_probes(self, worked_compiled, monkeypatch) -> None:
+        seen = self._checking(monkeypatch)
+        checker = DeviationChecker(
+            worked_compiled.config, worked_compiled.line, WORKED_VECTOR)
+        check_named_deviations(checker)
+        assert seen["expanded"] == sum(
+            probe.nodes for probe in checker._rejoin_probes.values())
+        assert seen["skipped"] > 2800
+
+    def test_on_the_pinned_one_pair_probe(self, monkeypatch) -> None:
+        seen = self._checking(monkeypatch)
+        compiled = compile_instance(PartitionInstance(((1, 2),), 2),
+                                    validate="none")
+        deviation_check(compiled.config, compiled.line, max_turns=1,
+                        rejoin_nodes=2000, value_nodes=200)
+        assert seen["skipped"] > 0
+
+    def test_on_random_walks_from_micro_positions(self) -> None:
+        """Random in-turn walks from every micro position as it is, with a
+        later turn limit (so ending the turn means fatigue), and with cards
+        left in each deck too (so the rule can apply).  Each walk is
+        checked against no boundary and against the position its own
+        ``EndTurn`` reaches, where the rule must not skip."""
+        rng = random.Random(61)
+        configs = []
+        for _, config, _ in micro_positions():
+            configs.append(config)
+            obj = config.to_json_obj()
+            obj["turnLimit"] = 3
+            configs.append(GameConfig.from_json_obj(obj))
+            for player in obj["players"]:
+                player["deck"] = ["Leper Gnome", "Innervate"]
+            configs.append(GameConfig.from_json_obj(obj))
+        skipped = 0
+        for config in configs:
+            for _ in range(8):
+                state = config.to_state()
+                walk = [state]
+                while state.outcome is Outcome.ONGOING and rng.random() < 0.8:
+                    actions = legal_actions(state)[:-1]  # all but EndTurn
+                    if not actions:
+                        break
+                    state = apply(state, rng.choice(actions))
+                    walk.append(state)
+                walk = [s for s in walk if s.outcome is Outcome.ONGOING]
+                if not walk:
+                    continue
+                end = apply(walk[-1], EndTurn())
+                for boundary in (None, end):
+                    probe = _TurnRejoinProbe(state.turn, state.active, boundary, 1)
+                    for s in walk:
+                        if probe._end_turn_is_inert(s):
+                            skipped += 1
+                            assert_end_turn_child_is_inert(probe, s)
+                    if boundary is end and end.outcome is Outcome.ONGOING:
+                        assert not probe._end_turn_is_inert(walk[-1])
+        assert skipped > 50
