@@ -451,11 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         _err(str(exc))
         return EXIT_INPUT
     except ScheduleInfeasible as exc:
-        detail = ""
-        if exc.turn is not None:
-            detail = f" (turn {exc.turn}"
-            detail += f", step {exc.step})" if exc.step is not None else ")"
-        _err(f"schedule infeasible: {exc.reason}{detail}")
+        _err(f"schedule infeasible: {exc}")
         return EXIT_INFEASIBLE
 
 

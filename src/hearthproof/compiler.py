@@ -20,16 +20,19 @@ Layout produced (player 0 moves first and owns the odd turns):
   that hit exactly when the chosen values sum to T, freeing the way for a
   weapon swing at the 1-health enemy hero.
 
-Each side's deck lists the cards its turns play in the order they play them
-(a branch's pair cards first, since both must be in hand when it opens),
-padded with cheap weapons up to the number of cards the side draws, which
-the weave counts once as it schedules the turns.  Each spell cast feeds one
-replacement draw through the caster's draw engine, extra mana arrives as
-just-in-time mana-burst spells, and surplus draws are drained by re-equipping
-cheap weapons.  No hand is modelled outside the engine: emission replays both
-halves of every branch and fails when a card is not in hand at its step, or
-when the halves leave different decks or hands.  The emitter builds one
-``ScriptStep`` object per distinct step and reuses it wherever the step recurs.
+The weave lays each side's deck in the one pass that schedules its turns:
+every card it plays goes through one step that pays the card's mana, takes
+it out of the counted hand, appends it to the deck and adds what it draws.  A
+deck so lists the cards its turns play in the order they play them (a
+branch's pair cards first, since both must be in hand when it opens), padded
+with cheap weapons up to the number of cards the side draws.  Each spell cast
+feeds one replacement draw through the caster's draw engine, extra mana
+arrives as just-in-time mana-burst spells, and surplus draws are drained by
+re-equipping cheap weapons.  The weave counts hand cards but does not track
+which they are; only the engine does, so emission replays both halves of
+every branch and fails when a card is not in hand at its step, or when the
+halves leave different decks or hands.  The emitter builds one ``ScriptStep``
+object per distinct step and reuses it wherever the step recurs.
 """
 from __future__ import annotations
 
@@ -525,7 +528,8 @@ _F_TAUNT = minion_ref(0, 4)
 class _Cast:
     card: str
     target: CharRef | None = None
-    kills: bool = False  # the 1-damage ping is known to kill its target
+    # The card's conditional draw fires: a mark on a beast, a ping that kills.
+    draw_fires: bool = False
 
 
 @dataclass
@@ -536,7 +540,7 @@ class _Summon:
 
 @dataclass
 class _Equip:
-    pass
+    card: str = C.LIGHTS_JUSTICE
 
 
 @dataclass
@@ -564,43 +568,23 @@ class _Window:
 _PlanEntry = _Cast | _Summon | _Equip | _Att | _End | _Window
 
 
-@dataclass
-class _MarkCast(_Cast):
-    target_is_beast: bool = False
-
-
-def _mark(target: CharRef, beast: bool) -> _MarkCast:
-    return _MarkCast(C.MARK_OF_YSHAARJ, target, target_is_beast=beast)
-
-
 def _entry_draws(entry: _PlanEntry) -> int:
     """Cards the acting player draws while resolving this entry.
 
     Every spell feeds one draw through the caster's draw engine (each side
     keeps exactly one alive for the whole line); card effects add the rest.
     """
-    if isinstance(entry, _MarkCast):
-        return 2 if entry.target_is_beast else 1
     if isinstance(entry, _Cast):
-        spec = card(entry.card)
-        if spec.effect is EffectTag.DRAW_TWO:
+        if card(entry.card).effect is EffectTag.DRAW_TWO:
             return 3
-        if spec.effect is EffectTag.DEAL_ONE_DRAW_IF_KILL and entry.kills:
-            return 2
-        return 1
+        return 2 if entry.draw_fires else 1
     if isinstance(entry, _Summon):
         return 1 if card(entry.card).effect is EffectTag.BATTLECRY_DRAW_ONE else 0
     return 0
 
 
 def _buff_entries(seq: BuffSequence, target: CharRef, beast: bool) -> list[_PlanEntry]:
-    out: list[_PlanEntry] = []
-    for cid in seq.cards:
-        if cid == C.MARK_OF_YSHAARJ:
-            out.append(_mark(target, beast))
-        else:
-            out.append(_Cast(cid, target))
-    return out
+    return [_Cast(cid, target, beast and cid == C.MARK_OF_YSHAARJ) for cid in seq.cards]
 
 
 def _plan_odd_turn(
@@ -616,7 +600,7 @@ def _plan_odd_turn(
             _Cast(C.CHARGE, _F_CARRY),
             _Att(_F_CARRY, _E_LEPER),
             _Summon(C.NOVICE_ENGINEER, 5),
-            _Cast(C.MORTAL_COIL, _F_CARRY, kills=True),
+            _Cast(C.MORTAL_COIL, _F_CARRY, draw_fires=True),
         ]
     entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.FLOATING_WATCHER, 5)]
     entries += _buff_entries(synthesize_demon_buffs(x), _F_CARRY, beast=False)
@@ -678,7 +662,7 @@ def _plan_even_turn(i: int, n: int, x: int, y: int) -> list[_PlanEntry]:
         BuffSequence(demon.cards[2:], demon.final_attack, demon.buff_length - 2, "demon"),
         _F_CARRY, beast=False,
     )
-    entries += [_Cast(C.MORTAL_COIL, _F_CARRY, kills=False)] * 6
+    entries += [_Cast(C.MORTAL_COIL, _F_CARRY)] * 6
     entries.append(_Cast(C.MIND_CONTROL, _F_CARRY))
     entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 5)]
     entries += _buff_entries(synthesize_beast_buffs(y, "backstab"), _E_STAGE1, beast=True)
@@ -699,7 +683,7 @@ def _plan_verification_turn(n: int) -> list[_PlanEntry]:
         _Cast(C.CHARGE, _F_CARRY),
         _Att(_F_CARRY, _E_LEPER),
         _Summon(C.NOVICE_ENGINEER, 5),
-        _Cast(C.MORTAL_COIL, _F_CARRY, kills=True),
+        _Cast(C.MORTAL_COIL, _F_CARRY, draw_fires=True),
     ]
     entries += _plan_verification_tail()
     entries.append(_End())
@@ -736,24 +720,8 @@ def build_turn_plans(shifted: PartitionInstance) -> list[tuple[int, int, list[_P
 
 
 # ---------------------------------------------------------------------------
-# Phase 1b: weaving (mana bursts and weapon-equip drains)
+# Phase 1b: weaving (mana bursts, weapon-equip drains and decks)
 # ---------------------------------------------------------------------------
-
-
-def _cast_cost(entry: _PlanEntry) -> int:
-    if isinstance(entry, (_Cast, _Summon)):
-        return card(entry.card).cost
-    if isinstance(entry, _Equip):
-        return card(C.LIGHTS_JUSTICE).cost
-    return 0
-
-
-def _gains_mana(entry: _PlanEntry) -> bool:
-    return isinstance(entry, _Cast) and entry.card == C.INNERVATE
-
-
-def _consumes_card(entry: _PlanEntry) -> bool:
-    return isinstance(entry, (_Cast, _Summon, _Equip))
 
 
 @dataclass
@@ -761,35 +729,38 @@ class _WeaveState:
     mana: int
     hand: int  # drawn-but-unplayed card count (model)
     draws: int = 0  # cards drawn so far, along the x half of each window
+    deck: list[str] = field(default_factory=list)  # cards played, in deck order
 
 
 def _weave_entries(
     entries: list[_PlanEntry], st: _WeaveState, turn: int
 ) -> list[_PlanEntry]:
     """Insert mana bursts before under-funded plays and weapon-equip drains
-    to keep the modelled hand small.  Mutates ``st`` to the exit state."""
+    to keep the modelled hand small, and lay the deck the turn plays from.
+    Mutates ``st`` to the exit state."""
     out: list[_PlanEntry] = []
+
+    def take(entry: _Cast | _Summon | _Equip) -> None:
+        """Play the entry's card: pay its mana, take it out of the counted
+        hand, list it next in the deck and count what it draws."""
+        st.mana -= card(entry.card).cost
+        st.deck.append(entry.card)
+        drawn = _entry_draws(entry)
+        st.hand += drawn - 1
+        st.draws += drawn
+        if st.hand < 0:
+            raise ScheduleInfeasible("hand flow underrun", turn=turn)
+        out.append(entry)
 
     def burst_to(cost: int) -> None:
         while st.mana < cost:
             before = st.mana
-            out.append(_Cast(C.INNERVATE))
+            take(_Cast(C.INNERVATE))
             st.mana = min(st.mana + 2, MAX_MANA)
-            drawn = _entry_draws(out[-1])
-            st.hand += drawn - 1
-            st.draws += drawn
             if st.mana == before:
                 raise ScheduleInfeasible(
                     f"cannot fund cost {cost} at mana cap", turn=turn
                 )
-
-    def drain() -> None:
-        while st.hand >= 4:
-            cost = _cast_cost(_Equip())
-            burst_to(cost)
-            out.append(_Equip())
-            st.mana -= cost
-            st.hand -= 1
 
     for entry in entries:
         if isinstance(entry, _Window):
@@ -802,32 +773,33 @@ def _weave_entries(
                     "branch halves diverge in mana or hand flow", turn=turn
                 )
             out.append(_Window(entry.decision, wx, wy, entry.pair_cards))
+            # Both halves need the pair cards in hand as the branch opens;
+            # the rest of the window is drawn as the x half plays it.
+            pair = Counter(entry.pair_cards)
+            st.deck += entry.pair_cards
+            for cid in x_state.deck:
+                if pair[cid] > 0:
+                    pair[cid] -= 1
+                else:
+                    st.deck.append(cid)
             st.mana, st.hand, st.draws = x_state.mana, x_state.hand, x_state.draws
-            continue
-        cost = _cast_cost(entry)
-        if _consumes_card(entry) and not _gains_mana(entry):
-            burst_to(cost)
-        if isinstance(entry, _Cast) and entry.card == C.INNERVATE:
-            st.mana = min(st.mana + 2, MAX_MANA)
+        elif isinstance(entry, (_Att, _End)):
+            out.append(entry)
         else:
-            st.mana -= cost
-        out.append(entry)
-        if _consumes_card(entry):
-            st.hand -= 1
-        drawn = _entry_draws(entry)
-        st.hand += drawn
-        st.draws += drawn
-        if st.hand < 0:
-            raise ScheduleInfeasible("hand flow underrun", turn=turn)
-        if not isinstance(entry, (_Att, _End)):
-            drain()
+            burst_to(card(entry.card).cost)
+            take(entry)
+            while st.hand >= 4:
+                burst_to(card(C.LIGHTS_JUSTICE).cost)
+                take(_Equip())
     return out
 
 
 class WovenPlans(list):
-    """Woven ``(turn, side, entries)``; ``draws[side]`` counts that side's draws."""
+    """Woven ``(turn, side, entries)``; ``decks[side]`` is that side's deck:
+    the cards its turns play, in the order they play them, padded with
+    Light's Justice up to the number of cards the side draws."""
 
-    draws: dict[int, int]
+    decks: dict[int, list[str]]
 
 
 def weave_plans(plans: list[tuple[int, int, list[_PlanEntry]]]) -> WovenPlans:
@@ -837,46 +809,11 @@ def weave_plans(plans: list[tuple[int, int, list[_PlanEntry]]]) -> WovenPlans:
         st = states[side]
         st.mana, st.hand, st.draws = MAX_MANA, st.hand + 1, st.draws + 1  # +1 start draw
         woven.append((turn, side, _weave_entries(entries, st, turn)))
-    woven.draws = {side: st.draws for side, st in states.items()}
+    woven.decks = {
+        side: st.deck + [C.LIGHTS_JUSTICE] * (st.draws - len(st.deck))
+        for side, st in states.items()
+    }
     return woven
-
-
-# ---------------------------------------------------------------------------
-# Phase 1c: decks
-# ---------------------------------------------------------------------------
-
-
-def _needs_of(entries: list[_PlanEntry]) -> list[str]:
-    """Card ids in the order the deck must supply them.
-
-    Branch cards are hoisted to the window start (both alternatives must be
-    in hand before the branch is entered); shared cards inside a window are
-    listed once, from the canonical (x) half.
-    """
-    needs: list[str] = []
-    for entry in entries:
-        if isinstance(entry, _Window):
-            pair = Counter(entry.pair_cards)
-            needs.extend(entry.pair_cards)
-            inner = _needs_of(entry.x_entries)
-            for cid in inner:
-                if pair[cid] > 0:
-                    pair[cid] -= 1
-                else:
-                    needs.append(cid)
-        elif isinstance(entry, (_Cast, _Summon)):
-            needs.append(entry.card)
-        elif isinstance(entry, _Equip):
-            needs.append(C.LIGHTS_JUSTICE)
-    return needs
-
-
-def _deck_for(plans: WovenPlans, side: int) -> list[str]:
-    """One side's deck: its cards in the order its turns need them, padded
-    with Light's Justice up to the number of cards the weave counted it
-    drawing.  The emitter's engine replay checks each card is in hand."""
-    needs = [cid for _, s, entries in plans if s == side for cid in _needs_of(entries)]
-    return needs + [C.LIGHTS_JUSTICE] * (plans.draws[side] - len(needs))
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +911,7 @@ class _Emitter:
         elif isinstance(entry, _End):
             key = EndTurn, (), False
         else:
-            cid = C.LIGHTS_JUSTICE if isinstance(entry, _Equip) else entry.card
+            cid = entry.card
             try:
                 slot = state.players[state.active].hand.index(cid)
             except ValueError:
@@ -1154,7 +1091,7 @@ def compile_instance(
             f"line spans {len(plans)} turns but the turn limit is {turn_limit}"
         )
 
-    config = build_config(shifted, _deck_for(plans, 0), _deck_for(plans, 1), turn_limit)
+    config = build_config(shifted, plans.decks[0], plans.decks[1], turn_limit)
     emitter = _Emitter(config)
     wall = emitter.state.players[1].board[0]
     margin = 10 * sum(shifted.values()) + 10 * shifted.target + 10_000

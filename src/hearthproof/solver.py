@@ -869,6 +869,12 @@ class _TurnRejoinProbe:
         )
 
 
+# The loss probe's reach: turns past the deviating one before the game is
+# cut off as a draw, and alpha-beta's depth limit in plies.
+_PROBE_HORIZON = 2
+_VALUE_DEPTH = 80
+
+
 class DeviationChecker:
     """Probes alternatives to a line's scripted steps.
 
@@ -881,12 +887,16 @@ class DeviationChecker:
        neither, it has derailed the scripted machinery for good — the
        turn-local sense in which every scripted filler step is forced.
     2. A bounded null-window search of the free continuation, truncated
-       ``probe_horizon`` turns out (reaching the horizon counts as a
-       draw).  A loss proven inside the horizon is a loss of the real
-       game too — the punishing side forces it before the truncation
-       matters — which upgrades a derail to a full game-theoretic
-       refutation (for example, leaving the enemy board unfrozen loses
-       on the spot).
+       ``_PROBE_HORIZON`` turns out (reaching the horizon counts as a
+       draw), at most ``_VALUE_DEPTH`` plies deep and ``value_nodes``
+       nodes per alternative.  A loss proven inside the horizon is a
+       loss of the real game too — the punishing side forces it before
+       the truncation matters — which upgrades a derail to a full
+       game-theoretic refutation (for example, leaving the enemy board
+       unfrozen loses on the spot).
+
+    ``rejoin_nodes`` bounds the nodes of each turn's rejoin search, which
+    all of that turn's alternatives share.
 
     Statuses: "refuted" (reasons ``forced_loss`` — horizon-sound minimax
     proof — or ``derailed`` — complete turn-local proof), "dominated"
@@ -903,16 +913,12 @@ class DeviationChecker:
         line: ScriptedLine,
         vector: tuple[str, ...] | None = None,
         *,
-        probe_horizon: int = 2,
-        value_depth: int = 80,
         value_nodes: int = 5_000,
         rejoin_nodes: int = 200_000,
     ):
         if vector is None:
             vector = skeleton_solve(config, line).deviation_vector
         self.vector = vector
-        self.probe_horizon = probe_horizon
-        self.value_depth = value_depth
         self.value_nodes = value_nodes
         self.rejoin_nodes = rejoin_nodes
 
@@ -951,14 +957,14 @@ class DeviationChecker:
     def _loss_probe(self, rec: StepRecord, child: GameState) -> tuple[bool, int]:
         """Prove, if cheap, that the deviation loses within the horizon."""
         clamped = child.fork()
-        clamped.turn_limit = min(child.turn_limit, rec.turn + self.probe_horizon)
+        clamped.turn_limit = min(child.turn_limit, rec.turn + _PROBE_HORIZON)
         tt = self._value_tts.setdefault(rec.turn, {})
-        ab = AlphaBeta(max_depth=self.value_depth, max_nodes=self.value_nodes, tt=tt)
+        ab = AlphaBeta(max_depth=_VALUE_DEPTH, max_nodes=self.value_nodes, tt=tt)
         if rec.state_before.active == 0:
-            v = ab.search(clamped, LOSS, DRAW, self.value_depth)
+            v = ab.search(clamped, LOSS, DRAW, _VALUE_DEPTH)
             proven = v is not None and v <= LOSS
         else:
-            v = ab.search(clamped, DRAW, WIN, self.value_depth)
+            v = ab.search(clamped, DRAW, WIN, _VALUE_DEPTH)
             proven = v is not None and v >= WIN
         return proven, ab.nodes
 
@@ -1090,8 +1096,6 @@ def deviation_check(
     vector: tuple[str, ...] | None = None,
     *,
     max_turns: int | None = None,
-    probe_horizon: int = 2,
-    value_depth: int = 80,
     value_nodes: int = 5_000,
     rejoin_nodes: int = 200_000,
 ) -> DeviationReport:
@@ -1104,12 +1108,7 @@ def deviation_check(
     alternative at every step of turns up to it is probed.  See :class:`DeviationChecker` for probe semantics.
     """
     checker = DeviationChecker(
-        config, line, vector,
-        probe_horizon=probe_horizon,
-        value_depth=value_depth,
-        value_nodes=value_nodes,
-        rejoin_nodes=rejoin_nodes,
-    )
+        config, line, vector, value_nodes=value_nodes, rejoin_nodes=rejoin_nodes)
     if max_turns is None:
         return check_named_deviations(checker)
     return checker.check_all(max_turns)

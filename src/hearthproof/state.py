@@ -188,7 +188,10 @@ class ScriptStep:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ScriptStep":
-        return ScriptStep(action_from_json_obj(obj["action"]), bool(obj.get("optional")))
+        optional = obj.get("optional", False)
+        if type(optional) is not bool:
+            raise ValueError(f"not a boolean: {optional!r}")
+        return ScriptStep(action_from_json_obj(obj["action"]), optional)
 
 
 # ---------------------------------------------------------------------------

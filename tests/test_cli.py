@@ -91,7 +91,8 @@ class TestCompile:
                      str(tmp_path / "x"), "--turn-limit", "3"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "schedule infeasible" in captured.err
+        assert captured.err == (
+            "error: schedule infeasible: line spans 6 turns but the turn limit is 3\n")
         assert "\x1b" not in captured.err  # no ANSI colour when not a tty
 
     @pytest.mark.parametrize("command", ["compile", "verify"])
@@ -408,20 +409,31 @@ class TestReplay:
                     item["branch"]["decision"] += 0.9
         obj["valueShift"] = "0"
 
-    @pytest.mark.parametrize("tamper", [
-        lambda obj: TestReplay._decisions_and_shift(obj),
-        lambda obj: obj.update(valueShift=0.0),
-        lambda obj: obj["decisions"][0].update(xAttack=12.0),
-        lambda obj: obj["turns"][0].update(side=False),
-        lambda obj: TestReplay._first_action(obj, "play").update(hand=0.5),
-        lambda obj: TestReplay._first_action(obj, "attack")["attacker"].update(
-            slot="1"),
+    @staticmethod
+    def _optional_no(obj: dict) -> None:
+        """Every plain step marked ``"optional": "no"``."""
+        for turn in obj["turns"]:
+            for item in turn["items"]:
+                if "step" in item:
+                    item["step"]["optional"] = "no"
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda obj: TestReplay._decisions_and_shift(obj), "not an integer"),
+        (lambda obj: obj.update(valueShift=0.0), "not an integer"),
+        (lambda obj: obj["decisions"][0].update(xAttack=12.0), "not an integer"),
+        (lambda obj: obj["turns"][0].update(side=False), "not an integer"),
+        (lambda obj: TestReplay._first_action(obj, "play").update(hand=0.5),
+         "not an integer"),
+        (lambda obj: TestReplay._first_action(obj, "attack")["attacker"].update(
+            slot="1"), "not an integer"),
+        (lambda obj: TestReplay._optional_no(obj), "not a boolean: 'no'"),
     ], ids=["decision_and_shift", "shift", "decision_record", "turn_side",
-            "hand_index", "char_ref"])
+            "hand_index", "char_ref", "optional_flag"])
     def test_non_integer_line_numbers_are_input_errors(
-            self, compiled_dir, tmp_path, capsys, tamper) -> None:
+            self, compiled_dir, tmp_path, capsys, tamper, message) -> None:
         """A float, a numeric string or a bool in a line file is not
-        rounded into the line: the replay exits 2 before any output."""
+        rounded into the line, nor is a truthy non-boolean ``optional``
+        read as true: the replay exits 2 before any output."""
         obj = json.loads((compiled_dir / "line.json").read_text())
         tamper(obj)
         bad = tmp_path / "bad-line.json"
@@ -431,7 +443,7 @@ class TestReplay:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "not an integer" in captured.err
+        assert message in captured.err
 
 
 class TestSolve:

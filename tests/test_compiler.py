@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -43,6 +44,8 @@ from hearthproof.compiler import (
     _Att,
     _Cast,
     _Emitter,
+    _Equip,
+    _Summon,
     _Window,
     _entry_draws,
 )
@@ -360,25 +363,47 @@ class TestCompiledArtifacts:
         supplies a card late fails there, at the step that plays it (Frost
         Nova is the second-last of turn 4's 52 steps); nothing else models
         the hand."""
-        deck_for = compiler._deck_for
+        weave = compiler.weave_plans
 
-        def broken(plans, s):
-            deck = deck_for(plans, s)
-            return mutate(deck) if s == side else deck
+        def broken(plans):
+            woven = weave(plans)
+            woven.decks[side] = mutate(woven.decks[side])
+            return woven
 
-        monkeypatch.setattr(compiler, "_deck_for", broken)
+        monkeypatch.setattr(compiler, "weave_plans", broken)
         with pytest.raises(ScheduleInfeasible) as info:
             compile_instance(worked_instance, validate="none")
         assert info.value.reason == f"{cid} not in hand"
         assert (info.value.turn, info.value.step) == (turn, step)
+        assert str(info.value) == f"{cid} not in hand (turn {turn}, step {step})"
 
-    def test_weave_counts_each_sides_draws(self) -> None:
-        """The draw totals the weave records, which size the decks, equal a
-        fresh walk: one start-of-turn draw per turn, plus ``_entry_draws`` of
-        every entry, along the x half of each window.  Over the
-        criterion-3 pair space and the 40 pinned instances."""
-        def walk(entries) -> int:
-            return sum(walk(e.x_entries) if isinstance(e, _Window) else _entry_draws(e)
+    def test_weave_lays_each_sides_deck(self) -> None:
+        """The decks the weave lays equal a fresh walk of the woven plans:
+        each side's card ids in the order its entries play them, with a
+        window's pair cards first and its x half after them less one copy
+        of each pair card, padded with Light's Justice to the side's draws
+        (one start-of-turn draw per turn, plus ``_entry_draws`` of every
+        entry along the x half of each window).  Over the criterion-3 pair
+        space and the 40 pinned instances."""
+        def needs(entries) -> list[str]:
+            out: list[str] = []
+            for e in entries:
+                if isinstance(e, _Window):
+                    pair = collections.Counter(e.pair_cards)
+                    out += e.pair_cards
+                    for cid in needs(e.x_entries):
+                        if pair[cid] > 0:
+                            pair[cid] -= 1
+                        else:
+                            out.append(cid)
+                elif isinstance(e, (_Cast, _Summon)):
+                    out.append(e.card)
+                elif isinstance(e, _Equip):
+                    out.append(LIGHTS_JUSTICE)
+            return out
+
+        def draws(entries) -> int:
+            return sum(draws(e.x_entries) if isinstance(e, _Window) else _entry_draws(e)
                        for e in entries)
 
         space = list(itertools.product(range(3), repeat=2))
@@ -387,10 +412,14 @@ class TestCompiledArtifacts:
         for pairs in pair_sets:
             shifted, _ = shifted_instance(PartitionInstance(tuple(pairs), 0))
             woven = weave_plans(build_turn_plans(shifted))
-            expected = {0: 0, 1: 0}
+            cards = {0: [], 1: []}
+            drawn = {0: 0, 1: 0}
             for _, side, entries in woven:
-                expected[side] += 1 + walk(entries)
-            assert woven.draws == expected, pairs
+                cards[side] += needs(entries)
+                drawn[side] += 1 + draws(entries)
+            expected = {side: cards[side] + [LIGHTS_JUSTICE] * (drawn[side] - len(cards[side]))
+                        for side in (0, 1)}
+            assert woven.decks == expected, pairs
 
     def test_line_shares_one_object_per_distinct_step(self, worked_compiled) -> None:
         lines = [worked_compiled.line] + [
