@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Literal
 
 from . import cards as C
 from .cards import CardKind, EffectTag, Tribe, card
-from .engine import _emit, apply_in_place, run_script, start_game
+from .engine import apply_in_place, run_script, start_game
 from .state import (
     Action,
     Attack,
@@ -494,12 +494,19 @@ class ScriptedLine:
     def from_json_obj(obj: dict) -> "ScriptedLine":
         if obj.get("formatVersion") != FORMAT_VERSION:
             raise InstanceError("unsupported line formatVersion")
-        return ScriptedLine(
+        line = ScriptedLine(
             PartitionInstance.from_json_obj(obj["instance"]),
             json_int(obj.get("valueShift", 0)),
             tuple(Decision.from_json_obj(d) for d in obj["decisions"]),
             tuple(TurnScript.from_json_obj(t) for t in obj["turns"]),
         )
+        if len(line.decisions) != line.n:
+            raise InstanceError(f"{len(line.decisions)} decisions for {line.n} pairs")
+        for turn in line.turns:
+            for item in turn.items:
+                if isinstance(item, Branch) and not 1 <= item.decision <= line.n:
+                    raise InstanceError(f"branch decision {item.decision} is not in 1..{line.n}")
+        return line
 
     @staticmethod
     def from_json(text: str) -> "ScriptedLine":
@@ -583,8 +590,8 @@ def _entry_draws(entry: _PlanEntry) -> int:
     return 0
 
 
-def _buff_entries(seq: BuffSequence, target: CharRef, beast: bool) -> list[_PlanEntry]:
-    return [_Cast(cid, target, beast and cid == C.MARK_OF_YSHAARJ) for cid in seq.cards]
+def _buff_entries(cards: tuple[str, ...], target: CharRef, beast: bool) -> list[_PlanEntry]:
+    return [_Cast(cid, target, beast and cid == C.MARK_OF_YSHAARJ) for cid in cards]
 
 
 def _plan_odd_turn(
@@ -593,17 +600,9 @@ def _plan_odd_turn(
     """Friendly turn i: deliver pair i (demon on slot 5, beast beside it)."""
     entries: list[_PlanEntry] = []
     if i >= 3:
-        # Steal back the survivor of the previous pair, deliver it, then
-        # recycle the staging slot with a ping-fodder engineer.
-        entries += [
-            _Cast(C.MIND_CONTROL, _E_STAGE0),
-            _Cast(C.CHARGE, _F_CARRY),
-            _Att(_F_CARRY, _E_LEPER),
-            _Summon(C.NOVICE_ENGINEER, 5),
-            _Cast(C.MORTAL_COIL, _F_CARRY, draw_fires=True),
-        ]
+        entries += _plan_steal_back()
     entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.FLOATING_WATCHER, 5)]
-    entries += _buff_entries(synthesize_demon_buffs(x), _F_CARRY, beast=False)
+    entries += _buff_entries(synthesize_demon_buffs(x).cards, _F_CARRY, beast=False)
     entries.append(_Cast(C.ARCANE_INTELLECT))  # stocks the branch pair
 
     # Both carriers share the board inside the branch; the unchosen one is
@@ -611,12 +610,12 @@ def _plan_odd_turn(
     # cards at the same costs in the same order, so mana and draws align.
     x_entries: list[_PlanEntry] = [_Cast(C.CHARGE, _F_CARRY)]
     x_entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 6)]
-    x_entries += _buff_entries(synthesize_beast_buffs(y, "blessed"), _F_SECOND, beast=True)
+    x_entries += _buff_entries(synthesize_beast_buffs(y, "blessed").cards, _F_SECOND, beast=True)
     x_entries += [_Cast(C.SHADOW_WORD_DEATH, _F_SECOND), _Att(_F_CARRY, _E_LEPER)]
 
     y_entries: list[_PlanEntry] = [_Cast(C.SHADOW_WORD_DEATH, _F_CARRY)]
     y_entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 5)]
-    y_entries += _buff_entries(synthesize_beast_buffs(y, "blessed"), _F_CARRY, beast=True)
+    y_entries += _buff_entries(synthesize_beast_buffs(y, "blessed").cards, _F_CARRY, beast=True)
     y_entries += [_Cast(C.CHARGE, _F_CARRY), _Att(_F_CARRY, _E_LEPER)]
 
     window = _Window(
@@ -641,6 +640,18 @@ def _plan_odd_turn(
     return entries
 
 
+def _plan_steal_back() -> list[_PlanEntry]:
+    """Steal back the survivor of the previous pair, deliver it, then
+    recycle the staging slot with a ping-fodder engineer."""
+    return [
+        _Cast(C.MIND_CONTROL, _E_STAGE0),
+        _Cast(C.CHARGE, _F_CARRY),
+        _Att(_F_CARRY, _E_LEPER),
+        _Summon(C.NOVICE_ENGINEER, 5),
+        _Cast(C.MORTAL_COIL, _F_CARRY, draw_fires=True),
+    ]
+
+
 def _plan_verification_tail() -> list[_PlanEntry]:
     """Final delivery: an unbuffed beast hits for exactly 8 after the charge."""
     return [
@@ -657,15 +668,11 @@ def _plan_even_turn(i: int, n: int, x: int, y: int) -> list[_PlanEntry]:
     """Enemy turn i: finish the staged demon to 10x, stage the beast to 10y,
     destroy one of the two, park the survivor on the stage slot."""
     entries: list[_PlanEntry] = [_Cast(C.DEMONFUSE, _F_CARRY)]
-    demon = synthesize_demon_buffs(x)
-    entries += _buff_entries(
-        BuffSequence(demon.cards[2:], demon.final_attack, demon.buff_length - 2, "demon"),
-        _F_CARRY, beast=False,
-    )
+    entries += _buff_entries(synthesize_demon_buffs(x).cards[2:], _F_CARRY, beast=False)
     entries += [_Cast(C.MORTAL_COIL, _F_CARRY)] * 6
     entries.append(_Cast(C.MIND_CONTROL, _F_CARRY))
     entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 5)]
-    entries += _buff_entries(synthesize_beast_buffs(y, "backstab"), _E_STAGE1, beast=True)
+    entries += _buff_entries(synthesize_beast_buffs(y, "backstab").cards, _E_STAGE1, beast=True)
     window = _Window(
         decision=i,
         x_entries=[_Cast(C.SHADOW_WORD_DEATH, _E_STAGE1)],  # keep the demon (x)
@@ -678,16 +685,7 @@ def _plan_even_turn(i: int, n: int, x: int, y: int) -> list[_PlanEntry]:
 
 def _plan_verification_turn(n: int) -> list[_PlanEntry]:
     """Standalone final friendly turn used when n is even."""
-    entries: list[_PlanEntry] = [
-        _Cast(C.MIND_CONTROL, _E_STAGE0),
-        _Cast(C.CHARGE, _F_CARRY),
-        _Att(_F_CARRY, _E_LEPER),
-        _Summon(C.NOVICE_ENGINEER, 5),
-        _Cast(C.MORTAL_COIL, _F_CARRY, draw_fires=True),
-    ]
-    entries += _plan_verification_tail()
-    entries.append(_End())
-    return entries
+    return [*_plan_steal_back(), *_plan_verification_tail(), _End()]
 
 
 def _plan_punishment_turn() -> list[_PlanEntry]:
@@ -1028,9 +1026,9 @@ def run_line(
         # only a branch the line reaches logs its decision.
         for flat in flat_steps:
             d = flat.decision
-            if d is not None:
-                _emit(
-                    state, log, "decision",
+            if d is not None and log is not None:
+                log.emit(
+                    "decision",
                     decision=d.index, turn=d.turn, chosen=flat.chosen,
                     x_value=d.x_value, y_value=d.y_value,
                     x_attack=d.x_attack, y_attack=d.y_attack,
@@ -1039,9 +1037,9 @@ def run_line(
             yield flat
 
     for index, flat, skipped in run_script(state, pulled(), log):
-        if skipped is not None:
-            _emit(state, log, "skip", turn=flat.turn, reason=skipped,
-                  action=action_to_json_obj(flat.action))
+        if skipped is not None and log is not None:
+            log.emit("skip", turn=flat.turn, reason=skipped,
+                     action=action_to_json_obj(flat.action))
         if on_step is not None:
             on_step(index, flat, state)
     return state

@@ -29,10 +29,10 @@ swaps a private copy into the board slot unless the player already owns the
 minion (see the ``state`` module docstring).  A ``fork()`` of a state thus
 shares each minion with its source until one of them writes it.
 
-Logging: every event advances ``state.step`` by exactly one, whether or not
-a log is passed.  Search and compilation pass ``log=None``; then no event
-payload is built at all (no keyword dict, no ``.value``, no
-``to_json_obj()``), and the ``step`` values come out the same as with a log.
+Logging: each event site is ``if log is not None: log.emit(kind, ...)``, and
+the log numbers its events in the order they arrive.  Search and compilation
+pass ``log=None``; then no event payload is built at all (no keyword dict, no
+``.value``, no ``to_json_obj()``) and nothing is counted.
 """
 from __future__ import annotations
 
@@ -94,25 +94,6 @@ _LETHAL_SPELLS = frozenset(
     (_DEAL_TWO_TO_UNDAMAGED_MINION, _DEAL_ONE_DRAW_IF_KILL, _DESTROY_MINION_ATK_5_PLUS))
 
 # ---------------------------------------------------------------------------
-# Event emission
-# ---------------------------------------------------------------------------
-
-
-def _emit(state: GameState, log: EventLog | None, kind: str, **data) -> None:
-    """Record one event in ``log``, if any, and advance ``state.step`` by one.
-
-    ``state.step`` counts events whether or not a log records them.  The
-    engine's own step path writes this out at each site, as
-    ``if log is not None: log.emit(state.step, ...)`` then
-    ``state.step += 1``, so that with ``log=None`` it builds no payload, not
-    even the keyword dict a call to this function takes.
-    """
-    if log is not None:
-        log.emit(state.step, kind, **data)
-    state.step += 1
-
-
-# ---------------------------------------------------------------------------
 # Minion ownership
 # ---------------------------------------------------------------------------
 
@@ -151,8 +132,7 @@ def _check_outcome(state: GameState, log: EventLog | None) -> bool:
     else:
         return False
     if log is not None:
-        log.emit(state.step, "outcome", result=state.outcome.value)
-    state.step += 1
+        log.emit("outcome", result=state.outcome.value)
     return True
 
 
@@ -341,21 +321,18 @@ def _draw_card(state: GameState, log: EventLog | None, side: int) -> None:
         if len(p.hand) >= MAX_HAND:
             state.removed += 1
             if log is not None:
-                log.emit(state.step, "burn", side=side, card=cid)
+                log.emit("burn", side=side, card=cid)
         else:
             p.hand.append(cid)
             if log is not None:
-                log.emit(state.step, "draw", side=side, card=cid)
-        state.step += 1
+                log.emit("draw", side=side, card=cid)
     else:
         p.hero.fatigue += 1
         if log is not None:
-            log.emit(state.step, "fatigue", side=side, damage=p.hero.fatigue)
-        state.step += 1
+            log.emit("fatigue", side=side, damage=p.hero.fatigue)
         p.hero.health -= p.hero.fatigue
         if log is not None:
-            log.emit(state.step, "damage", target={"hero": side}, amount=p.hero.fatigue)
-        state.step += 1
+            log.emit("damage", target={"hero": side}, amount=p.hero.fatigue)
         _check_outcome(state, log)
 
 
@@ -368,14 +345,12 @@ def _damage_minion(
     m = _own(state.players[side], slot)
     m.health -= amount
     if log is not None:
-        log.emit(state.step, "damage", target={"side": side, "slot": slot}, amount=amount)
-    state.step += 1
+        log.emit("damage", target={"side": side, "slot": slot}, amount=amount)
     if m.health > 0 and m.effect is _TRIGGER_DOUBLE_ATTACK_ON_DAMAGE:
         m.attack *= 2
         if log is not None:
-            log.emit(state.step, "trigger",
+            log.emit("trigger",
                      card=m.card_id, effect=m.effect.value, attack=m.attack)
-        state.step += 1
 
 
 def _damage_hero(state: GameState, log: EventLog | None, side: int, amount: int) -> None:
@@ -383,8 +358,7 @@ def _damage_hero(state: GameState, log: EventLog | None, side: int, amount: int)
         return
     state.players[side].hero.health -= amount
     if log is not None:
-        log.emit(state.step, "damage", target={"hero": side}, amount=amount)
-    state.step += 1
+        log.emit("damage", target={"hero": side}, amount=amount)
 
 
 def _heal_hero(state: GameState, log: EventLog | None, side: int, amount: int) -> None:
@@ -394,8 +368,7 @@ def _heal_hero(state: GameState, log: EventLog | None, side: int, amount: int) -
     healed = min(amount, hero.max_health - hero.health)
     hero.health += healed
     if log is not None:
-        log.emit(state.step, "heal", target={"hero": side}, amount=healed)
-    state.step += 1
+        log.emit("heal", target={"hero": side}, amount=healed)
 
 
 def _heal_minion(
@@ -407,8 +380,7 @@ def _heal_minion(
     healed = min(amount, m.max_health - m.health)
     m.health += healed
     if log is not None:
-        log.emit(state.step, "heal", target={"side": side, "slot": slot}, amount=healed)
-    state.step += 1
+        log.emit("heal", target={"side": side, "slot": slot}, amount=healed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +406,15 @@ def _process_deaths(state: GameState, log: EventLog | None) -> None:
         m = state.players[side].board.pop(slot)
         state.removed += 1
         if log is not None:
-            log.emit(state.step, "death", side=side, slot=slot, card=m.card_id)
-        state.step += 1
+            log.emit("death", side=side, slot=slot, card=m.card_id)
         if m.effect is _DEATHRATTLE_DAMAGE_ENEMY_HERO_2:
             if log is not None:
-                log.emit(state.step, "deathrattle", card=m.card_id)
-            state.step += 1
+                log.emit("deathrattle", card=m.card_id)
             _damage_hero(state, log, 1 - side, 2)
             _check_outcome(state, log)
         elif m.effect is _DEATHRATTLE_RESTORE_4_EACH_HERO:
             if log is not None:
-                log.emit(state.step, "deathrattle", card=m.card_id)
-            state.step += 1
+                log.emit("deathrattle", card=m.card_id)
             _heal_hero(state, log, 0, 4)
             _heal_hero(state, log, 1, 4)
 
@@ -460,9 +429,8 @@ def _auctioneer_draws(state: GameState, log: EventLog | None, side: int) -> None
         if state.outcome is not _ONGOING:
             return
         if log is not None:
-            log.emit(state.step, "trigger", card="Gadgetzan Auctioneer",
+            log.emit("trigger", card="Gadgetzan Auctioneer",
                      effect=_TRIGGER_DRAW_ON_FRIENDLY_SPELL.value)
-        state.step += 1
         _draw_card(state, log, side)
 
 
@@ -479,8 +447,7 @@ def _resolve_spell(
     if effect is _GAIN_TWO_MANA:
         p.hero.mana = min(p.hero.mana + 2, MAX_MANA)
         if log is not None:
-            log.emit(state.step, "mana", side=side, mana=p.hero.mana)
-        state.step += 1
+            log.emit("mana", side=side, mana=p.hero.mana)
         return
     if effect is _DRAW_TWO:
         _draw_card(state, log, side)
@@ -493,8 +460,7 @@ def _resolve_spell(
             if not m.frozen:
                 _own(opp, slot).frozen = True
             if log is not None:
-                log.emit(state.step, "freeze", target={"side": opp_side, "slot": slot})
-            state.step += 1
+                log.emit("freeze", target={"side": opp_side, "slot": slot})
         return
 
     assert target is not None
@@ -510,8 +476,7 @@ def _resolve_spell(
         _damage_minion(state, log, target.side, slot, 1)
         if owner.board[slot].health <= 0:
             if log is not None:
-                log.emit(state.step, "trigger", card=spec.card_id, effect=effect.value)
-            state.step += 1
+                log.emit("trigger", card=spec.card_id, effect=effect.value)
             _draw_card(state, log, side)
     elif effect is _BUFF_DEMON_PLUS_3_3:
         m = _own(owner, slot)
@@ -519,38 +484,33 @@ def _resolve_spell(
         m.health += 3
         m.max_health += 3
         if log is not None:
-            log.emit(state.step, "buff", target=target.to_json_obj(),
+            log.emit("buff", target=target.to_json_obj(),
                      attack=m.attack, health=m.health)
-        state.step += 1
     elif effect is _BUFF_PLUS_2_2_DRAW_IF_BEAST:
         m = _own(owner, slot)
         m.attack += 2
         m.health += 2
         m.max_health += 2
         if log is not None:
-            log.emit(state.step, "buff", target=target.to_json_obj(),
+            log.emit("buff", target=target.to_json_obj(),
                      attack=m.attack, health=m.health)
-        state.step += 1
         if m.tribe is _BEAST:
             if log is not None:
-                log.emit(state.step, "trigger", card=spec.card_id, effect=effect.value)
-            state.step += 1
+                log.emit("trigger", card=spec.card_id, effect=effect.value)
             _draw_card(state, log, side)
     elif effect is _DOUBLE_ATTACK:
         m = _own(owner, slot)
         m.attack *= 2
         if log is not None:
-            log.emit(state.step, "buff", target=target.to_json_obj(),
+            log.emit("buff", target=target.to_json_obj(),
                      attack=m.attack, health=m.health)
-        state.step += 1
     elif effect is _GIVE_CHARGE_PLUS_2:
         m = _own(owner, slot)
         m.charge = True
         m.attack += 2
         if log is not None:
-            log.emit(state.step, "buff", target=target.to_json_obj(),
+            log.emit("buff", target=target.to_json_obj(),
                      attack=m.attack, health=m.health)
-        state.step += 1
     elif effect is _DESTROY_MINION_ATK_5_PLUS:
         _own(owner, slot).health = 0
     elif effect is _TAKE_CONTROL_ENEMY_MINION:
@@ -564,8 +524,7 @@ def _resolve_spell(
         m = _own(p, new_slot)
         m.exhausted = True
         if log is not None:
-            log.emit(state.step, "steal", card=m.card_id, to=side, slot=new_slot)
-        state.step += 1
+            log.emit("steal", card=m.card_id, to=side, slot=new_slot)
     elif effect is _RESTORE_FIVE_HEALTH:
         _heal_minion(state, log, target.side, slot, 5)
     else:  # pragma: no cover - the spell table above is exhaustive
@@ -593,18 +552,15 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
         p.hero.mana -= spec.cost
         del p.hand[action.hand]
         if log is not None:
-            log.emit(state.step, "play", side=side, card=cid, position=pos)
-        state.step += 1
+            log.emit("play", side=side, card=cid, position=pos)
         p.board.insert(pos, MinionInstance.from_card(spec, state.next_iid, p.gen))
         state.next_iid += 1
         _own(p, pos).exhausted = True
         if log is not None:
-            log.emit(state.step, "summon", side=side, card=cid, slot=pos)
-        state.step += 1
+            log.emit("summon", side=side, card=cid, slot=pos)
         if spec.effect is _BATTLECRY_DRAW_ONE:
             if log is not None:
-                log.emit(state.step, "trigger", card=cid, effect=spec.effect.value)
-            state.step += 1
+                log.emit("trigger", card=cid, effect=spec.effect.value)
             _draw_card(state, log, side)
         _check_outcome(state, log)
         return
@@ -615,18 +571,15 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
         p.hero.mana -= spec.cost
         del p.hand[action.hand]
         if log is not None:
-            log.emit(state.step, "play", side=side, card=cid)
-        state.step += 1
+            log.emit("play", side=side, card=cid)
         if p.hero.weapon is not None:
             state.removed += 1
             if log is not None:
-                log.emit(state.step, "weapon_break", side=side, replaced=True)
-            state.step += 1
+                log.emit("weapon_break", side=side, replaced=True)
         p.hero.weapon = Weapon(spec.attack or 0, spec.health or 0)
         if log is not None:
-            log.emit(state.step, "equip", side=side, card=cid,
+            log.emit("equip", side=side, card=cid,
                      attack=p.hero.weapon.attack, durability=p.hero.weapon.durability)
-        state.step += 1
         return
 
     # Spell.
@@ -644,9 +597,8 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
     del p.hand[action.hand]
     state.removed += 1
     if log is not None:
-        log.emit(state.step, "play", side=side, card=cid,
+        log.emit("play", side=side, card=cid,
                  **({"target": action.target.to_json_obj()} if action.target else {}))
-    state.step += 1
     _resolve_spell(state, log, side, spec, action.target)
     if _check_outcome(state, log):
         return
@@ -697,9 +649,8 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
             raise IllegalAction("a taunt minion is in the way")
 
     if log is not None:
-        log.emit(state.step, "attack",
+        log.emit("attack",
                  attacker=atk_ref.to_json_obj(), defender=def_ref.to_json_obj())
-    state.step += 1
 
     retaliation = defender_minion.attack if defender_minion is not None else 0
 
@@ -714,8 +665,7 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
             p.hero.weapon = None
             state.removed += 1
             if log is not None:
-                log.emit(state.step, "weapon_break", side=side)
-            state.step += 1
+                log.emit("weapon_break", side=side)
 
     # Both combat damages are simultaneous: amounts were fixed above.
     if defender_minion is not None:
@@ -748,8 +698,7 @@ def _begin_turn(state: GameState, log: EventLog | None) -> None:
             m.exhausted = False
             m.attacked = False
     if log is not None:
-        log.emit(state.step, "start_turn", side=side, turn=state.turn, mana=p.hero.mana)
-    state.step += 1
+        log.emit("start_turn", side=side, turn=state.turn, mana=p.hero.mana)
     _draw_card(state, log, side)
 
 
@@ -768,8 +717,7 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
     """
     side = state.active
     if log is not None:
-        log.emit(state.step, "end_turn", side=side)
-    state.step += 1
+        log.emit("end_turn", side=side)
     # Thaw at the end of the owner's turn.
     p = state.players[side]
     p.hero.frozen = False
@@ -781,8 +729,7 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
     if state.turn > state.turn_limit:
         state.outcome = Outcome.DRAW
         if log is not None:
-            log.emit(state.step, "outcome", result=state.outcome.value, reason="turn_limit")
-        state.step += 1
+            log.emit("outcome", result=state.outcome.value, reason="turn_limit")
         return
     nxt = state.players[state.active]
     nxt.hero.mana_crystals = min(nxt.hero.mana_crystals + 1, MAX_MANA)
@@ -798,9 +745,9 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
 def apply_in_place(state: GameState, action: Action, log: EventLog | None = None) -> None:
     """Resolve one action on ``state`` itself.
 
-    Every legality check comes before the first change to the state (the
-    step counter included), so an action that raises ``IllegalAction``
-    leaves ``state`` untouched and logs nothing.
+    Every legality check comes before the first change to the state, so an
+    action that raises ``IllegalAction`` leaves ``state`` untouched and logs
+    nothing.
     """
     if state.outcome is not _ONGOING:
         raise IllegalAction("the game is already decided")

@@ -492,12 +492,11 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
 
     The accumulator wall is the enemy minion at slot 0 of the start
     position, tracked by its instance id wherever it moves.  D is the
-    damage the wall has taken.  The first forced segment runs once, in
-    place on the start position.  Every later forced segment and each
-    branch half runs concretely through ``engine.run_script`` on a fork of
-    the state it starts from, with the wall's health a symbol, ``H0 - D``;
-    every comparison the engine makes on it narrows the D-range over which
-    the run goes the same way.  The run is cached under (segment or branch
+    damage the wall has taken.  Every forced segment and each branch half
+    runs concretely through ``engine.run_script`` on a fork of the state it
+    starts from, with the wall's health a symbol, ``H0 - D``; every
+    comparison the engine makes on it narrows the D-range over which the
+    run goes the same way.  The run is cached under (segment or branch
     half, position key of its start with the wall's health masked) with
     that range, its end state and the wall's damage there, so a later
     arrival whose D lies in a recorded range takes the entry with no engine
@@ -563,15 +562,6 @@ class _Skeleton:
                     return old
         return None
 
-    def step(self, state: GameState, steps, offset: int) -> int | None:
-        """Step ``state`` in place; ``offset`` is the flattened-line index
-        of ``steps[0]``."""
-        try:
-            self.nodes += sum(1 for _ in run_script(state, steps))
-        except IllegalAction as exc:
-            raise IllegalAction(exc.reason, step=offset + exc.step) from None
-        return terminal_value(state)
-
     def run(self, k: int, part: str, start: GameState, key: bytes, d: int,
             offset: int) -> _Run:
         """The run of segment ``k`` (``part`` "-") or of a half of branch
@@ -587,7 +577,11 @@ class _Skeleton:
         path = _Path(d)
         self.swap_health(state, _Health(self.h0, -1, path))
         steps = self.segments[k] if part == "-" else self.branches[k][1].steps(part)
-        value = self.step(state, steps, offset)
+        try:
+            self.nodes += sum(1 for _ in run_script(state, steps))
+        except IllegalAction as exc:
+            raise IllegalAction(exc.reason, step=offset + exc.step) from None
+        value = terminal_value(state)
         if value is None and part == "-" and k == len(self.branches):
             value = DRAW
         if value is not None:
@@ -642,19 +636,16 @@ class _Skeleton:
         return best
 
     def solve_line(self) -> SkeletonResult:
-        # The first segment runs once, in place on the start position.
-        state = self.start
-        value = self.step(state, self.segments[0], 0)
+        start = self.start
+        self.swap_health(start, None)
+        first = self.run(0, "-", start, position_key(start), 0, 0)
+        value, chain = first.value, None
+        if value is None:
+            value, chain = self.solve(0, first.key, first.a, first.end, len(self.segments[0]))
         vector: list[str] = []
-        if value is None and not self.branches:
-            value = DRAW
-        elif value is None:
-            health = self.swap_health(state, None)
-            d = 0 if health is None else self.h0 - health
-            value, chain = self.solve(0, position_key(state), d, state, len(self.segments[0]))
-            while chain is not None:
-                choice, chain = chain
-                vector.append(choice)
+        while chain is not None:
+            choice, chain = chain
+            vector.append(choice)
         vector += ["x"] * (self.line.n - len(vector))
         return SkeletonResult(value, tuple(vector), self.nodes, self.hits)
 
@@ -746,13 +737,6 @@ class DeviationReport:
             self.unresolved += 1
 
 
-def _boundary_signature(state: GameState) -> tuple[int, ...]:
-    """Counters that equal positions share and that cost no key to read."""
-    p0, p1 = state.players
-    return (state.removed, p0.deck_pos, p1.deck_pos, len(p0.hand), len(p1.hand),
-            len(p0.board), len(p1.board))
-
-
 def _end_turn_counters(state: GameState, side: int) -> tuple[int, int, int, int]:
     """The counters that ``side`` ending its turn leaves as they are: its
     deck position and hand size, and the size of each board."""
@@ -772,13 +756,12 @@ class _TurnRejoinProbe:
     the size of the reachable in-turn state space.
 
     A child that has ended the turn is compared with the boundary by
-    position key only when its :func:`_boundary_signature` matches the
-    boundary's; equal positions have equal signatures, so this skips no
-    match.  ``_explore`` owns the state it is given: it forks it for every
-    action it tries but the last, which steps that state in place.  A fork
-    shares the minions that an action does not write, so a child costs new
-    state, player and hero objects and two list copies, not a new board.
-    ``analyze`` hands ``_explore`` a fork, leaving its argument as it was.
+    position key.  ``_explore`` owns the state it is given: it forks it for
+    every action it tries but the last, which steps that state in place.  A
+    fork shares the minions that an action does not write, so a child costs
+    new state, player and hero objects and two list copies, not a new
+    board.  ``analyze`` hands ``_explore`` a fork, leaving its argument as
+    it was.
 
     ``EndTurn`` is not tried where its child can neither rejoin nor win
     (:meth:`_end_turn_is_inert`), judged from counters that ending the turn
@@ -791,7 +774,6 @@ class _TurnRejoinProbe:
         self.turn = turn
         self.mover = mover
         self.boundary = None if boundary is None else position_key(boundary)
-        self.signature = None if boundary is None else _boundary_signature(boundary)
         self.counters = None if boundary is None else _end_turn_counters(boundary, mover)
         self.max_nodes = max_nodes
         self.memo: dict[bytes, tuple[bool, bool]] = {}
@@ -820,12 +802,7 @@ class _TurnRejoinProbe:
             won = (tv == WIN and self.mover == 0) or (tv == LOSS and self.mover == 1)
             return False, won
         if state.turn > self.turn:
-            matched = (
-                self.signature is not None
-                and _boundary_signature(state) == self.signature
-                and position_key(state) == self.boundary
-            )
-            return matched, False
+            return position_key(state) == self.boundary, False
         key = position_key(state)
         cached = self.memo.get(key)
         if cached is not None:

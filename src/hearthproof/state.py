@@ -214,13 +214,14 @@ class Event:
 
 
 class EventLog:
-    """Append-only event collector; pass None to the engine to skip logging."""
+    """Append-only event collector; pass None to the engine to skip logging.
+    Each event's ``step`` is its index in the log."""
 
     def __init__(self) -> None:
         self.events: list[Event] = []
 
-    def emit(self, step: int, kind: str, **data: Any) -> None:
-        self.events.append(Event(step, kind, data))
+    def emit(self, kind: str, **data: Any) -> None:
+        self.events.append(Event(len(self.events), kind, data))
 
     def __iter__(self):
         return iter(self.events)
@@ -473,7 +474,6 @@ class GameState:
         "outcome",
         "removed",
         "next_iid",
-        "step",
     )
 
     def __init__(
@@ -485,7 +485,6 @@ class GameState:
         outcome: Outcome = Outcome.ONGOING,
         removed: int = 0,
         next_iid: int = 1,
-        step: int = 0,
     ):
         self.players = players
         self.active = active
@@ -494,7 +493,6 @@ class GameState:
         self.outcome = outcome
         self.removed = removed
         self.next_iid = next_iid
-        self.step = step
 
     def clone(self) -> "GameState":
         """A deep copy: it shares no mutable object with this state."""
@@ -514,18 +512,12 @@ class GameState:
         s.outcome = self.outcome
         s.removed = self.removed
         s.next_iid = self.next_iid
-        s.step = self.step
         return s
 
     def canonical(self) -> tuple:
         """The reference encoding of the position: the nested tuple that
         :func:`position_key` must agree with (``TestPositionKey`` checks that
-        keys are equal exactly when these tuples are).
-
-        Deliberately excludes the event-log cursor (``step``); two states that
-        differ only in how many events were emitted along the way are the same
-        position.
-        """
+        keys are equal exactly when these tuples are)."""
         return (
             self.players[0].canonical(),
             self.players[1].canonical(),
@@ -551,13 +543,13 @@ _OUTCOME_CODES = {outcome: code for code, outcome in enumerate(Outcome)}
 def position_key(state: GameState) -> bytes:
     """Exact, compact in-process key of the position, for search tables.
 
-    Covers the same fields as :meth:`GameState.canonical` (so it ignores
-    ``step``), but names each deck by ``(id(deck), deck_pos)`` instead of
-    spelling out the remaining cards, and each card id and the outcome by a
-    small code.  Decks are interned and never freed, so equal keys always
-    mean equal positions; and since the engine only moves ``deck_pos``,
-    equal positions have equal keys whenever their decks are equal, as for
-    every state reached from one start.
+    Covers the same fields as :meth:`GameState.canonical`, but names each
+    deck by ``(id(deck), deck_pos)`` instead of spelling out the remaining
+    cards, and each card id and the outcome by a small code.  Decks are
+    interned and never freed, so equal keys always mean equal positions;
+    and since the engine only moves ``deck_pos``, equal positions have
+    equal keys whenever their decks are equal, as for every state reached
+    from one start.
 
     The fields go into one flat sequence of ints, bools and None:
 

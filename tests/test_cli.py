@@ -401,6 +401,11 @@ class TestReplay:
                     if kind in item.get("step", {}).get("action", {}))
 
     @staticmethod
+    def _first_branch(obj: dict) -> dict:
+        return next(item["branch"] for turn in obj["turns"]
+                    for item in turn["items"] if "branch" in item)
+
+    @staticmethod
     def _decisions_and_shift(obj: dict) -> None:
         """Every branch's decision number plus 0.9, and a string shift."""
         for turn in obj["turns"]:
@@ -427,13 +432,20 @@ class TestReplay:
         (lambda obj: TestReplay._first_action(obj, "attack")["attacker"].update(
             slot="1"), "not an integer"),
         (lambda obj: TestReplay._optional_no(obj), "not a boolean: 'no'"),
+        (lambda obj: TestReplay._first_branch(obj).update(decision=99),
+         "branch decision 99 is not in 1..4"),
+        (lambda obj: TestReplay._first_branch(obj).update(decision=0),
+         "branch decision 0 is not in 1..4"),
+        (lambda obj: obj.update(decisions=obj["decisions"][:2]), "2 decisions for 4 pairs"),
     ], ids=["decision_and_shift", "shift", "decision_record", "turn_side",
-            "hand_index", "char_ref", "optional_flag"])
+            "hand_index", "char_ref", "optional_flag", "branch_decision_high",
+            "branch_decision_zero", "short_decisions"])
     def test_non_integer_line_numbers_are_input_errors(
             self, compiled_dir, tmp_path, capsys, tamper, message) -> None:
         """A float, a numeric string or a bool in a line file is not
         rounded into the line, nor is a truthy non-boolean ``optional``
-        read as true: the replay exits 2 before any output."""
+        read as true, nor a branch or a decision list that does not match
+        the instance's pairs: the replay exits 2 before any output."""
         obj = json.loads((compiled_dir / "line.json").read_text())
         tamper(obj)
         bad = tmp_path / "bad-line.json"

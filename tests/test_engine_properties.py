@@ -180,7 +180,7 @@ def illegal_probes(state) -> list:
 
 
 def snapshot(state) -> tuple:
-    return state.canonical(), state.step, state.next_iid
+    return state.canonical(), state.next_iid
 
 
 class TestApplyInPlace:
@@ -202,8 +202,8 @@ class TestApplyInPlace:
         return states + line[::5]
 
     def test_matches_apply_and_rejects_without_mutation(self, probed_states) -> None:
-        """Also run without a log: the state, ``step`` included, must come
-        out as with one, and ``step`` must count every logged event."""
+        """Also run without a log: the state must come out as with one.  A
+        fresh log numbers its events from 0, mid-game as at the start."""
         rejected = applied = decided = 0
         for state in probed_states:
             decided += state.outcome is not Outcome.ONGOING
@@ -223,7 +223,6 @@ class TestApplyInPlace:
                 else:
                     assert expected is not None, action
                     assert snapshot(quiet) == snapshot(expected), action
-                    assert quiet.step == state.step + len(pure_log.events), action
                 try:
                     apply_in_place(live, action, live_log)
                 except IllegalAction:
@@ -237,6 +236,8 @@ class TestApplyInPlace:
                     assert [e.to_json_obj() for e in live_log.events] == [
                         e.to_json_obj() for e in pure_log.events
                     ]
+                    assert [e.step for e in live_log.events] == list(
+                        range(len(live_log.events))), action
                     applied += 1
                 assert snapshot(state) == before
         assert rejected > applied > 0

@@ -459,9 +459,9 @@ class TestDeviations:
             worked_compiled.config, worked_compiled.line, WORKED_VECTOR)
         for _, rec, alternative in named_deviations(checker):
             child = apply(rec.state_before, alternative)
-            before = (child.canonical(), child.step, child.next_iid)
+            before = (child.canonical(), child.next_iid)
             checker._rejoin_probe(rec).analyze(child)
-            assert (child.canonical(), child.step, child.next_iid) == before
+            assert (child.canonical(), child.next_iid) == before
 
     def test_single_pair_line_has_no_freeze_probe(self) -> None:
         """A single-pair line opens on the verification turn, which casts

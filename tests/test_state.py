@@ -11,12 +11,13 @@ import pytest
 from conftest import WORKED_PAIRS, WORKED_TARGET
 from hearthproof.cards import card
 from hearthproof.compiler import PartitionInstance, compile_instance
-from hearthproof.engine import apply, legal_actions
+from hearthproof.engine import apply, legal_actions, start_game
 from hearthproof.state import (
     _CARD_CODES,
     Attack,
     ConfigError,
     EndTurn,
+    EventLog,
     GameConfig,
     MinionInstance,
     PlayCard,
@@ -203,10 +204,16 @@ class TestPositionKey:
             assert len(canon_of) == len(key_of) < 40 * 60
 
     def test_key_ignores_event_cursor(self) -> None:
-        base = GameConfig.from_json_obj(micro_config_obj()).to_state()
-        shifted = base.clone()
-        shifted.step += 17
-        assert position_key(base) == position_key(shifted)
+        """The event cursor lives in the log: a walk logged from the start
+        keeps the keys of the same walk run without a log."""
+        config = GameConfig.from_json_obj(micro_config_obj())
+        log = EventLog()
+        quiet, logged = start_game(config), start_game(config, log)
+        while legal_actions(quiet):
+            action = legal_actions(quiet)[0]
+            quiet, logged = apply(quiet, action), apply(logged, action, log)
+            assert position_key(quiet) == position_key(logged)
+        assert len(log) > 1
 
     def test_key_sees_turn_limit(self) -> None:
         base = GameConfig.from_json_obj(micro_config_obj()).to_state()
