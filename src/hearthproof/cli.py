@@ -53,6 +53,7 @@ from .state import (
     IllegalAction,
     SnapshotMemo,
     action_to_json_obj,
+    event_json,
     snapshot_json,
 )
 
@@ -276,16 +277,15 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
 
     log = EventLog()
     cursor = 0
+    memo = SnapshotMemo()
 
     def flush() -> None:
         nonlocal cursor
         while cursor < len(log.events):
-            print(json.dumps(log.events[cursor].to_json_obj()))
+            print(event_json(log.events[cursor], memo))
             cursor += 1
 
-    memo = SnapshotMemo()
-
-    def on_step(index: int, flat, state) -> None:
+    def on_step(index: int, step, state) -> None:
         flush()
         if args.trace:
             print(snapshot_json(state, index, memo))

@@ -375,8 +375,6 @@ class FlatStep:
     optional: bool
     turn: int
     side: int
-    decision: Decision | None = None  # set on the first step of a branch
-    chosen: str | None = None
 
 
 # Writers of ``json.dumps(..., indent=2, sort_keys=True)`` text from parts
@@ -420,25 +418,26 @@ class ScriptedLine:
     def decision_for(self, index: int) -> Decision:
         return self.decisions[index - 1]
 
-    def flatten(self, vector: tuple[str, ...]) -> list[FlatStep]:
+    def check_vector(self, vector: tuple[str, ...]) -> None:
+        """Raise ``ValueError`` unless ``vector`` holds one ``x``/``y``
+        choice per pair."""
         if len(vector) != self.n:
             raise ValueError(f"vector must have {self.n} entries")
+        for choice in vector:
+            if choice not in ("x", "y"):
+                raise ValueError(f"choice must be 'x' or 'y', got {choice!r}")
+
+    def flatten(self, vector: tuple[str, ...]) -> list[FlatStep]:
+        """The steps of the line under ``vector``, in order, each with its
+        turn and side."""
+        self.check_vector(vector)
         out: list[FlatStep] = []
         for turn in self.turns:
             for item in turn.items:
-                if isinstance(item, Branch):
-                    choice = vector[item.decision - 1]
-                    meta = self.decision_for(item.decision)
-                    for k, step in enumerate(item.steps(choice)):
-                        out.append(
-                            FlatStep(
-                                step.action, step.optional, turn.turn, turn.side,
-                                decision=meta if k == 0 else None,
-                                chosen=choice if k == 0 else None,
-                            )
-                        )
-                else:
-                    out.append(FlatStep(item.action, item.optional, turn.turn, turn.side))
+                steps = (item.steps(vector[item.decision - 1])
+                         if isinstance(item, Branch) else (item,))
+                out.extend(FlatStep(s.action, s.optional, turn.turn, turn.side)
+                           for s in steps)
         return out
 
     def _head_obj(self) -> dict:
@@ -502,10 +501,19 @@ class ScriptedLine:
         )
         if len(line.decisions) != line.n:
             raise InstanceError(f"{len(line.decisions)} decisions for {line.n} pairs")
+        branched: set[int] = set()
         for turn in line.turns:
             for item in turn.items:
-                if isinstance(item, Branch) and not 1 <= item.decision <= line.n:
+                if not isinstance(item, Branch):
+                    continue
+                if not 1 <= item.decision <= line.n:
                     raise InstanceError(f"branch decision {item.decision} is not in 1..{line.n}")
+                if item.decision in branched:
+                    raise InstanceError(f"branch decision {item.decision} repeats")
+                branched.add(item.decision)
+        if len(branched) != line.n:
+            missing = min(set(range(1, line.n + 1)) - branched)
+            raise InstanceError(f"no branch for decision {missing}")
         return line
 
     @staticmethod
@@ -1005,43 +1013,59 @@ def run_line(
     line: ScriptedLine,
     vector: tuple[str, ...],
     log: EventLog | None = None,
-    on_step: Callable[[int, FlatStep, GameState], None] | None = None,
+    on_step: Callable[[int, ScriptStep, GameState], None] | None = None,
 ) -> GameState:
     """Replay the line under a full choice vector with ``engine.run_script``.
 
-    An illegal optional step is skipped and logged as a ``skip`` event; a
-    decided outcome truncates the remainder.  Branch entry emits a
-    ``decision`` event carrying the pair's values and carrier stats.
-    ``on_step`` is called after every attempted step (applied or skipped)
-    with the flattened step index and the resulting state.  The line runs
-    in place on one state, so that state is live: later steps change it,
-    and a callback that keeps it must keep a copy.  A ``fork()`` will do
-    for a copy it only reads; one it writes directly needs a ``clone()``.
+    The line's turns are walked as ``run_script`` pulls their steps, and it
+    is handed the line's own shared ``ScriptStep`` objects; nothing is
+    flattened.  Steps are numbered along the flattened line all the same,
+    as :meth:`ScriptedLine.flatten` lists them, in ``on_step`` and in the
+    ``IllegalAction`` a required illegal step raises.  An illegal optional
+    step is skipped and logged as a ``skip`` event with its turn; a decided
+    outcome truncates the remainder.  When a branch half's first step is
+    pulled, a ``decision`` event carrying the pair's values and carrier
+    stats is logged.  ``on_step`` is called after every attempted step
+    (applied or skipped) with the step's index, the scripted step and the
+    resulting state.  The line runs in place on one state, so that state
+    is live: later steps change it, and a callback that keeps it must keep
+    a copy.  A ``fork()`` will do for a copy it only reads; one it writes
+    directly needs a ``clone()``.
     """
+    line.check_vector(vector)
     state = start_game(config, log)
-    flat_steps = line.flatten(vector)
+    turn = 0
 
     def pulled():
         # ``run_script`` pulls a step only while the game is undecided, so
-        # only a branch the line reaches logs its decision.
-        for flat in flat_steps:
-            d = flat.decision
-            if d is not None and log is not None:
-                log.emit(
-                    "decision",
-                    decision=d.index, turn=d.turn, chosen=flat.chosen,
-                    x_value=d.x_value, y_value=d.y_value,
-                    x_attack=d.x_attack, y_attack=d.y_attack,
-                    destroyed_at=d.y_destroyed if flat.chosen == "x" else d.x_destroyed,
-                )
-            yield flat
+        # only a branch the line reaches logs its decision, and ``turn`` is
+        # the turn of the step it pulled last.
+        nonlocal turn
+        for script in line.turns:
+            turn = script.turn
+            for item in script.items:
+                if not isinstance(item, Branch):
+                    yield item
+                    continue
+                chosen = vector[item.decision - 1]
+                steps = item.steps(chosen)
+                if steps and log is not None:
+                    d = line.decision_for(item.decision)
+                    log.emit(
+                        "decision",
+                        decision=d.index, turn=d.turn, chosen=chosen,
+                        x_value=d.x_value, y_value=d.y_value,
+                        x_attack=d.x_attack, y_attack=d.y_attack,
+                        destroyed_at=d.y_destroyed if chosen == "x" else d.x_destroyed,
+                    )
+                yield from steps
 
-    for index, flat, skipped in run_script(state, pulled(), log):
+    for index, step, skipped in run_script(state, pulled(), log):
         if skipped is not None and log is not None:
-            log.emit("skip", turn=flat.turn, reason=skipped,
-                     action=action_to_json_obj(flat.action))
+            log.emit("skip", turn=turn, reason=skipped,
+                     action=action_to_json_obj(step.action))
         if on_step is not None:
-            on_step(index, flat, state)
+            on_step(index, step, state)
     return state
 
 

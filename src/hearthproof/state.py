@@ -199,8 +199,7 @@ class ScriptStep:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One resolution step in the event log."""
 
     step: int
@@ -835,12 +834,30 @@ def state_to_json_obj(state: GameState) -> dict:
 
 @dataclass
 class SnapshotMemo:
-    """The texts :func:`snapshot_json` has written during one replay, one
-    table per part, each keyed on the fields its part prints."""
+    """The texts :func:`snapshot_json` and :func:`event_json` have written
+    during one replay, one table per part, each keyed on the fields its part
+    prints."""
 
     minions: dict[tuple, str] = field(default_factory=dict)
     heroes: dict[tuple, str] = field(default_factory=dict)
     hands: dict[tuple[str, ...], str] = field(default_factory=dict)
+    events: dict[tuple[str, str], str] = field(default_factory=dict)
+
+
+def event_json(event: Event, memo: SnapshotMemo) -> str:
+    """The replay line of ``event``: exactly ``json.dumps(event.to_json_obj())``.
+
+    A replay logs thousands of events but only a few hundred distinct
+    payloads, so everything after the step number is encoded once per
+    replay and kept in ``memo``.  The key is the kind and ``repr`` of the
+    payload, which is exact for the ints, strings, bools, None and nested
+    dicts of them that the engine logs; no payload has a ``step`` key.
+    """
+    key = (event.kind, repr(event.data))
+    text = memo.events.get(key)
+    if text is None:
+        text = memo.events[key] = json.dumps({"kind": event.kind, **event.data})[1:]
+    return f'{{"step": {event.step}, {text}'
 
 
 def snapshot_json(state: GameState, step_index: int, memo: SnapshotMemo) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -12,7 +13,7 @@ from hearthproof import cli, compiler, solver
 from hearthproof.cards import database_to_json
 from hearthproof.cli import main
 from hearthproof.solver import skeleton_solve
-from hearthproof.state import GameConfig
+from hearthproof.state import EventLog, GameConfig
 from micro_positions import micro_positions
 
 WORKED = {"pairs": [[1, 2], [4, 3], [5, 6], [8, 8]], "target": 18}
@@ -84,6 +85,30 @@ class TestCompile:
         assert len(out) == 506_576
         assert sha256(out) == (
             "fdcefc330c12f6005ddaadb8928879ec56d7b7609c080176f31008649846e1f6")
+
+    def test_skip_trace_is_pinned(self, tmp_path, capsys) -> None:
+        """The one-pair line whose weapon swing the surviving wall blocks:
+        its trace carries a ``skip`` event, the only payload with a nested
+        action object."""
+        def sha256(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"pairs": [[1, 2]], "target": 2}))
+        out = tmp_path / "one"
+        assert main(["compile", str(path), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert sha256((out / "config.json").read_bytes()) == (
+            "1644625ff92167e6ea2cc87b1df80b2627d737fae59032964215ebb6b249bad3")
+        assert sha256((out / "line.json").read_bytes()) == (
+            "a1fa26a2f2b988cbf2652a83eed7bfa01bab5509bf527d22ad1c7a660a020c6d")
+        assert main(["replay", str(out / "config.json"), str(out / "line.json"),
+                     "--choices", "x", "--trace"]) == 0
+        text = capsys.readouterr().out
+        assert sum(json.loads(l).get("kind") == "skip" for l in text.splitlines()) == 1
+        assert len(text.encode("utf-8")) == 91_827
+        assert sha256(text.encode("utf-8")) == (
+            "f8432fbb0605e0a6c4286c0651f2992b772d803aea916bcfbea67ca84eaef7e7")
 
     def test_too_small_turn_limit_is_infeasible(self, instance_file, tmp_path,
                                                 capsys) -> None:
@@ -344,6 +369,34 @@ class TestReplay:
         assert digest.hexdigest() == (
             "65060d8010707ee2206ac3a5566941fae5a0998670b5db57454dd487b04c23a4")
 
+    def test_event_lines_are_exact(self, tmp_path, capsys) -> None:
+        """``replay`` encodes each distinct event payload once; every event
+        line must still be ``json.dumps`` of the event, also where a payload
+        recurs at a later step.  All choice strings of three small
+        instances, one with a ``skip`` event."""
+        repeats = skips = 0
+        for k, (pairs, target) in enumerate([
+                ([[1, 2]], 2), ([[0, 3], [2, 2]], 2), ([[5, 1], [7, 2], [3, 3]], 9)]):
+            path = tmp_path / f"small-{k}.json"
+            path.write_text(json.dumps({"pairs": pairs, "target": target}))
+            out = tmp_path / f"small-{k}"
+            assert main(["compile", str(path), "--out-dir", str(out)]) == 0
+            config = GameConfig.from_json((out / "config.json").read_text())
+            line = compiler.ScriptedLine.from_json((out / "line.json").read_text())
+            for vector in itertools.product("xy", repeat=len(pairs)):
+                capsys.readouterr()
+                assert main(["replay", str(out / "config.json"), str(out / "line.json"),
+                             "--choices", "".join(vector)]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                log = EventLog()
+                compiler.run_line(config, line, vector, log)
+                assert lines[1:-1] == [json.dumps(e.to_json_obj()) for e in log]
+                payloads = {json.dumps([e.kind, e.data]) for e in log}
+                repeats += len(log) - len(payloads)
+                skips += sum(e.kind == "skip" for e in log)
+        assert repeats > 0
+        assert skips > 0
+
     def test_losing_choices_still_stream(self, compiled_dir, capsys) -> None:
         # xxyx sums to 19, missing the target of 18.
         code = main(["replay", str(compiled_dir / "config.json"),
@@ -406,6 +459,15 @@ class TestReplay:
                     for item in turn["items"] if "branch" in item)
 
     @staticmethod
+    def _drop_first_branch(obj: dict) -> None:
+        """The first branch item deleted from its turn."""
+        for turn in obj["turns"]:
+            for k, item in enumerate(turn["items"]):
+                if "branch" in item:
+                    del turn["items"][k]
+                    return
+
+    @staticmethod
     def _decisions_and_shift(obj: dict) -> None:
         """Every branch's decision number plus 0.9, and a string shift."""
         for turn in obj["turns"]:
@@ -437,15 +499,19 @@ class TestReplay:
         (lambda obj: TestReplay._first_branch(obj).update(decision=0),
          "branch decision 0 is not in 1..4"),
         (lambda obj: obj.update(decisions=obj["decisions"][:2]), "2 decisions for 4 pairs"),
+        (lambda obj: TestReplay._first_branch(obj).update(decision=2),
+         "branch decision 2 repeats"),
+        (lambda obj: TestReplay._drop_first_branch(obj), "no branch for decision 1"),
     ], ids=["decision_and_shift", "shift", "decision_record", "turn_side",
             "hand_index", "char_ref", "optional_flag", "branch_decision_high",
-            "branch_decision_zero", "short_decisions"])
+            "branch_decision_zero", "short_decisions", "branch_decision_repeated",
+            "branch_decision_missing"])
     def test_non_integer_line_numbers_are_input_errors(
             self, compiled_dir, tmp_path, capsys, tamper, message) -> None:
         """A float, a numeric string or a bool in a line file is not
         rounded into the line, nor is a truthy non-boolean ``optional``
-        read as true, nor a branch or a decision list that does not match
-        the instance's pairs: the replay exits 2 before any output."""
+        read as true, nor branches or a decision list that do not match the
+        instance's pairs one to one: the replay exits 2 before any output."""
         obj = json.loads((compiled_dir / "line.json").read_text())
         tamper(obj)
         bad = tmp_path / "bad-line.json"

@@ -51,7 +51,8 @@ from hearthproof.compiler import (
 )
 from hearthproof.engine import apply
 from hearthproof.state import (
-    EventLog, GameConfig, MinionInstance, Outcome, PlayCard, hero_ref, minion_ref)
+    EventLog, GameConfig, MinionInstance, Outcome, PlayCard, ScriptStep, hero_ref,
+    minion_ref)
 
 
 class TestInstance:
@@ -557,18 +558,28 @@ class TestRunLine:
         assert [e.data["destroyed_at"] for e in decisions] == [20, 40, 50, 80]
 
     def test_on_step_sees_every_step(self, worked_compiled) -> None:
-        seen: list[int] = []
+        """``on_step`` sees the flattened line's steps in order, as the
+        line's scripted ``ScriptStep`` objects."""
+        seen: list[tuple[int, ScriptStep]] = []
         run_line(worked_compiled.config, worked_compiled.line, WORKED_VECTOR,
-                 on_step=lambda index, flat, state: seen.append(index))
+                 on_step=lambda index, step, state: seen.append((index, step)))
         flat = worked_compiled.line.flatten(WORKED_VECTOR)
-        assert seen == sorted(seen)
-        assert seen[0] == 0
+        assert [index for index, _ in seen] == list(range(len(seen)))
         # The outcome locks on the final scripted blow, truncating the tail.
         assert len(seen) <= len(flat)
+        assert [step for _, step in seen] == [
+            ScriptStep(f.action, f.optional) for f in flat[:len(seen)]]
+        assert all(type(step) is ScriptStep for _, step in seen)
 
     def test_vector_length_checked(self, worked_compiled) -> None:
         with pytest.raises(ValueError):
             worked_compiled.line.flatten(("x",))
+        with pytest.raises(ValueError, match="vector must have 4 entries"):
+            run_line(worked_compiled.config, worked_compiled.line, ("x",))
+        log = EventLog()
+        with pytest.raises(ValueError, match="choice must be 'x' or 'y', got 'z'"):
+            run_line(worked_compiled.config, worked_compiled.line, ("x", "y", "z", "x"), log)
+        assert len(log) == 0  # checked before the game starts
 
 
 class TestChosenSum:
