@@ -20,30 +20,31 @@ Layout produced (player 0 moves first and owns the odd turns):
   that hit exactly when the chosen values sum to T, freeing the way for a
   weapon swing at the 1-health enemy hero.
 
-The weave lays each side's deck in the one pass that schedules its turns:
-every card it plays goes through one step that pays the card's mana, takes
-it out of the counted hand, appends it to the deck and adds what it draws.  A
-deck so lists the cards its turns play in the order they play them (a
-branch's pair cards first, since both must be in hand when it opens), padded
-with cheap weapons up to the number of cards the side draws.  Each spell cast
-feeds one replacement draw through the caster's draw engine, extra mana
-arrives as just-in-time mana-burst spells, and surplus draws are drained by
-re-equipping cheap weapons.  The weave counts hand cards but does not track
-which they are; only the engine does, so emission replays both halves of
-every branch and fails when a card is not in hand at its step, or when the
-halves leave different decks or hands.  The emitter builds one ``ScriptStep``
-object per distinct step and reuses it wherever the step recurs.
+The emitter plays the turn plans through the engine and lays each side's
+deck as it goes.  The decks start unlaid: each draw takes the next deck
+slot, and when the line plays a card that is not in hand, the oldest drawn
+slot not yet laid is laid with it.  A deck so lists the cards its turns play
+in the order they first need them (a branch's pair cards as it opens, since
+both halves need them), padded with cheap weapons up to the number of cards
+the side draws.  Each spell cast feeds one replacement draw through the
+caster's draw engine, extra mana arrives as just-in-time mana-burst spells
+while the live mana is short of a card's cost, and surplus draws are drained
+by re-equipping cheap weapons while the hand holds four or more cards.  A
+branch's y half lays no slot: it must find its cards among those its x half
+laid, and both halves must leave the same position.  The emitter builds one
+``ScriptStep`` object per distinct step and reuses it wherever the step
+recurs.
 """
 from __future__ import annotations
 
 import json
-from collections import Counter
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal
 
 from . import cards as C
-from .cards import CardKind, EffectTag, Tribe, card
-from .engine import apply_in_place, run_script, start_game
+from .cards import card
+from .engine import apply_in_place, begin_game, run_script, start_game
 from .state import (
     Action,
     Attack,
@@ -63,7 +64,6 @@ from .state import (
     minion_ref,
     DEFAULT_TURN_LIMIT,
     FORMAT_VERSION,
-    MAX_MANA,
 )
 
 # Bound once: the emitter tests it before every step, and an
@@ -543,19 +543,12 @@ _F_TAUNT = minion_ref(0, 4)
 class _Cast:
     card: str
     target: CharRef | None = None
-    # The card's conditional draw fires: a mark on a beast, a ping that kills.
-    draw_fires: bool = False
 
 
 @dataclass
 class _Summon:
     card: str
     position: int
-
-
-@dataclass
-class _Equip:
-    card: str = C.LIGHTS_JUSTICE
 
 
 @dataclass
@@ -577,29 +570,14 @@ class _Window:
     decision: int
     x_entries: list = field(default_factory=list)
     y_entries: list = field(default_factory=list)
-    pair_cards: tuple[str, ...] = ()  # drawn up-front, consumed by either branch
+    pair_cards: tuple[str, ...] = ()  # laid as the branch opens, played by either half
 
 
-_PlanEntry = _Cast | _Summon | _Equip | _Att | _End | _Window
+_PlanEntry = _Cast | _Summon | _Att | _End | _Window
 
 
-def _entry_draws(entry: _PlanEntry) -> int:
-    """Cards the acting player draws while resolving this entry.
-
-    Every spell feeds one draw through the caster's draw engine (each side
-    keeps exactly one alive for the whole line); card effects add the rest.
-    """
-    if isinstance(entry, _Cast):
-        if card(entry.card).effect is EffectTag.DRAW_TWO:
-            return 3
-        return 2 if entry.draw_fires else 1
-    if isinstance(entry, _Summon):
-        return 1 if card(entry.card).effect is EffectTag.BATTLECRY_DRAW_ONE else 0
-    return 0
-
-
-def _buff_entries(cards: tuple[str, ...], target: CharRef, beast: bool) -> list[_PlanEntry]:
-    return [_Cast(cid, target, beast and cid == C.MARK_OF_YSHAARJ) for cid in cards]
+def _buff_entries(cards: tuple[str, ...], target: CharRef) -> list[_PlanEntry]:
+    return [_Cast(cid, target) for cid in cards]
 
 
 def _plan_odd_turn(
@@ -610,7 +588,7 @@ def _plan_odd_turn(
     if i >= 3:
         entries += _plan_steal_back()
     entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.FLOATING_WATCHER, 5)]
-    entries += _buff_entries(synthesize_demon_buffs(x).cards, _F_CARRY, beast=False)
+    entries += _buff_entries(synthesize_demon_buffs(x).cards, _F_CARRY)
     entries.append(_Cast(C.ARCANE_INTELLECT))  # stocks the branch pair
 
     # Both carriers share the board inside the branch; the unchosen one is
@@ -618,12 +596,12 @@ def _plan_odd_turn(
     # cards at the same costs in the same order, so mana and draws align.
     x_entries: list[_PlanEntry] = [_Cast(C.CHARGE, _F_CARRY)]
     x_entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 6)]
-    x_entries += _buff_entries(synthesize_beast_buffs(y, "blessed").cards, _F_SECOND, beast=True)
+    x_entries += _buff_entries(synthesize_beast_buffs(y, "blessed").cards, _F_SECOND)
     x_entries += [_Cast(C.SHADOW_WORD_DEATH, _F_SECOND), _Att(_F_CARRY, _E_LEPER)]
 
     y_entries: list[_PlanEntry] = [_Cast(C.SHADOW_WORD_DEATH, _F_CARRY)]
     y_entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 5)]
-    y_entries += _buff_entries(synthesize_beast_buffs(y, "blessed").cards, _F_CARRY, beast=True)
+    y_entries += _buff_entries(synthesize_beast_buffs(y, "blessed").cards, _F_CARRY)
     y_entries += [_Cast(C.CHARGE, _F_CARRY), _Att(_F_CARRY, _E_LEPER)]
 
     window = _Window(
@@ -656,7 +634,7 @@ def _plan_steal_back() -> list[_PlanEntry]:
         _Cast(C.CHARGE, _F_CARRY),
         _Att(_F_CARRY, _E_LEPER),
         _Summon(C.NOVICE_ENGINEER, 5),
-        _Cast(C.MORTAL_COIL, _F_CARRY, draw_fires=True),
+        _Cast(C.MORTAL_COIL, _F_CARRY),
     ]
 
 
@@ -676,11 +654,11 @@ def _plan_even_turn(i: int, n: int, x: int, y: int) -> list[_PlanEntry]:
     """Enemy turn i: finish the staged demon to 10x, stage the beast to 10y,
     destroy one of the two, park the survivor on the stage slot."""
     entries: list[_PlanEntry] = [_Cast(C.DEMONFUSE, _F_CARRY)]
-    entries += _buff_entries(synthesize_demon_buffs(x).cards[2:], _F_CARRY, beast=False)
+    entries += _buff_entries(synthesize_demon_buffs(x).cards[2:], _F_CARRY)
     entries += [_Cast(C.MORTAL_COIL, _F_CARRY)] * 6
     entries.append(_Cast(C.MIND_CONTROL, _F_CARRY))
     entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 5)]
-    entries += _buff_entries(synthesize_beast_buffs(y, "backstab").cards, _E_STAGE1, beast=True)
+    entries += _buff_entries(synthesize_beast_buffs(y, "backstab").cards, _E_STAGE1)
     window = _Window(
         decision=i,
         x_entries=[_Cast(C.SHADOW_WORD_DEATH, _E_STAGE1)],  # keep the demon (x)
@@ -726,103 +704,6 @@ def build_turn_plans(shifted: PartitionInstance) -> list[tuple[int, int, list[_P
 
 
 # ---------------------------------------------------------------------------
-# Phase 1b: weaving (mana bursts, weapon-equip drains and decks)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _WeaveState:
-    mana: int
-    hand: int  # drawn-but-unplayed card count (model)
-    draws: int = 0  # cards drawn so far, along the x half of each window
-    deck: list[str] = field(default_factory=list)  # cards played, in deck order
-
-
-def _weave_entries(
-    entries: list[_PlanEntry], st: _WeaveState, turn: int
-) -> list[_PlanEntry]:
-    """Insert mana bursts before under-funded plays and weapon-equip drains
-    to keep the modelled hand small, and lay the deck the turn plays from.
-    Mutates ``st`` to the exit state."""
-    out: list[_PlanEntry] = []
-
-    def take(entry: _Cast | _Summon | _Equip) -> None:
-        """Play the entry's card: pay its mana, take it out of the counted
-        hand, list it next in the deck and count what it draws."""
-        st.mana -= card(entry.card).cost
-        st.deck.append(entry.card)
-        drawn = _entry_draws(entry)
-        st.hand += drawn - 1
-        st.draws += drawn
-        if st.hand < 0:
-            raise ScheduleInfeasible("hand flow underrun", turn=turn)
-        out.append(entry)
-
-    def burst_to(cost: int) -> None:
-        while st.mana < cost:
-            before = st.mana
-            take(_Cast(C.INNERVATE))
-            st.mana = min(st.mana + 2, MAX_MANA)
-            if st.mana == before:
-                raise ScheduleInfeasible(
-                    f"cannot fund cost {cost} at mana cap", turn=turn
-                )
-
-    for entry in entries:
-        if isinstance(entry, _Window):
-            x_state = _WeaveState(st.mana, st.hand, st.draws)
-            wx = _weave_entries(entry.x_entries, x_state, turn)
-            y_state = _WeaveState(st.mana, st.hand)
-            wy = _weave_entries(entry.y_entries, y_state, turn)
-            if (x_state.mana, x_state.hand) != (y_state.mana, y_state.hand):
-                raise ScheduleInfeasible(
-                    "branch halves diverge in mana or hand flow", turn=turn
-                )
-            out.append(_Window(entry.decision, wx, wy, entry.pair_cards))
-            # Both halves need the pair cards in hand as the branch opens;
-            # the rest of the window is drawn as the x half plays it.
-            pair = Counter(entry.pair_cards)
-            st.deck += entry.pair_cards
-            for cid in x_state.deck:
-                if pair[cid] > 0:
-                    pair[cid] -= 1
-                else:
-                    st.deck.append(cid)
-            st.mana, st.hand, st.draws = x_state.mana, x_state.hand, x_state.draws
-        elif isinstance(entry, (_Att, _End)):
-            out.append(entry)
-        else:
-            burst_to(card(entry.card).cost)
-            take(entry)
-            while st.hand >= 4:
-                burst_to(card(C.LIGHTS_JUSTICE).cost)
-                take(_Equip())
-    return out
-
-
-class WovenPlans(list):
-    """Woven ``(turn, side, entries)``; ``decks[side]`` is that side's deck:
-    the cards its turns play, in the order they play them, padded with
-    Light's Justice up to the number of cards the side draws."""
-
-    decks: dict[int, list[str]]
-
-
-def weave_plans(plans: list[tuple[int, int, list[_PlanEntry]]]) -> WovenPlans:
-    states = {0: _WeaveState(MAX_MANA, 0), 1: _WeaveState(MAX_MANA, 0)}
-    woven = WovenPlans()
-    for turn, side, entries in plans:
-        st = states[side]
-        st.mana, st.hand, st.draws = MAX_MANA, st.hand + 1, st.draws + 1  # +1 start draw
-        woven.append((turn, side, _weave_entries(entries, st, turn)))
-    woven.decks = {
-        side: st.deck + [C.LIGHTS_JUSTICE] * (st.draws - len(st.deck))
-        for side, st in states.items()
-    }
-    return woven
-
-
-# ---------------------------------------------------------------------------
 # Configuration assembly
 # ---------------------------------------------------------------------------
 
@@ -840,13 +721,13 @@ def _board_entry(cid: str, attack=None, health=None, max_health=None, flags=()) 
     return entry
 
 
-def build_config(
+def _setup(
     shifted: PartitionInstance,
     friendly_deck: list[str],
     enemy_deck: list[str],
     turn_limit: int,
-) -> GameConfig:
-    """Validated and wrapped as built: no caller holds the dict to copy it from."""
+) -> dict:
+    """The configuration object, not yet validated."""
     big = big_attack(shifted.max_value)
     hp = leper_health(shifted.target, shifted.n)
 
@@ -867,7 +748,7 @@ def build_config(
         _board_entry(C.WEE_SPELLSTOPPER),
         _board_entry(C.GADGETZAN_AUCTIONEER),
     ]
-    obj = {
+    return {
         "formatVersion": FORMAT_VERSION,
         "players": [
             {"hero": hero(), "deck": list(friendly_deck), "hand": [], "board": friendly_board},
@@ -877,6 +758,16 @@ def build_config(
         "turn": 1,
         "turnLimit": turn_limit,
     }
+
+
+def build_config(
+    shifted: PartitionInstance,
+    friendly_deck: list[str],
+    enemy_deck: list[str],
+    turn_limit: int,
+) -> GameConfig:
+    """Validated and wrapped as built: no caller holds the dict to copy it from."""
+    obj = _setup(shifted, friendly_deck, enemy_deck, turn_limit)
     _validate_config(obj)
     return GameConfig(obj)
 
@@ -885,19 +776,39 @@ def build_config(
 # Phase 2: engine-driven script emission
 # ---------------------------------------------------------------------------
 
+# Both decks while the emitter plays: draw k takes slot k, which enters the
+# hand as the number k and holds it until a card is laid in that slot.
+_SLOTS = range(sys.maxsize)
+
 
 class _Emitter:
-    """Replays the woven plan through the real engine, producing concrete
-    actions with live hand indices and checking every move is legal.
+    """Plays the turn plans through the real engine, producing concrete
+    actions with live hand indices, checking every move is legal and laying
+    both decks as it goes.
+
+    The start state's decks are not laid yet: each draw takes the next slot
+    (see ``_SLOTS``).  When the main chain (every step outside a branch,
+    and each branch's x half) plays a card not in hand, the oldest unlaid
+    slot in hand is laid with it; the hand keeps cards in draw order,
+    so slots are laid first in, first out, and a deck lists its cards in
+    the order they are laid.  A branch lays its pair cards as it opens, so
+    both halves find them in hand.  The y half may not lay a slot: it runs
+    on a fork after the x half, and the game goes on from the x half, which
+    has already decided every slot it draws.  So the y half finds its cards
+    only among those the x half laid, and fails where one is missing.  Mana
+    bursts (Innervates) go in while the mover's live mana is short of a
+    card's cost, and after each planned card, Light's Justice equips go in
+    while the mover holds four or more cards.  A slot drawn but never laid
+    holds Light's Justice in the final deck (``decks``).
 
     ``compile_instance`` inflates the accumulator's hit points on the start
-    state (the turn start that ``start_game`` runs does not read them).
-    Hand, mana, deck and board choreography do not depend on the
+    state (the turn start that ``engine.begin_game`` runs does not read
+    them).  Hand, mana, deck and board choreography do not depend on the
     accumulator's exact health, and the inflated accumulator survives every
     delivery, so every pair turn and both halves of every branch are run.
     It then blocks the final weapon swing, and the punishment turn decides
     the emitter's game (``enemy_wins``) before its last steps, which
-    ``_step`` records without applying them.  That is why it keeps its own
+    ``_apply`` records without applying them.  That is why it keeps its own
     loop: ``engine.run_script`` stops at a decided outcome.
 
     A line repeats about twenty distinct steps hundreds of times, so each
@@ -906,24 +817,47 @@ class _Emitter:
     """
 
     def __init__(self, config: GameConfig):
-        self.state = start_game(config)
+        state = config.to_state()
+        for p in state.players:
+            p.deck = _SLOTS  # never keyed, so it need not be interned
+        begin_game(state, None)
+        self.state = state
+        self.laid: tuple[dict[int, str], dict[int, str]] = ({}, {})
         self._steps: dict[tuple, ScriptStep] = {}
 
-    def _step(self, state: GameState, entry: _PlanEntry, turn: int, k: int) -> ScriptStep:
-        """Apply the entry's step, step ``k`` of its turn, to ``state`` in
-        place and return it."""
-        if isinstance(entry, _Att):
-            key = Attack, (entry.attacker, entry.defender), entry.optional
-        elif isinstance(entry, _End):
-            key = EndTurn, (), False
-        else:
-            cid = entry.card
-            try:
-                slot = state.players[state.active].hand.index(cid)
-            except ValueError:
-                raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k) from None
-            args = slot, getattr(entry, "target", None), getattr(entry, "position", None)
-            key = PlayCard, args, False
+    def decks(self) -> list[list[str]]:
+        """Each side's deck: its laid cards, padded with Light's Justice up
+        to the slots it drew."""
+        return [[laid.get(slot, C.LIGHTS_JUSTICE) for slot in range(p.deck_pos)]
+                for laid, p in zip(self.laid, self.state.players)]
+
+    def _lay(self, state: GameState, cid: str, turn: int, k: int) -> int:
+        """Lay ``cid`` in the oldest unlaid slot of the mover's hand and
+        return that slot's hand index."""
+        hand = state.players[state.active].hand
+        for index, held in enumerate(hand):
+            if held.__class__ is int:
+                self.laid[state.active][held] = hand[index] = cid
+                return index
+        raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k)
+
+    def _hand_index(self, state: GameState, cid: str, lays: bool, turn: int, k: int) -> int:
+        """Where the mover holds ``cid``; failing that, the main chain
+        (``lays``) lays it."""
+        hand = state.players[state.active].hand
+        if not lays:
+            # Slots the x half laid after the fork reach this half as numbers.
+            laid = self.laid[state.active]
+            hand[:] = [laid.get(held, held) for held in hand]
+        if cid in hand:
+            return hand.index(cid)
+        if lays:
+            return self._lay(state, cid, turn, k)
+        raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k)
+
+    def _apply(self, state: GameState, key: tuple, turn: int, k: int) -> ScriptStep:
+        """Apply the step ``key`` names, step ``k`` of its turn, to ``state``
+        in place and return it."""
         step = self._steps.get(key)
         if step is None:
             kind, args, optional = key
@@ -939,33 +873,61 @@ class _Emitter:
         return step
 
     def _run_entries(
-        self, state: GameState, entries: list[_PlanEntry], turn: int, k: int = 0
-    ) -> tuple[ScriptStep, ...]:
-        """A branch half's steps, applied to ``state`` in place; the first is
-        step ``k`` of its turn."""
-        return tuple(self._step(state, entry, turn, k + i) for i, entry in enumerate(entries))
+        self, state: GameState, entries: list[_PlanEntry], turn: int, k: int, lays: bool
+    ) -> list[TurnItem]:
+        """The items of a run of entries, applied to ``state`` in place; the
+        first step is step ``k`` of its turn, and a branch's steps count
+        along its x half.  ``lays`` is False for a y half."""
+        items: list[TurnItem] = []
+
+        def step(key: tuple) -> None:
+            nonlocal k
+            items.append(self._apply(state, key, turn, k))
+            k += 1
+
+        def play(cid: str, target: CharRef | None = None, position: int | None = None) -> None:
+            # Not recursive for the Innervates: a closure that calls itself
+            # is a reference cycle, which only the cyclic GC frees.
+            cost = card(cid).cost
+            hero = state.players[state.active].hero
+            while hero.mana < cost:
+                before = hero.mana
+                step((PlayCard, (self._hand_index(state, C.INNERVATE, lays, turn, k), None, None),
+                      False))
+                if hero.mana == before:
+                    raise ScheduleInfeasible(
+                        f"cannot fund cost {cost} at mana cap", turn=turn, step=k
+                    )
+            step((PlayCard, (self._hand_index(state, cid, lays, turn, k), target, position), False))
+
+        for entry in entries:
+            if isinstance(entry, _Window):
+                for cid in entry.pair_cards:
+                    self._lay(state, cid, turn, k)
+                fork = state.fork()
+                x_steps = self._run_entries(state, entry.x_entries, turn, k, True)
+                y_steps = self._run_entries(fork, entry.y_entries, turn, k, False)
+                self._check_convergence(state, fork, turn, k)
+                items.append(Branch(entry.decision, tuple(x_steps), tuple(y_steps)))
+                k += len(x_steps)
+            elif isinstance(entry, _Att):
+                step((Attack, (entry.attacker, entry.defender), entry.optional))
+            elif isinstance(entry, _End):
+                step((EndTurn, (), False))
+            else:
+                play(entry.card, getattr(entry, "target", None), getattr(entry, "position", None))
+                hand = state.players[state.active].hand
+                while len(hand) >= 4 and state.outcome is _ONGOING:
+                    play(C.LIGHTS_JUSTICE)
+        return items
 
     def emit(self, plans: list[tuple[int, int, list[_PlanEntry]]]) -> tuple[TurnScript, ...]:
         """A failing step is numbered by its position in its turn, counting a
         branch's steps along the half that failed (the x half, after it)."""
-        state = self.state
-        turns: list[TurnScript] = []
-        for turn, side, entries in plans:
-            items: list[TurnItem] = []
-            k = 0
-            for entry in entries:
-                if isinstance(entry, _Window):
-                    fork = state.fork()
-                    x_steps = self._run_entries(state, entry.x_entries, turn, k)
-                    y_steps = self._run_entries(fork, entry.y_entries, turn, k)
-                    self._check_convergence(state, fork, turn, k)
-                    items.append(Branch(entry.decision, x_steps, y_steps))
-                    k += len(x_steps)
-                else:
-                    items.append(self._step(state, entry, turn, k))
-                    k += 1
-            turns.append(TurnScript(turn, side, tuple(items)))
-        return tuple(turns)
+        return tuple(
+            TurnScript(turn, side, tuple(self._run_entries(self.state, entries, turn, 0, True)))
+            for turn, side, entries in plans
+        )
 
     def _check_convergence(
         self, sx: GameState, sy: GameState, turn: int, k: int
@@ -1100,26 +1062,27 @@ def compile_instance(
 
     ``validate`` controls post-compile replay checking: "canonical" replays
     the all-x and all-y vectors, "all" replays every vector (n <= 12 only),
-    "none" skips replays.
+    "none" skips replays.  A replayed vector that rejects a required step,
+    or ends other than its sum says, raises ``ScheduleInfeasible``.
     """
     if validate not in ("canonical", "all", "none"):
         raise ValueError(f"unknown validate mode {validate!r}")
     if validate == "all" and instance.n > 12:
         raise InstanceError("validate='all' limited to n <= 12")
     shifted, shift = shifted_instance(instance)
-    plans = weave_plans(build_turn_plans(shifted))
+    plans = build_turn_plans(shifted)
     if turn_limit < len(plans):
         raise ScheduleInfeasible(
             f"line spans {len(plans)} turns but the turn limit is {turn_limit}"
         )
 
-    config = build_config(shifted, plans.decks[0], plans.decks[1], turn_limit)
-    emitter = _Emitter(config)
+    emitter = _Emitter(GameConfig(_setup(shifted, [], [], turn_limit)))
     wall = emitter.state.players[1].board[0]
     margin = 10 * sum(shifted.values()) + 10 * shifted.target + 10_000
     wall.health += margin
     wall.max_health += margin
     turns = emitter.emit(plans)
+    config = build_config(shifted, *emitter.decks(), turn_limit)
     line = ScriptedLine(
         instance=instance,
         value_shift=shift,
@@ -1138,7 +1101,12 @@ def compile_instance(
         else:
             vectors = [("x",) * instance.n, ("y",) * instance.n]
         for vec in vectors:
-            final = run_line(config, line, vec)
+            try:
+                final = run_line(config, line, vec)
+            except IllegalAction as exc:
+                raise ScheduleInfeasible(
+                    f"vector {''.join(vec)} replay rejects step {exc.step}: {exc.reason}"
+                ) from None
             expected = (
                 Outcome.FRIENDLY_WINS
                 if chosen_sum(instance, vec) == instance.target

@@ -776,8 +776,15 @@ def start_game(config: GameConfig, log: EventLog | None = None) -> GameState:
     active player draws their start-of-turn card.
     """
     state = config.to_state()
-    _begin_turn(state, log)
+    begin_game(state, log)
     return state
+
+
+def begin_game(state: GameState, log: EventLog | None) -> None:
+    """Run the first player's turn start (a draw) on a state fresh from
+    ``GameConfig.to_state``: the second half of :func:`start_game`, for a
+    caller that sets the state up between the two."""
+    _begin_turn(state, log)
 
 
 def run_script(

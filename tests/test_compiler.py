@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import itertools
 import json
@@ -13,10 +12,12 @@ import pytest
 
 from conftest import WORKED_TARGET, WORKED_VECTOR
 from hearthproof import compiler
+from hearthproof.cli import main
 from hearthproof.cards import (
     BACKSTAB,
     BLESSED_CHAMPION,
     DEMONFUSE,
+    ARCANE_INTELLECT,
     FLASH_HEAL,
     FLOATING_WATCHER,
     GAHZRILLA,
@@ -40,14 +41,11 @@ from hearthproof.compiler import (
     shifted_instance,
     synthesize_beast_buffs,
     synthesize_demon_buffs,
-    weave_plans,
     _Att,
     _Cast,
     _Emitter,
-    _Equip,
     _Summon,
     _Window,
-    _entry_draws,
 )
 from hearthproof.engine import apply
 from hearthproof.state import (
@@ -296,31 +294,48 @@ class TestCompiledArtifacts:
             compile_instance(worked_instance, turn_limit=3, validate="none")
 
     def test_card_missing_from_hand_is_infeasible(self, worked_compiled) -> None:
+        """The chain a game plays lays each card it needs in the oldest
+        drawn slot not yet laid; with none left, the card is not in hand.
+        Turn 1 starts with one drawn slot, so the second summon has none."""
         emitter = _Emitter(worked_compiled.config)
-        hand = emitter.state.players[emitter.state.active].hand
-        assert FLASH_HEAL not in hand
-        entries = [_Cast(FLASH_HEAL, hero_ref(0))]
+        watchers = [_Summon(FLOATING_WATCHER, 5), _Summon(FLOATING_WATCHER, 6)]
         with pytest.raises(ScheduleInfeasible) as info:
-            emitter._run_entries(emitter.state, entries, 1)
-        assert "not in hand" in info.value.reason
-        assert (info.value.turn, info.value.step) == (1, 0)
+            emitter._run_entries(emitter.state, watchers, 1, 0, True)
+        assert info.value.reason == "Floating Watcher not in hand"
+        assert (info.value.turn, info.value.step) == (1, 1)
+        assert emitter.laid == ({0: FLOATING_WATCHER}, {})
 
     def test_failing_step_is_numbered_along_its_half(self, worked_compiled) -> None:
         """A step's number is its position in its turn; inside a branch it
-        counts the steps of the half that failed."""
+        counts the steps of the half that failed.  A y half lays no slot, so
+        a card the x half did not lay is not in hand there."""
         swing = _Att(hero_ref(0), hero_ref(1), optional=True)  # blocked by the taunt
         missing = _Cast(FLASH_HEAL, hero_ref(0))
         window = _Window(1, x_entries=[swing] * 3, y_entries=[swing, missing])
         emitter = _Emitter(worked_compiled.config)
         with pytest.raises(ScheduleInfeasible) as info:
             emitter.emit([(1, 0, [swing, swing, window, swing])])
-        assert "not in hand" in info.value.reason
+        assert info.value.reason == "Flash Heal not in hand"
         assert (info.value.turn, info.value.step) == (1, 3)
         emitter = _Emitter(worked_compiled.config)
         window = _Window(1, x_entries=[swing] * 3, y_entries=[swing] * 3)
+        watcher = _Summon(FLOATING_WATCHER, 5)
         with pytest.raises(ScheduleInfeasible) as info:
-            emitter.emit([(1, 0, [swing, swing, window, swing, missing])])
+            emitter.emit([(1, 0, [swing, swing, window, watcher, watcher])])
+        assert info.value.reason == "Floating Watcher not in hand"
         assert (info.value.turn, info.value.step) == (1, 6)
+
+    def test_unfundable_cost_is_infeasible(self, worked_compiled) -> None:
+        """Innervates go in while the mover's mana is short of a card's
+        cost; once the game is decided none is applied, so the mana never
+        rises and the card's cost cannot be funded."""
+        emitter = _Emitter(worked_compiled.config)
+        emitter.state.outcome = Outcome.ENEMY_WINS
+        emitter.state.players[0].hero.mana = 0
+        with pytest.raises(ScheduleInfeasible) as info:
+            emitter._run_entries(emitter.state, [_Cast(ARCANE_INTELLECT)], 1, 0, True)
+        assert info.value.reason == "cannot fund cost 3 at mana cap"
+        assert (info.value.turn, info.value.step) == (1, 1)
 
     def test_branch_halves_must_reconverge(self, worked_compiled) -> None:
         """The convergence check ignores the accumulator's health, and the
@@ -342,6 +357,13 @@ class TestCompiledArtifacts:
             with pytest.raises(ScheduleInfeasible) as info:
                 emitter._check_convergence(base, other, turn, turn)
             assert info.value.reason == "branch halves fail to reconverge"
+        # Through emission: only the x half summons, so the boards differ.
+        emitter = _Emitter(worked_compiled.config)
+        window = _Window(1, x_entries=[_Summon(FLOATING_WATCHER, 5)], y_entries=[])
+        with pytest.raises(ScheduleInfeasible) as info:
+            emitter.emit([(1, 0, [window])])
+        assert info.value.reason == "branch halves fail to reconverge"
+        assert (info.value.turn, info.value.step) == (1, 0)
 
     def test_seeded_outputs_are_pinned(self) -> None:
         """Byte pin over 40 seeded instances (n 1-14, values 0-300, every
@@ -354,73 +376,54 @@ class TestCompiledArtifacts:
         assert digest.hexdigest() == (
             "247a685ee6fc7c202cb7ff246340ce409eebce3ca0a5a47f57635645ea9fdf80")
 
-    @pytest.mark.parametrize("side, mutate, turn, step, cid", [
-        (0, lambda deck: deck[1:], 1, 0, "Arcane Intellect"),  # the first card never arrives
-        (1, _swap_last_needed_card_to_the_end, 4, 50, "Frost Nova"),  # a late card comes last
+    @pytest.mark.parametrize("mutate, step, reason", [
+        (lambda deck: deck[1:], 1, "no card in hand slot 0"),  # the first card never arrives
+        (_swap_last_needed_card_to_the_end, 284,  # the final Charge comes last
+         "Light's Justice takes no target or position"),
     ], ids=["first_card_dropped", "late_card_last"])
-    def test_engine_replay_guards_the_deck(self, worked_instance, monkeypatch,
-                                           side, mutate, turn, step, cid) -> None:
-        """Emission replays every turn through the engine, so a deck that
-        supplies a card late fails there, at the step that plays it (Frost
-        Nova is the second-last of turn 4's 52 steps); nothing else models
-        the hand."""
-        weave = compiler.weave_plans
+    def test_engine_replay_guards_the_deck(self, worked_instance, tmp_path, monkeypatch,
+                                           capsys, mutate, step, reason) -> None:
+        """The emitter lays the decks from its own engine run, so the
+        validating replay is the one check that they fit the line: a friendly
+        deck that supplies a card late fails there, at the flattened step
+        that plays it, and ``compile`` exits 3."""
+        build = compiler.build_config
 
-        def broken(plans):
-            woven = weave(plans)
-            woven.decks[side] = mutate(woven.decks[side])
-            return woven
+        def broken(shifted, friendly_deck, enemy_deck, turn_limit):
+            return build(shifted, mutate(friendly_deck), enemy_deck, turn_limit)
 
-        monkeypatch.setattr(compiler, "weave_plans", broken)
+        monkeypatch.setattr(compiler, "build_config", broken)
+        message = f"vector xxxx replay rejects step {step}: {reason}"
         with pytest.raises(ScheduleInfeasible) as info:
-            compile_instance(worked_instance, validate="none")
-        assert info.value.reason == f"{cid} not in hand"
-        assert (info.value.turn, info.value.step) == (turn, step)
-        assert str(info.value) == f"{cid} not in hand (turn {turn}, step {step})"
+            compile_instance(worked_instance, validate="canonical")
+        assert str(info.value) == message
+        path = tmp_path / "worked.json"
+        path.write_text(json.dumps(worked_instance.to_json_obj()))
+        assert main(["compile", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: schedule infeasible: {message}\n"
 
-    def test_weave_lays_each_sides_deck(self) -> None:
-        """The decks the weave lays equal a fresh walk of the woven plans:
-        each side's card ids in the order its entries play them, with a
-        window's pair cards first and its x half after them less one copy
-        of each pair card, padded with Light's Justice to the side's draws
-        (one start-of-turn draw per turn, plus ``_entry_draws`` of every
-        entry along the x half of each window).  Over the criterion-3 pair
-        space and the 40 pinned instances."""
-        def needs(entries) -> list[str]:
-            out: list[str] = []
-            for e in entries:
-                if isinstance(e, _Window):
-                    pair = collections.Counter(e.pair_cards)
-                    out += e.pair_cards
-                    for cid in needs(e.x_entries):
-                        if pair[cid] > 0:
-                            pair[cid] -= 1
-                        else:
-                            out.append(cid)
-                elif isinstance(e, (_Cast, _Summon)):
-                    out.append(e.card)
-                elif isinstance(e, _Equip):
-                    out.append(LIGHTS_JUSTICE)
-            return out
-
-        def draws(entries) -> int:
-            return sum(draws(e.x_entries) if isinstance(e, _Window) else _entry_draws(e)
-                       for e in entries)
-
+    def test_laid_decks_play_out_the_canonical_lines(self) -> None:
+        """On the built config, with the wall inflated as ``compile_instance``
+        inflates it, the all-x and all-y lines play every required step, end
+        ``enemy_wins`` in the punishment turn, and draw each side's deck to
+        its last card without fatigue: a deck one card short or one card long
+        fails.  Over the criterion-3 pair space and the 40 pinned instances."""
         space = list(itertools.product(range(3), repeat=2))
         pair_sets = [pairs for n in (1, 2, 3) for pairs in itertools.product(space, repeat=n)]
         pair_sets += [instance.pairs for instance in _pinned_instances()]
         for pairs in pair_sets:
-            shifted, _ = shifted_instance(PartitionInstance(tuple(pairs), 0))
-            woven = weave_plans(build_turn_plans(shifted))
-            cards = {0: [], 1: []}
-            drawn = {0: 0, 1: 0}
-            for _, side, entries in woven:
-                cards[side] += needs(entries)
-                drawn[side] += 1 + draws(entries)
-            expected = {side: cards[side] + [LIGHTS_JUSTICE] * (drawn[side] - len(cards[side]))
-                        for side in (0, 1)}
-            assert woven.decks == expected, pairs
+            result = compile_instance(PartitionInstance(tuple(pairs), 0), validate="none")
+            shifted = result.shifted
+            obj = result.config.to_json_obj()
+            wall = obj["players"][1]["board"][0]
+            margin = 10 * sum(shifted.values()) + 10 * shifted.target + 10_000
+            wall["health"] += margin
+            wall["maxHealth"] += margin
+            for choice in "xy":
+                final = run_line(GameConfig(obj), result.line, (choice,) * len(pairs))
+                assert final.outcome is Outcome.ENEMY_WINS, (pairs, choice)
+                assert [(p.deck_remaining, p.hero.fatigue) for p in final.players] == [
+                    (0, 0), (0, 0)], (pairs, choice)
 
     def test_line_shares_one_object_per_distinct_step(self, worked_compiled) -> None:
         lines = [worked_compiled.line] + [
