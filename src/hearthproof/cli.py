@@ -232,9 +232,10 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
             counts = {status: getattr(report, status) for status in counts}
             counters = {"deviationNodes": report.nodes,
                         "checkedSteps": report.checked_steps}
-    except IllegalAction:
+    except IllegalAction as exc:
         # The line cannot even be replayed against this configuration
         # (possible only with --config-override); counts as a mismatch.
+        _err(f"scripted step {exc.step} is illegal here: {exc.reason}")
         verdict = "unknown"
 
     match = verdict != "unknown" and (verdict == "win") == oracle
@@ -285,7 +286,7 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
             print(event_json(log.events[cursor], memo))
             cursor += 1
 
-    def on_step(index: int, step, state) -> None:
+    def on_step(index: int, step, skipped, state) -> None:
         flush()
         if args.trace:
             print(snapshot_json(state, index, memo))
@@ -405,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--turn-limit", type=positive_int, default=60)
     p.add_argument(
         "--deviation-turns", type=positive_int, default=None, metavar="N",
-        help="probe every legal alternative in turns <= N instead of the "
-             "default named spot checks",
+        help="probe every legal alternative in the line's first N turns "
+             "instead of the default named spot checks",
     )
     p.add_argument(
         "--allow-unresolved", action="store_true",

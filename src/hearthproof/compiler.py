@@ -46,7 +46,6 @@ from . import cards as C
 from .cards import card
 from .engine import apply_in_place, begin_game, run_script, start_game
 from .state import (
-    Action,
     Attack,
     CharRef,
     EndTurn,
@@ -367,16 +366,6 @@ class TurnScript:
         return TurnScript(json_int(obj["turn"]), json_int(obj["side"]), tuple(items))
 
 
-@dataclass(frozen=True)
-class FlatStep:
-    """One concrete action of a fully chosen line."""
-
-    action: Action
-    optional: bool
-    turn: int
-    side: int
-
-
 # Writers of ``json.dumps(..., indent=2, sort_keys=True)`` text from parts
 # already written.  ``depth`` is the nesting level of the value; its lines
 # are indented by ``depth`` steps of two spaces.
@@ -426,19 +415,6 @@ class ScriptedLine:
         for choice in vector:
             if choice not in ("x", "y"):
                 raise ValueError(f"choice must be 'x' or 'y', got {choice!r}")
-
-    def flatten(self, vector: tuple[str, ...]) -> list[FlatStep]:
-        """The steps of the line under ``vector``, in order, each with its
-        turn and side."""
-        self.check_vector(vector)
-        out: list[FlatStep] = []
-        for turn in self.turns:
-            for item in turn.items:
-                steps = (item.steps(vector[item.decision - 1])
-                         if isinstance(item, Branch) else (item,))
-                out.extend(FlatStep(s.action, s.optional, turn.turn, turn.side)
-                           for s in steps)
-        return out
 
     def _head_obj(self) -> dict:
         """Every field of the line file but ``turns``."""
@@ -975,36 +951,34 @@ def run_line(
     line: ScriptedLine,
     vector: tuple[str, ...],
     log: EventLog | None = None,
-    on_step: Callable[[int, ScriptStep, GameState], None] | None = None,
+    on_step: Callable[[int, ScriptStep, str | None, GameState], None] | None = None,
 ) -> GameState:
-    """Replay the line under a full choice vector with ``engine.run_script``.
+    """Replay the line under a full choice vector with ``engine.run_script``:
+    the one place a chosen line is replayed.
 
     The line's turns are walked as ``run_script`` pulls their steps, and it
-    is handed the line's own shared ``ScriptStep`` objects; nothing is
-    flattened.  Steps are numbered along the flattened line all the same,
-    as :meth:`ScriptedLine.flatten` lists them, in ``on_step`` and in the
-    ``IllegalAction`` a required illegal step raises.  An illegal optional
-    step is skipped and logged as a ``skip`` event with its turn; a decided
-    outcome truncates the remainder.  When a branch half's first step is
-    pulled, a ``decision`` event carrying the pair's values and carrier
-    stats is logged.  ``on_step`` is called after every attempted step
-    (applied or skipped) with the step's index, the scripted step and the
-    resulting state.  The line runs in place on one state, so that state
-    is live: later steps change it, and a callback that keeps it must keep
-    a copy.  A ``fork()`` will do for a copy it only reads; one it writes
-    directly needs a ``clone()``.
+    is handed the line's own shared ``ScriptStep`` objects.  Steps are
+    numbered from zero along the line as the vector chooses it, in
+    ``on_step`` and in the ``IllegalAction`` a required illegal step
+    raises.  An illegal optional step is skipped and logged as a ``skip``
+    event with the game's turn; a decided outcome truncates the remainder.
+    When a branch half's first step is pulled, a ``decision`` event
+    carrying the pair's values and carrier stats is logged.
+
+    ``on_step`` is called after every attempted step with what
+    ``run_script`` yields, ``(index, step, skipped)``, and the resulting
+    state; a skipped step leaves that state as it was.  The line runs in
+    place on one state, so that state is live: later steps change it, and
+    a callback that keeps it must keep a copy.  A ``fork()`` will do for a
+    copy it only reads; one it writes directly needs a ``clone()``.
     """
     line.check_vector(vector)
     state = start_game(config, log)
-    turn = 0
 
     def pulled():
         # ``run_script`` pulls a step only while the game is undecided, so
-        # only a branch the line reaches logs its decision, and ``turn`` is
-        # the turn of the step it pulled last.
-        nonlocal turn
+        # only a branch the line reaches logs its decision.
         for script in line.turns:
-            turn = script.turn
             for item in script.items:
                 if not isinstance(item, Branch):
                     yield item
@@ -1024,10 +998,10 @@ def run_line(
 
     for index, step, skipped in run_script(state, pulled(), log):
         if skipped is not None and log is not None:
-            log.emit("skip", turn=turn, reason=skipped,
+            log.emit("skip", turn=state.turn, reason=skipped,
                      action=action_to_json_obj(step.action))
         if on_step is not None:
-            on_step(index, step, state)
+            on_step(index, step, skipped, state)
     return state
 
 

@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .compiler import Branch, PartitionInstance, ScriptedLine
+from .compiler import Branch, PartitionInstance, ScriptedLine, run_line
 from .engine import _own, apply, apply_in_place, legal_actions, run_script, start_game
 from .state import (
     Action,
@@ -507,9 +507,10 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     exact as a position key.  A side that already has its best outcome
     from ``x`` skips ``y``; ties prefer ``x`` anyway, so the result is
     unchanged.  If the script runs out with the game still undecided the
-    result is the turn-limit default, a draw.  An illegal required step
-    raises ``IllegalAction`` with its index along the flattened line, as
-    ``run_line`` and ``walk_line`` number it.
+    result is the turn-limit default, a draw.  The side to move at a
+    branch, which picks its half, is read from the position before it.  An
+    illegal required step raises ``IllegalAction`` with its index along the
+    line as the choices made so far pick it, as ``run_line`` numbers it.
     """
     return _Skeleton(config, line).solve_line()
 
@@ -532,12 +533,12 @@ class _Skeleton:
         # segments[k] is the forced run before branches[k]; the last
         # follows the last branch.
         self.segments: list[tuple[ScriptStep, ...]] = []
-        self.branches: list[tuple[int, Branch]] = []
+        self.branches: list[Branch] = []
         segment: list[ScriptStep] = []
         for turn in line.turns:
             for item in turn.items:
                 if isinstance(item, Branch):
-                    self.branches.append((turn.side, item))
+                    self.branches.append(item)
                     self.segments.append(tuple(segment))
                     segment = []
                 else:
@@ -566,8 +567,8 @@ class _Skeleton:
             offset: int) -> _Run:
         """The run of segment ``k`` (``part`` "-") or of a half of branch
         ``k`` ("x" or "y") from ``start`` at damage ``d``: cached, or made
-        on a fork of ``start``.  ``offset`` is where it starts in the
-        flattened line."""
+        on a fork of ``start``.  ``offset`` is its first step's index along
+        the line."""
         entries = self.runs.setdefault((k, part, key), [])
         for entry in entries:
             if entry.lo <= d <= entry.hi:
@@ -576,7 +577,7 @@ class _Skeleton:
         state = start.fork()
         path = _Path(d)
         self.swap_health(state, _Health(self.h0, -1, path))
-        steps = self.segments[k] if part == "-" else self.branches[k][1].steps(part)
+        steps = self.segments[k] if part == "-" else self.branches[k].steps(part)
         try:
             self.nodes += sum(1 for _ in run_script(state, steps))
         except IllegalAction as exc:
@@ -604,16 +605,16 @@ class _Skeleton:
         ``k`` with the wall's health masked, at damage ``d``.  The choices
         come as a chain, so a node adds its own without copying the rest.
 
-        ``node`` is never written, only forked; ``offset`` is where the
-        branch starts in the flattened line.
+        ``node`` is never written, only forked; ``offset`` is the branch's
+        first step's index along the line.
         """
         memo_key = (k, key, d)
         cached = self.memo.get(memo_key)
         if cached is not None:
             self.hits += 1
             return cached
-        side, branch = self.branches[k]
-        maximizing = side == 0
+        branch = self.branches[k]
+        maximizing = node.active == 0
         best: tuple[int, _Choices] | None = None
         for choice in ("x", "y"):
             # The half, then the forced segment after it.
@@ -657,44 +658,52 @@ class _Skeleton:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One scripted step of a chosen line with its pre-step position."""
+    """One taken step of a chosen line with its pre-step position, which
+    says the game turn the step is played in and the side that plays it."""
 
     index: int
-    turn: int
-    side: int
     action: Action
-    taken: bool
     state_before: GameState
+
+    @property
+    def turn(self) -> int:
+        return self.state_before.turn
+
+    @property
+    def side(self) -> int:
+        return self.state_before.active
 
 
 def walk_line(
     config: GameConfig, line: ScriptedLine, vector: tuple[str, ...]
 ) -> tuple[list[StepRecord], GameState]:
-    """Replay a fully chosen line with ``engine.run_script``, recording a
-    copy of the position before each step.
+    """Replay a fully chosen line with :func:`~hearthproof.compiler.run_line`,
+    recording a copy of the position before each taken step.
 
-    Each copy is a ``fork()`` of the live state: it shares the minions no
-    step has written since, and the engine copies a minion before writing
-    it, so a record stays as it was.  A caller that writes a record's
-    state directly must ``clone()`` it first.
-
-    Optional steps that are illegal are recorded with ``taken=False`` and
-    leave the state unchanged; a decided outcome truncates the walk.
+    A skipped optional step leaves the position as it was and gets no
+    record, so record indices skip it; a decided outcome truncates the
+    walk.  Each copy is a ``fork()`` of the live state: it shares the
+    minions no step has written since, and the engine copies a minion
+    before writing it, so a record stays as it was.  A caller that writes a
+    record's state directly must ``clone()`` it first.
     """
-    state = start_game(config)
-    before = state.fork()
     records: list[StepRecord] = []
-    for i, flat, skipped in run_script(state, line.flatten(vector)):
-        records.append(StepRecord(i, flat.turn, flat.side, flat.action, skipped is None, before))
+    before = start_game(config)
+
+    def record(index: int, step: ScriptStep, skipped: str | None,
+               state: GameState) -> None:
+        nonlocal before
         if skipped is None:
+            records.append(StepRecord(index, step.action, before))
             before = state.fork()
-    return records, state
+
+    return records, run_line(config, line, vector, on_step=record)
 
 
 @dataclass(frozen=True)
 class DeviationFinding:
     step_index: int
-    turn: int
+    turn: int  # the game turn, read from the position
     side: int
     scripted: Action
     alternative: Action
@@ -903,7 +912,8 @@ class DeviationChecker:
         value = terminal_value(final)
         self.scripted_value = DRAW if value is None else value
 
-        # Scripted position at the start of each turn, for rejoin targets.
+        # Scripted position at the start of each game turn, for rejoin
+        # targets.
         self._turn_start: dict[int, GameState] = {}
         for rec in self.records:
             self._turn_start.setdefault(rec.turn, rec.state_before)
@@ -911,13 +921,12 @@ class DeviationChecker:
         self._value_tts: dict[int, dict] = {}
 
     def steps(self, max_turns: int | None = None) -> list[StepRecord]:
-        out = []
-        for rec in self.records:
-            if max_turns is not None and rec.turn > max_turns:
-                break
-            if rec.taken:
-                out.append(rec)
-        return out
+        """The line's taken steps, or those of its first ``max_turns`` game
+        turns, counted from the turn it starts on."""
+        if max_turns is None or not self.records:
+            return list(self.records)
+        last = self.records[0].turn + max_turns - 1
+        return [rec for rec in self.records if rec.turn <= last]
 
     def _rejoin_probe(self, rec: StepRecord) -> _TurnRejoinProbe:
         probe = self._rejoin_probes.get(rec.turn)
@@ -1082,7 +1091,8 @@ def deviation_check(
     that has already solved the skeleton passes that instead.  With
     ``max_turns=None`` (the default) only the named structural spot checks
     run — see :func:`named_deviations`; with an integer, every legal
-    alternative at every step of turns up to it is probed.  See :class:`DeviationChecker` for probe semantics.
+    alternative at every step of the line's first ``max_turns`` game turns
+    is probed.  See :class:`DeviationChecker` for probe semantics.
     """
     checker = DeviationChecker(
         config, line, vector, value_nodes=value_nodes, rejoin_nodes=rejoin_nodes)

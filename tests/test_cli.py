@@ -19,6 +19,13 @@ from micro_positions import micro_positions
 WORKED = {"pairs": [[1, 2], [4, 3], [5, 6], [8, 8]], "target": 18}
 
 
+def shift_turns(config: dict, turns: int) -> dict:
+    """A config file's object starting ``turns`` game turns later, with its
+    turn limit moved along."""
+    return {**config, "turn": config["turn"] + turns,
+            "turnLimit": config["turnLimit"] + turns}
+
+
 @pytest.fixture()
 def instance_file(tmp_path):
     path = tmp_path / "instance.json"
@@ -285,7 +292,49 @@ class TestVerify:
             out = json.loads(captured.out)
             assert out["skeleton"] == "unknown"
             assert out["match"] is False
+            assert captured.err.splitlines()[0] == (
+                "error: scripted step 0 is illegal here: no card in hand slot 0")
             assert read_manifest_line(captured.err)["command"] == "verify"
+
+    def test_unreplayable_override_says_which_step(self, instance_file, tmp_path,
+                                                   capsys) -> None:
+        """The worked line on another instance's configuration: ``verify``
+        names the step it cannot replay before its manifest, as ``replay``
+        does, and reports the mismatch as before."""
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"pairs": [[1, 2], [2, 1]], "target": 2}))
+        other_dir = tmp_path / "other-out"
+        assert main(["compile", str(other), "--out-dir", str(other_dir)]) == 0
+        capsys.readouterr()
+        code = main(["verify", instance_file,
+                     "--config-override", str(other_dir / "config.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out) == {
+            "formatVersion": 1, "instance": WORKED, "oracle": True,
+            "skeleton": "unknown", "match": False,
+            "deviations": {"refuted": 0, "dominated": 0, "improved": 0,
+                           "unresolved": 0}}
+        error, manifest = captured.err.splitlines()
+        assert error == (
+            "error: scripted step 51 is illegal here: Mortal Coil needs a target")
+        assert json.loads(manifest)["command"] == "verify"
+
+    def test_shifted_turns_give_the_same_output(self, instance_file, compiled_dir,
+                                                tmp_path, capsys) -> None:
+        """The compiled game started two turns later verifies alike, down
+        to the nodes its deviation probes search."""
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text(json.dumps(shift_turns(
+            json.loads((compiled_dir / "config.json").read_text()), 2)))
+        outputs = []
+        for override in (compiled_dir / "config.json", shifted):
+            code = main(["verify", instance_file, "--config-override", str(override)])
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out,
+                            read_manifest_line(captured.err)["counters"]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
 
     @pytest.mark.parametrize("flags", [
@@ -412,6 +461,28 @@ class TestReplay:
         captured = capsys.readouterr()
         assert code == 2
         assert "choices" in captured.err
+
+    def test_skip_logs_the_game_turn(self, tmp_path, capsys) -> None:
+        """On a game started two turns later, the one-pair line's blocked
+        weapon swing is logged in the turn the game is on."""
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"pairs": [[1, 2]], "target": 2}))
+        out = tmp_path / "one"
+        assert main(["compile", str(path), "--out-dir", str(out)]) == 0
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text(json.dumps(shift_turns(
+            json.loads((out / "config.json").read_text()), 2)))
+        capsys.readouterr()
+        assert main(["replay", str(shifted), str(out / "line.json"),
+                     "--choices", "x"]) == 0
+        events = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        turn, skips = None, []
+        for event in events:
+            if event.get("kind") == "start_turn":
+                turn = event["turn"]
+            elif event.get("kind") == "skip":
+                skips.append((event["turn"], turn))
+        assert skips == [(3, 3)]
 
     def test_mismatched_config_and_line(self, compiled_dir, tmp_path,
                                         capsys) -> None:

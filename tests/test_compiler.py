@@ -228,6 +228,22 @@ class TestBuffSimulation:
             assert simulate_buffs(GAHZRILLA, seq.cards) == 10 * v
 
 
+def chosen_steps(line_obj: dict, vector: tuple[str, ...]) -> list[ScriptStep]:
+    """The steps of a line file's object under ``vector``, in order: each
+    branch gives the half its pair's choice picks.  A reference for step
+    numbering that shares no code with ``run_line``."""
+    out = []
+    for turn in line_obj["turns"]:
+        for item in turn["items"]:
+            if "branch" in item:
+                branch = item["branch"]
+                half = branch[vector[branch["decision"] - 1]]
+                out.extend(ScriptStep.from_json_obj(s) for s in half)
+            else:
+                out.append(ScriptStep.from_json_obj(item["step"]))
+    return out
+
+
 def _swap_last_needed_card_to_the_end(deck: list[str]) -> list[str]:
     k = max(i for i, cid in enumerate(deck) if cid != LIGHTS_JUSTICE)
     deck[k], deck[-1] = deck[-1], deck[k]
@@ -250,7 +266,9 @@ class TestCompiledArtifacts:
         line = worked_compiled.line
         again = ScriptedLine.from_json(line.to_json())
         assert again.to_json() == line.to_json()
-        assert again.flatten(WORKED_VECTOR) == line.flatten(WORKED_VECTOR)
+        assert again.turns == line.turns
+        assert (chosen_steps(again.to_json_obj(), WORKED_VECTOR)
+                == chosen_steps(line.to_json_obj(), WORKED_VECTOR))
 
     def test_line_rejects_unknown_format_version(self, worked_compiled) -> None:
         obj = worked_compiled.line.to_json_obj()
@@ -385,7 +403,7 @@ class TestCompiledArtifacts:
                                            capsys, mutate, step, reason) -> None:
         """The emitter lays the decks from its own engine run, so the
         validating replay is the one check that they fit the line: a friendly
-        deck that supplies a card late fails there, at the flattened step
+        deck that supplies a card late fails there, at the line's step
         that plays it, and ``compile`` exits 3."""
         build = compiler.build_config
 
@@ -561,22 +579,24 @@ class TestRunLine:
         assert [e.data["destroyed_at"] for e in decisions] == [20, 40, 50, 80]
 
     def test_on_step_sees_every_step(self, worked_compiled) -> None:
-        """``on_step`` sees the flattened line's steps in order, as the
-        line's scripted ``ScriptStep`` objects."""
-        seen: list[tuple[int, ScriptStep]] = []
+        """``on_step`` sees the chosen line's steps in order, as the line's
+        scripted ``ScriptStep`` objects, each with why it was skipped (None
+        if taken)."""
+        seen: list[tuple[int, ScriptStep, str | None]] = []
         run_line(worked_compiled.config, worked_compiled.line, WORKED_VECTOR,
-                 on_step=lambda index, step, state: seen.append((index, step)))
-        flat = worked_compiled.line.flatten(WORKED_VECTOR)
-        assert [index for index, _ in seen] == list(range(len(seen)))
+                 on_step=lambda index, step, skipped, state: seen.append(
+                     (index, step, skipped)))
+        steps = chosen_steps(worked_compiled.line.to_json_obj(), WORKED_VECTOR)
+        assert [index for index, _, _ in seen] == list(range(len(seen)))
         # The outcome locks on the final scripted blow, truncating the tail.
-        assert len(seen) <= len(flat)
-        assert [step for _, step in seen] == [
-            ScriptStep(f.action, f.optional) for f in flat[:len(seen)]]
-        assert all(type(step) is ScriptStep for _, step in seen)
+        assert len(seen) <= len(steps)
+        assert [step for _, step, _ in seen] == steps[:len(seen)]
+        assert all(type(step) is ScriptStep for _, step, _ in seen)
+        # Only an optional step may be skipped, and it says why.
+        for _, step, skipped in seen:
+            assert skipped is None or (step.optional and isinstance(skipped, str))
 
     def test_vector_length_checked(self, worked_compiled) -> None:
-        with pytest.raises(ValueError):
-            worked_compiled.line.flatten(("x",))
         with pytest.raises(ValueError, match="vector must have 4 entries"):
             run_line(worked_compiled.config, worked_compiled.line, ("x",))
         log = EventLog()

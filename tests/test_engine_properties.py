@@ -198,7 +198,7 @@ class TestApplyInPlace:
                 states += walk[:41] + walk[-1:]
         line = []
         run_line(worked_compiled.config, worked_compiled.line, WORKED_VECTOR,
-                 on_step=lambda index, flat, state: line.append(state.clone()))
+                 on_step=lambda index, step, skipped, state: line.append(state.clone()))
         return states + line[::5]
 
     def test_matches_apply_and_rejects_without_mutation(self, probed_states) -> None:
@@ -449,7 +449,7 @@ class TestSnapshotText:
             compiled = compile_instance(PartitionInstance(pairs, 3 * n), validate="none")
             run_memo = SnapshotMemo()
             run_line(compiled.config, compiled.line, vector,
-                     on_step=lambda index, flat, state: check(state, index, run_memo))
+                     on_step=lambda index, step, skipped, state: check(state, index, run_memo))
 
         assert {"taunt", "frozen", "exhausted", "charge", "attacked", "weapon",
                 "fatigue", "ongoing", "friendly_wins", "enemy_wins"} <= seen

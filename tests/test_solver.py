@@ -361,8 +361,9 @@ class TestWalkLine:
 
 
 class TestRunnersAgree:
-    """``run_line`` and ``walk_line`` both replay through ``run_script``, so
-    they skip the same steps, see the same positions and end alike."""
+    """``walk_line`` records through ``run_line``: it records the position
+    before each taken step, skips no more than the replay does, and ends
+    alike."""
 
     def test_skips_positions_and_final_states_agree(self) -> None:
         instances = [
@@ -377,25 +378,28 @@ class TestRunnersAgree:
             compiled = compile_instance(PartitionInstance(pairs, target), validate="none")
             for vector in (("x",) * len(pairs), ("y",) * len(pairs)):
                 log = EventLog()
-                after, skips = [], []
+                after, skips = [start_game(compiled.config).canonical()], []
 
-                def on_step(index, flat, state) -> None:
+                def on_step(index, step, why, state) -> None:
                     after.append(state.canonical())
-                    if log.events[-1].kind == "skip":
+                    assert (why is not None) == (log.events[-1].kind == "skip")
+                    if why is not None:
                         skips.append(index)
 
                 final = run_line(compiled.config, compiled.line, vector, log, on_step)
                 records, walked = walk_line(compiled.config, compiled.line, vector)
-                assert [r.index for r in records] == list(range(len(after)))
-                assert [r.index for r in records if not r.taken] == skips
-                before = [r.state_before.canonical() for r in records]
-                assert before[1:] == after[:-1]
+                # The skipped indices are exactly the gaps in the records.
+                indices = [r.index for r in records]
+                assert indices == sorted(indices)
+                assert sorted(set(range(len(after) - 1)) - set(indices)) == skips
+                for rec in records:
+                    assert rec.state_before.canonical() == after[rec.index]
                 assert walked.canonical() == final.canonical() == after[-1]
                 skipped += len(skips)
         assert skipped > 0  # the weapon swing a surviving wall blocks
 
     def test_foreign_configuration_fails_at_the_same_step(self, worked_compiled) -> None:
-        """All three runners number an illegal step along the flattened
+        """All three runners number an illegal step along the chosen
         line; the skeleton, which tries ``x`` first, meets it on the
         all-``x`` path."""
         other = compile_instance(PartitionInstance(((1, 2), (2, 1)), 2), validate="none")
@@ -494,8 +498,7 @@ class TestDeviations:
             if finding.status == "unresolved":
                 assert finding.reason == "budget"
         records, _ = walk_line(compiled.config, compiled.line, report.vector)
-        assert report.checked_steps == sum(
-            rec.taken for rec in records if rec.turn <= 1)
+        assert report.checked_steps == sum(rec.turn <= 1 for rec in records)
 
     @pytest.mark.parametrize("target, totals, digest", [
         (2, (125, 0, 0, 66, 14861),
@@ -518,6 +521,51 @@ class TestDeviations:
                  f.reason, f.nodes] for f in report.findings]
         text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def shifted_config(config: GameConfig, turns: int) -> GameConfig:
+    """``config`` starting ``turns`` game turns later, with its turn limit
+    moved along: the same game under other turn numbers."""
+    obj = json.loads(config.to_json())
+    obj["turn"] += turns
+    obj["turnLimit"] += turns
+    return GameConfig.from_json_obj(obj)
+
+
+class TestShiftedTurn:
+    """A line's steps are placed in game turns by the position, not by the
+    turn numbers its script carries, so starting the game two turns later
+    changes no finding but its turn."""
+
+    def test_named_findings_are_unchanged(self, worked_compiled) -> None:
+        config, line = worked_compiled.config, worked_compiled.line
+        plain = check_named_deviations(DeviationChecker(config, line, WORKED_VECTOR))
+        shifted = check_named_deviations(
+            DeviationChecker(shifted_config(config, 2), line, WORKED_VECTOR))
+        assert ([(f.step_index, f.status, f.reason, f.nodes) for f in shifted.findings]
+                == [(f.step_index, f.status, f.reason, f.nodes) for f in plain.findings])
+        assert [f.turn for f in shifted.findings] == [f.turn + 2 for f in plain.findings]
+        assert [f.nodes for f in shifted.findings] == [88, 6, 6, 6, 6, 6, 2899]
+
+    def test_turn_one_probe_is_unchanged(self, worked_compiled) -> None:
+        """Every alternative of the line's first turn under small budgets."""
+        totals = []
+        for turns in (0, 2):
+            config = shifted_config(worked_compiled.config, turns)
+            report = deviation_check(config, worked_compiled.line, WORKED_VECTOR,
+                                     max_turns=1, rejoin_nodes=2000, value_nodes=200)
+            assert {f.turn for f in report.findings} == {1 + turns}
+            totals.append((report.refuted, report.dominated, report.improved,
+                           report.unresolved, report.nodes))
+        assert totals == [(104, 0, 0, 98, 17398)] * 2
+
+    def test_records_read_the_game_turn(self, worked_compiled) -> None:
+        config = shifted_config(worked_compiled.config, 2)
+        records, final = walk_line(config, worked_compiled.line, WORKED_VECTOR)
+        assert final.outcome is Outcome.FRIENDLY_WINS
+        assert records[0].turn == 3
+        for rec in records:
+            assert rec.side == (0 if rec.turn % 2 == 1 else 1)
 
 
 def assert_end_turn_child_is_inert(probe: _TurnRejoinProbe, state) -> None:
