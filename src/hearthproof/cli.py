@@ -52,6 +52,7 @@ from .state import (
     GameConfig,
     IllegalAction,
     SnapshotMemo,
+    _validate_config,
     action_to_json_obj,
     event_json,
     snapshot_json,
@@ -105,10 +106,15 @@ def _load_instance(path: str) -> PartitionInstance:
 
 
 def _load_config(path: str) -> GameConfig:
+    """The validated config in ``path``.  The dict is fresh from
+    ``json.loads`` and nothing else holds it, so it is wrapped as it is,
+    without the copy ``GameConfig.from_json_obj`` makes."""
+    obj = _read_json(path)
     try:
-        return GameConfig.from_json_obj(_read_json(path))
+        _validate_config(obj)
     except ConfigError as exc:
         raise InputProblem(f"{path}: {exc}") from exc
+    return GameConfig(obj)
 
 
 def _load_line(path: str) -> ScriptedLine:
@@ -272,6 +278,12 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
 
 
 def cmd_replay(args: argparse.Namespace, started: float) -> int:
+    """Stream the line's events under ``--choices``, one JSON line each.
+
+    The events a step logs, and its ``--trace`` snapshot, go to stdout in
+    one write after the step.  When a step is illegal, the events logged
+    before it are written, then the error goes to stderr.
+    """
     config = _load_config(args.config)
     line = _load_line(args.line)
     vector = _parse_choices(args.choices, line.n)
@@ -280,16 +292,20 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
     cursor = 0
     memo = SnapshotMemo()
 
-    def flush() -> None:
+    def flush(*tail: str) -> None:
+        """Write the events logged since the last call, then ``tail``."""
         nonlocal cursor
-        while cursor < len(log.events):
-            print(event_json(log.events[cursor], memo))
-            cursor += 1
+        lines = [event_json(event, memo) for event in log.events[cursor:]]
+        cursor = len(log.events)
+        lines += tail
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
 
     def on_step(index: int, step, skipped, state) -> None:
-        flush()
         if args.trace:
-            print(snapshot_json(state, index, memo))
+            flush(snapshot_json(state, index, memo))
+        else:
+            flush()
 
     print(json.dumps(
         {"formatVersion": 1, "kind": "replay", "choices": args.choices}
@@ -302,8 +318,7 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
         _err(f"scripted step {exc.step} is illegal here: {exc.reason}")
         code = EXIT_FAIL
     else:
-        flush()
-        print(json.dumps({"kind": "final", "outcome": final.outcome.value,
+        flush(json.dumps({"kind": "final", "outcome": final.outcome.value,
                           "turn": final.turn}))
     _emit_manifest(_manifest(
         "replay",

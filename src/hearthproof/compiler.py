@@ -294,14 +294,6 @@ class Branch:
             "y": [s.to_json_obj() for s in self.y_steps],
         }
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "Branch":
-        return Branch(
-            json_int(obj["decision"]),
-            tuple(ScriptStep.from_json_obj(s) for s in obj["x"]),
-            tuple(ScriptStep.from_json_obj(s) for s in obj["y"]),
-        )
-
 
 TurnItem = ScriptStep | Branch
 
@@ -354,16 +346,6 @@ class TurnScript:
             else:
                 items.append({"step": item.to_json_obj()})
         return {"turn": self.turn, "side": self.side, "items": items}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TurnScript":
-        items: list[TurnItem] = []
-        for entry in obj["items"]:
-            if "branch" in entry:
-                items.append(Branch.from_json_obj(entry["branch"]))
-            else:
-                items.append(ScriptStep.from_json_obj(entry["step"]))
-        return TurnScript(json_int(obj["turn"]), json_int(obj["side"]), tuple(items))
 
 
 # Writers of ``json.dumps(..., indent=2, sort_keys=True)`` text from parts
@@ -435,27 +417,34 @@ class ScriptedLine:
 
         A line repeats about twenty distinct steps hundreds of times, and
         ``indent`` sends ``json.dumps`` through the pure-Python encoder.  So
-        each distinct step is encoded once per call and depth, the turn,
-        item and branch structure around the steps is written directly, and
-        only the small head goes through ``json.dumps`` whole.
+        each distinct step object is written once per call, keyed by its
+        ``id``: once as a whole ``{"step": ...}`` item and once as an entry
+        of a branch half, where it sits two levels deeper.  The turn and
+        branch structure around the steps is written directly, and only the
+        small head goes through ``json.dumps`` whole.  Equal steps held as
+        distinct objects are each written once and give the same text.
         """
-        memo: dict[tuple[ScriptStep, int], str] = {}
-
-        def step(s: ScriptStep, depth: int) -> str:
-            text = memo.get((s, depth))
-            if text is None:
-                text = memo[(s, depth)] = _dumps(s.to_json_obj(), depth)
-            return text
+        items: dict[int, str] = {}
+        entries: dict[int, str] = {}
 
         def half(steps: tuple[ScriptStep, ...]) -> str:
-            return _array([step(s, 7) for s in steps], 6)
+            texts = []
+            for s in steps:
+                text = entries.get(id(s))
+                if text is None:
+                    text = entries[id(s)] = _dumps(s.to_json_obj(), 7)
+                texts.append(text)
+            return _array(texts, 6)
 
         def item(it: TurnItem) -> str:
             if isinstance(it, Branch):
                 branch = _object({"decision": str(it.decision), "x": half(it.x_steps),
                                   "y": half(it.y_steps)}, 5)
                 return _object({"branch": branch}, 4)
-            return _object({"step": step(it, 5)}, 4)
+            text = items.get(id(it))
+            if text is None:
+                text = items[id(it)] = _object({"step": _dumps(it.to_json_obj(), 5)}, 4)
+            return text
 
         fields = {key: _dumps(value, 1) for key, value in self._head_obj().items()}
         fields["turns"] = _array([
@@ -467,13 +456,45 @@ class ScriptedLine:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ScriptedLine":
+        """The line of a parsed line file.  A malformed file raises
+        ``InstanceError``, ``KeyError``, ``TypeError`` or ``ValueError``;
+        every step, action and character reference must be a JSON object
+        and every branch half an array.
+
+        Each distinct step object is decoded once per call, keyed by its
+        ``repr``, which is exact for the values ``json.loads`` returns.  So
+        the decoded line shares one ``ScriptStep`` per distinct step, as a
+        compiled line does.
+        """
         if obj.get("formatVersion") != FORMAT_VERSION:
             raise InstanceError("unsupported line formatVersion")
+        steps: dict[str, ScriptStep] = {}
+
+        def step(entry) -> ScriptStep:
+            key = repr(entry)
+            decoded = steps.get(key)
+            if decoded is None:
+                decoded = steps[key] = ScriptStep.from_json_obj(entry)
+            return decoded
+
+        def half(entries) -> tuple[ScriptStep, ...]:
+            if type(entries) is not list:
+                raise ValueError(f"not an array: {entries!r}")
+            return tuple(map(step, entries))
+
+        def item(entry) -> TurnItem:
+            if "branch" in entry:
+                branch = entry["branch"]
+                return Branch(json_int(branch["decision"]), half(branch["x"]), half(branch["y"]))
+            return step(entry["step"])
+
         line = ScriptedLine(
             PartitionInstance.from_json_obj(obj["instance"]),
             json_int(obj.get("valueShift", 0)),
             tuple(Decision.from_json_obj(d) for d in obj["decisions"]),
-            tuple(TurnScript.from_json_obj(t) for t in obj["turns"]),
+            tuple(TurnScript(json_int(t["turn"]), json_int(t["side"]),
+                             tuple(map(item, t["items"])))
+                  for t in obj["turns"]),
         )
         if len(line.decisions) != line.n:
             raise InstanceError(f"{len(line.decisions)} decisions for {line.n} pairs")

@@ -17,7 +17,12 @@ that the card text leaves open is fixed here one way and kept stable:
   they scan for the dead.  Summons, weapons, draws, freezes, buffs, Mind
   Control, heals and death rattles never leave a body to remove.
 * A decided outcome (any hero at zero, or both) locks immediately and
-  truncates all remaining resolution of the current action.
+  truncates all remaining resolution of the current action.  A hero's
+  health drops in only three places: a fatigue draw (``_draw_card``),
+  combat (``_attack``) and a damage death rattle (``_process_deaths``), and
+  each calls ``_check_outcome`` right after the drop.  So no hero is at
+  zero while the outcome is ongoing, and the rest of the step path only
+  tests ``state.outcome``.
 * Frozen characters thaw at the end of their controller's turn.
 * "Spell-shielded" below means adjacent to a minion with the adjacent-spell-
   immunity trigger: such a minion cannot be targeted by any spell, friendly
@@ -419,21 +424,6 @@ def _process_deaths(state: GameState, log: EventLog | None) -> None:
             _heal_hero(state, log, 1, 4)
 
 
-def _auctioneer_draws(state: GameState, log: EventLog | None, side: int) -> None:
-    """One draw per surviving friendly draw-on-spell trigger minion."""
-    count = 0
-    for m in state.players[side].board:
-        if m.effect is _TRIGGER_DRAW_ON_FRIENDLY_SPELL:
-            count += 1
-    for _ in range(count):
-        if state.outcome is not _ONGOING:
-            return
-        if log is not None:
-            log.emit("trigger", card="Gadgetzan Auctioneer",
-                     effect=_TRIGGER_DRAW_ON_FRIENDLY_SPELL.value)
-        _draw_card(state, log, side)
-
-
 # ---------------------------------------------------------------------------
 # Playing cards
 # ---------------------------------------------------------------------------
@@ -562,7 +552,6 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             if log is not None:
                 log.emit("trigger", card=cid, effect=spec.effect.value)
             _draw_card(state, log, side)
-        _check_outcome(state, log)
         return
 
     if spec.kind is _WEAPON:
@@ -600,11 +589,20 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
         log.emit("play", side=side, card=cid,
                  **({"target": action.target.to_json_obj()} if action.target else {}))
     _resolve_spell(state, log, side, spec, action.target)
-    if _check_outcome(state, log):
+    if state.outcome is not _ONGOING:
         return
     if spec.effect in _LETHAL_SPELLS:
         _process_deaths(state, log)
-    _auctioneer_draws(state, log, side)
+    # One draw per surviving friendly draw-on-spell minion.  A draw leaves
+    # the board as it is, so the draws can be made during the walk.
+    for m in p.board:
+        if m.effect is _TRIGGER_DRAW_ON_FRIENDLY_SPELL:
+            if state.outcome is not _ONGOING:
+                return
+            if log is not None:
+                log.emit("trigger", card="Gadgetzan Auctioneer",
+                         effect=_TRIGGER_DRAW_ON_FRIENDLY_SPELL.value)
+            _draw_card(state, log, side)
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +749,13 @@ def apply_in_place(state: GameState, action: Action, log: EventLog | None = None
     """
     if state.outcome is not _ONGOING:
         raise IllegalAction("the game is already decided")
-    if isinstance(action, PlayCard):
+    # The action classes have no subclasses, so their identity is enough.
+    cls = action.__class__
+    if cls is PlayCard:
         _play_card(state, log, action)
-    elif isinstance(action, Attack):
+    elif cls is Attack:
         _attack(state, log, action)
-    elif isinstance(action, EndTurn):
+    elif cls is EndTurn:
         _end_turn(state, log)
     else:
         raise IllegalAction(f"unknown action {action!r}")

@@ -90,6 +90,7 @@ class CharRef:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CharRef":
+        obj = json_object(obj)
         if "hero" in obj:
             return CharRef(json_int(obj["hero"]), None)
         return CharRef(json_int(obj["side"]), json_int(obj["slot"]))
@@ -101,6 +102,14 @@ def json_int(value: Any) -> int:
     coerced."""
     if type(value) is not int:
         raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
+def json_object(value: Any) -> dict:
+    """``value``, read from a JSON file, if it is an object; an array, a
+    string or a number raises ``ValueError``."""
+    if type(value) is not dict:
+        raise ValueError(f"not an object: {value!r}")
     return value
 
 
@@ -154,20 +163,24 @@ def action_to_json_obj(action: Action) -> dict:
 
 
 def action_from_json_obj(obj: dict) -> Action:
+    """The action of a line file's ``action`` value.  It, its ``play`` or
+    ``attack`` and each character reference must be JSON objects, and
+    ``end`` must be JSON ``true``; anything else raises ``ValueError``."""
+    obj = json_object(obj)
     if "play" in obj:
-        play = obj["play"]
+        play = json_object(obj["play"])
         target = CharRef.from_json_obj(play["target"]) if "target" in play else None
         position = play.get("position")
         if position is not None:
             position = json_int(position)
         return PlayCard(json_int(play["hand"]), target, position)
     if "attack" in obj:
-        atk = obj["attack"]
+        atk = json_object(obj["attack"])
         return Attack(
             CharRef.from_json_obj(atk["attacker"]),
             CharRef.from_json_obj(atk["defender"]),
         )
-    if obj.get("end"):
+    if obj.get("end") is True:
         return EndTurn()
     raise ValueError(f"unrecognised action object: {obj!r}")
 
@@ -188,7 +201,7 @@ class ScriptStep:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ScriptStep":
-        optional = obj.get("optional", False)
+        optional = json_object(obj).get("optional", False)
         if type(optional) is not bool:
             raise ValueError(f"not a boolean: {optional!r}")
         return ScriptStep(action_from_json_obj(obj["action"]), optional)

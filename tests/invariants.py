@@ -19,6 +19,7 @@ def assert_invariants(state: GameState, expected_total: int) -> None:
         assert 0 <= p.hero.mana_crystals <= MAX_MANA
         assert 0 <= p.deck_pos <= len(p.deck)
         if state.outcome is Outcome.ONGOING:
+            assert p.hero.health >= 1, f"side {side} hero dead while the game is ongoing"
             for m in p.board:
                 assert m.health >= 1, f"dead {m.card_id} persists on board"
         if p.hero.weapon is not None:

@@ -506,16 +506,23 @@ class TestReplay:
         other.write_text(json.dumps({"pairs": [[1, 2], [2, 1]], "target": 2}))
         other_dir = tmp_path / "other-out"
         assert main(["compile", str(other), "--out-dir", str(other_dir)]) == 0
-        capsys.readouterr()
-        code = main(["replay", str(other_dir / "config.json"),
-                     str(compiled_dir / "line.json"), "--choices", "xxxx"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert ("scripted step 51 is illegal here: Mortal Coil needs a target"
-                in captured.err)
-        manifest = read_manifest_line(captured.err)
-        assert manifest["command"] == "replay"
-        assert manifest["flags"] == {"choices": "xxxx", "trace": False}
+        for trace, lines, digest in [
+                ([], 206, "8d4268baa2b2fcd3fa0221dc8f538b658d007be85b90802557f75948bb75dc29"),
+                (["--trace"], 257,
+                 "ba3f29ee36b8156492bdd649839eb91d39655f0c3cfb180854cae0bddbc56d7d")]:
+            capsys.readouterr()
+            code = main(["replay", str(other_dir / "config.json"),
+                         str(compiled_dir / "line.json"), "--choices", "xxxx", *trace])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert ("scripted step 51 is illegal here: Mortal Coil needs a target"
+                    in captured.err)
+            manifest = read_manifest_line(captured.err)
+            assert manifest["command"] == "replay"
+            assert manifest["flags"] == {"choices": "xxxx", "trace": bool(trace)}
+            # Every event logged before the illegal step is written.
+            assert captured.out.count("\n") == lines
+            assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 
 
     @staticmethod
@@ -523,6 +530,11 @@ class TestReplay:
         return next(item["step"]["action"][kind] for turn in obj["turns"]
                     for item in turn["items"]
                     if kind in item.get("step", {}).get("action", {}))
+
+    @staticmethod
+    def _first_step(obj: dict) -> dict:
+        return next(item["step"] for turn in obj["turns"]
+                    for item in turn["items"] if "step" in item)
 
     @staticmethod
     def _first_branch(obj: dict) -> dict:
@@ -573,17 +585,35 @@ class TestReplay:
         (lambda obj: TestReplay._first_branch(obj).update(decision=2),
          "branch decision 2 repeats"),
         (lambda obj: TestReplay._drop_first_branch(obj), "no branch for decision 1"),
+        (lambda obj: TestReplay._first_step(obj).update(action={"play": [0]}),
+         "malformed line file: not an object: [0]"),
+        (lambda obj: obj["turns"][0]["items"][0].update(
+            step=[TestReplay._first_step(obj)]), "malformed line file: not an object: [{"),
+        (lambda obj: TestReplay._first_step(obj).update(action=[{"end": True}]),
+         "malformed line file: not an object: [{'end': True}]"),
+        (lambda obj: TestReplay._first_branch(obj).update(x="ab"),
+         "malformed line file: not an array: 'ab'"),
+        (lambda obj: TestReplay._first_step(obj).update(action={"end": 1}),
+         "malformed line file: unrecognised action object: {'end': 1}"),
+        (lambda obj: TestReplay._first_step(obj).update(action={"end": "yes"}),
+         "malformed line file: unrecognised action object: {'end': 'yes'}"),
+        (lambda obj: TestReplay._first_step(obj).update(action={"end": False}),
+         "malformed line file: unrecognised action object: {'end': False}"),
     ], ids=["decision_and_shift", "shift", "decision_record", "turn_side",
             "hand_index", "char_ref", "optional_flag", "branch_decision_high",
             "branch_decision_zero", "short_decisions", "branch_decision_repeated",
-            "branch_decision_missing"])
+            "branch_decision_missing", "play_array", "step_array", "action_array",
+            "half_string", "end_one", "end_yes", "end_false"])
     def test_non_integer_line_numbers_are_input_errors(
             self, compiled_dir, tmp_path, capsys, tamper, message) -> None:
         """A float, a numeric string or a bool in a line file is not
-        rounded into the line, nor is a truthy non-boolean ``optional``
-        read as true, nor branches or a decision list that do not match the
-        instance's pairs one to one: the replay exits 2 before any output."""
+        rounded into the line, nor is a truthy non-boolean ``optional`` or
+        ``end`` read as true, nor branches or a decision list that do not
+        match the instance's pairs one to one.  A step, action or ``play``
+        must be a JSON object and a branch half an array.  Each makes the
+        replay exit 2 before any output."""
         obj = json.loads((compiled_dir / "line.json").read_text())
+        assert "step" in obj["turns"][0]["items"][0]
         tamper(obj)
         bad = tmp_path / "bad-line.json"
         bad.write_text(json.dumps(obj))

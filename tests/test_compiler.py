@@ -32,6 +32,7 @@ from hearthproof.compiler import (
     Branch,
     ScheduleInfeasible,
     ScriptedLine,
+    TurnScript,
     big_attack,
     build_turn_plans,
     chosen_sum,
@@ -447,6 +448,8 @@ class TestCompiledArtifacts:
         lines = [worked_compiled.line] + [
             compile_instance(instance, validate="none").line
             for instance in _pinned_instances()[:8]]
+        # A decoded line shares its steps as the compiled line does.
+        lines.append(ScriptedLine.from_json(worked_compiled.line.to_json()))
         for line in lines:
             steps = []
             for turn in line.turns:
@@ -486,6 +489,12 @@ class TestLineText:
     the standard library writes of ``to_json_obj``."""
 
     def test_seeded_lines_match_the_stdlib(self) -> None:
+        """Each compiled line, and a copy of it in which every step is its
+        own object, equal to others but not shared with them: the text is
+        kept by object identity, so the copy must write the same text."""
+        def unshared(steps):
+            return tuple(ScriptStep(s.action, s.optional) for s in steps)
+
         rng = random.Random(20261020)
         for k in range(28):
             n = 1 + k % 14
@@ -494,7 +503,13 @@ class TestLineText:
                 pairs = ((0, pairs[0][1]),) + pairs[1:]
             target = rng.randint(0, sum(max(p) for p in pairs))
             line = compile_instance(PartitionInstance(pairs, target), validate="none").line
-            assert line.to_json() == _stdlib_line_text(line)
+            copy = ScriptedLine(line.instance, line.value_shift, line.decisions, tuple(
+                TurnScript(t.turn, t.side, tuple(
+                    Branch(it.decision, unshared(it.x_steps), unshared(it.y_steps))
+                    if isinstance(it, Branch) else unshared((it,))[0]
+                    for it in t.items))
+                for t in line.turns))
+            assert line.to_json() == _stdlib_line_text(line) == copy.to_json()
 
     def test_hand_built_line_matches_the_stdlib(self) -> None:
         """An empty turn and an empty branch half, optional steps, spell
