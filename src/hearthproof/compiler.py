@@ -43,8 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal
 
 from . import cards as C
-from .cards import card
-from .engine import apply_in_place, begin_game, run_script, start_game
+from .engine import _play_card, apply_in_place, begin_game, run_script, start_game
 from .state import (
     Attack,
     CharRef,
@@ -63,6 +62,7 @@ from .state import (
     minion_ref,
     DEFAULT_TURN_LIMIT,
     FORMAT_VERSION,
+    MAX_HAND,
 )
 
 # Bound once: the emitter tests it before every step, and an
@@ -458,14 +458,17 @@ class ScriptedLine:
     def from_json_obj(obj: dict) -> "ScriptedLine":
         """The line of a parsed line file.  A malformed file raises
         ``InstanceError``, ``KeyError``, ``TypeError`` or ``ValueError``;
-        every step, action and character reference must be a JSON object
-        and every branch half an array.
+        a file whose top level is not a JSON object raises
+        ``InstanceError``, every step, action and character reference must
+        be a JSON object and every branch half an array.
 
         Each distinct step object is decoded once per call, keyed by its
         ``repr``, which is exact for the values ``json.loads`` returns.  So
         the decoded line shares one ``ScriptStep`` per distinct step, as a
         compiled line does.
         """
+        if type(obj) is not dict:
+            raise InstanceError("malformed line: the top level is not a JSON object")
         if obj.get("formatVersion") != FORMAT_VERSION:
             raise InstanceError("unsupported line formatVersion")
         steps: dict[str, ScriptStep] = {}
@@ -540,12 +543,14 @@ _F_TAUNT = minion_ref(0, 4)
 class _Cast:
     card: str
     target: CharRef | None = None
+    position = None  # a play entry has a card, a target and a position
 
 
 @dataclass
 class _Summon:
     card: str
     position: int
+    target = None  # a play entry has a card, a target and a position
 
 
 @dataclass
@@ -777,6 +782,12 @@ def build_config(
 # hand as the number k and holds it until a card is laid in that slot.
 _SLOTS = range(sys.maxsize)
 
+# What the emitter reads of a card: its cost.  The two cards it adds on
+# its own are bound as module globals, which its loop reads at every play.
+_COSTS = {cid: spec.cost for cid, spec in C.card_database().items()}
+_INNERVATE = C.INNERVATE
+_LIGHTS_JUSTICE = C.LIGHTS_JUSTICE
+
 
 class _Emitter:
     """Plays the turn plans through the real engine, producing concrete
@@ -798,19 +809,27 @@ class _Emitter:
     while the mover holds four or more cards.  A slot drawn but never laid
     holds Light's Justice in the final deck (``decks``).
 
+    ``_run_entries`` does all of this in one loop, about half of whose
+    steps are Innervates: a play reads the card's cost from ``_COSTS``,
+    finds or lays the card, takes its ``ScriptStep`` and resolves it with
+    the engine's ``_play_card``, with no call of its own per step.  The
+    emitter keeps the card each step plays (``cards``), which the
+    validating replay checks and the line file does not hold.
+
     ``compile_instance`` inflates the accumulator's hit points on the start
     state (the turn start that ``engine.begin_game`` runs does not read
     them).  Hand, mana, deck and board choreography do not depend on the
     accumulator's exact health, and the inflated accumulator survives every
     delivery, so every pair turn and both halves of every branch are run.
     It then blocks the final weapon swing, and the punishment turn decides
-    the emitter's game (``enemy_wins``) before its last steps, which
-    ``_apply`` records without applying them.  That is why it keeps its own
+    the emitter's game (``enemy_wins``) before its last steps, which the
+    loop records without applying them.  That is why it keeps its own
     loop: ``engine.run_script`` stops at a decided outcome.
 
     A line repeats about twenty distinct steps hundreds of times, so each
-    distinct ``ScriptStep`` is built once, keyed by its action's type and
-    arguments, and shared by every equal step of the compile.
+    distinct ``ScriptStep`` is built once and shared by every equal step of
+    the compile: an untargeted play's by its hand index, any other step's
+    by its action's arguments.
     """
 
     def __init__(self, config: GameConfig):
@@ -820,7 +839,10 @@ class _Emitter:
         begin_game(state, None)
         self.state = state
         self.laid: tuple[dict[int, str], dict[int, str]] = ({}, {})
+        self._plays: list[ScriptStep | None] = [None] * MAX_HAND
         self._steps: dict[tuple, ScriptStep] = {}
+        self._end_turn = ScriptStep(EndTurn())
+        self.cards: list[list] = []
 
     def decks(self) -> list[list[str]]:
         """Each side's deck: its laid cards, padded with Light's Justice up
@@ -828,119 +850,159 @@ class _Emitter:
         return [[laid.get(slot, C.LIGHTS_JUSTICE) for slot in range(p.deck_pos)]
                 for laid, p in zip(self.laid, self.state.players)]
 
-    def _lay(self, state: GameState, cid: str, turn: int, k: int) -> int:
-        """Lay ``cid`` in the oldest unlaid slot of the mover's hand and
-        return that slot's hand index."""
+    def _lay(self, state: GameState, cid: str, turn: int, k: int) -> None:
+        """Lay ``cid`` in the oldest unlaid slot of the mover's hand."""
         hand = state.players[state.active].hand
         for index, held in enumerate(hand):
             if held.__class__ is int:
                 self.laid[state.active][held] = hand[index] = cid
-                return index
+                return
         raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k)
-
-    def _hand_index(self, state: GameState, cid: str, lays: bool, turn: int, k: int) -> int:
-        """Where the mover holds ``cid``; failing that, the main chain
-        (``lays``) lays it."""
-        hand = state.players[state.active].hand
-        if not lays:
-            # Slots the x half laid after the fork reach this half as numbers.
-            laid = self.laid[state.active]
-            hand[:] = [laid.get(held, held) for held in hand]
-        if cid in hand:
-            return hand.index(cid)
-        if lays:
-            return self._lay(state, cid, turn, k)
-        raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k)
-
-    def _apply(self, state: GameState, key: tuple, turn: int, k: int) -> ScriptStep:
-        """Apply the step ``key`` names, step ``k`` of its turn, to ``state``
-        in place and return it."""
-        step = self._steps.get(key)
-        if step is None:
-            kind, args, optional = key
-            step = self._steps[key] = ScriptStep(kind(*args), optional)
-        if state.outcome is _ONGOING:
-            try:
-                apply_in_place(state, step.action)
-            except IllegalAction as exc:
-                if not step.optional:
-                    raise ScheduleInfeasible(
-                        f"scripted action rejected: {exc.reason}", turn=turn, step=k
-                    ) from exc
-        return step
 
     def _run_entries(
         self, state: GameState, entries: list[_PlanEntry], turn: int, k: int, lays: bool
-    ) -> list[TurnItem]:
-        """The items of a run of entries, applied to ``state`` in place; the
-        first step is step ``k`` of its turn, and a branch's steps count
-        along its x half.  ``lays`` is False for a y half."""
+    ) -> tuple[list[TurnItem], list]:
+        """The items of a run of entries, applied to ``state`` in place, and
+        the card each item plays: a card id for a play, None for another
+        step, and a pair of such lists for a branch.  The first step is step
+        ``k`` of its turn, and a branch's steps count along its x half.
+        ``lays`` is False for a y half.
+
+        One loop: a cast or a summon plays Innervates while the mover's
+        mana is short of the card's cost, then the card, then Light's
+        Justice (funded the same way) while the hand holds four or more
+        cards.  Each play finds its card in hand, or lays it on the main
+        chain, and takes the compile's step for that hand index.  Once the
+        game is decided a step is recorded without being applied.
+        """
         items: list[TurnItem] = []
-
-        def step(key: tuple) -> None:
-            nonlocal k
-            items.append(self._apply(state, key, turn, k))
-            k += 1
-
-        def play(cid: str, target: CharRef | None = None, position: int | None = None) -> None:
-            # Not recursive for the Innervates: a closure that calls itself
-            # is a reference cycle, which only the cyclic GC frees.
-            cost = card(cid).cost
-            hero = state.players[state.active].hero
-            while hero.mana < cost:
-                before = hero.mana
-                step((PlayCard, (self._hand_index(state, C.INNERVATE, lays, turn, k), None, None),
-                      False))
-                if hero.mana == before:
-                    raise ScheduleInfeasible(
-                        f"cannot fund cost {cost} at mana cap", turn=turn, step=k
-                    )
-            step((PlayCard, (self._hand_index(state, cid, lays, turn, k), target, position), False))
-
+        cards: list = []
+        append, played = items.append, cards.append
+        plays, steps = self._plays, self._steps
         for entry in entries:
-            if isinstance(entry, _Window):
+            cls = entry.__class__
+            if cls is _Window:
                 for cid in entry.pair_cards:
                     self._lay(state, cid, turn, k)
                 fork = state.fork()
-                x_steps = self._run_entries(state, entry.x_entries, turn, k, True)
-                y_steps = self._run_entries(fork, entry.y_entries, turn, k, False)
+                x_steps, x_cards = self._run_entries(state, entry.x_entries, turn, k, True)
+                y_steps, y_cards = self._run_entries(fork, entry.y_entries, turn, k, False)
                 self._check_convergence(state, fork, turn, k)
-                items.append(Branch(entry.decision, tuple(x_steps), tuple(y_steps)))
+                append(Branch(entry.decision, tuple(x_steps), tuple(y_steps)))
+                played((x_cards, y_cards))
                 k += len(x_steps)
-            elif isinstance(entry, _Att):
-                step((Attack, (entry.attacker, entry.defender), entry.optional))
-            elif isinstance(entry, _End):
-                step((EndTurn, (), False))
-            else:
-                play(entry.card, getattr(entry, "target", None), getattr(entry, "position", None))
-                hand = state.players[state.active].hand
-                while len(hand) >= 4 and state.outcome is _ONGOING:
-                    play(C.LIGHTS_JUSTICE)
-        return items
+                continue
+            if cls is _Att or cls is _End:
+                if cls is _End:
+                    step = self._end_turn
+                else:
+                    key = (entry.attacker, entry.defender, entry.optional)
+                    step = steps.get(key)
+                    if step is None:
+                        step = steps[key] = ScriptStep(
+                            Attack(entry.attacker, entry.defender), entry.optional)
+                if state.outcome is _ONGOING:
+                    try:
+                        apply_in_place(state, step.action)
+                    except IllegalAction as exc:
+                        if not step.optional:
+                            raise ScheduleInfeasible(
+                                f"scripted action rejected: {exc.reason}", turn=turn, step=k
+                            ) from exc
+                append(step)
+                played(None)
+                k += 1
+                continue
+            player = state.players[state.active]
+            hand, hero, laid = player.hand, player.hero, self.laid[state.active]
+            cid, target, position = entry.card, entry.target, entry.position
+            cost = _COSTS[cid]
+            while True:
+                funding = hero.mana < cost
+                play = _INNERVATE if funding else cid
+                if not lays:
+                    # Slots the x half laid after the fork reach this half as numbers.
+                    hand[:] = map(laid.get, hand, hand)
+                if play in hand:
+                    index = hand.index(play)
+                else:
+                    # The main chain lays the oldest unlaid slot in hand; a
+                    # y half lays none.
+                    for index, held in enumerate(hand):
+                        if lays and held.__class__ is int:
+                            laid[held] = hand[index] = play
+                            break
+                    else:
+                        raise ScheduleInfeasible(f"{play} not in hand", turn=turn, step=k)
+                if funding or target is None and position is None:
+                    step = plays[index]
+                    if step is None:
+                        step = plays[index] = ScriptStep(PlayCard(index))
+                else:
+                    # Keyed by numbers: a ``CharRef`` hashes in Python.
+                    key = (index, position) if target is None else (
+                        index, target.side, target.slot, position)
+                    step = steps.get(key)
+                    if step is None:
+                        step = steps[key] = ScriptStep(PlayCard(index, target, position))
+                before = hero.mana
+                if state.outcome is _ONGOING:
+                    try:
+                        _play_card(state, None, step.action)
+                    except IllegalAction as exc:
+                        raise ScheduleInfeasible(
+                            f"scripted action rejected: {exc.reason}", turn=turn, step=k
+                        ) from exc
+                append(step)
+                played(play)
+                k += 1
+                if funding:
+                    if hero.mana == before:
+                        raise ScheduleInfeasible(
+                            f"cannot fund cost {cost} at mana cap", turn=turn, step=k
+                        )
+                elif len(hand) >= 4 and state.outcome is _ONGOING:
+                    cid, target, position = _LIGHTS_JUSTICE, None, None
+                    cost = _COSTS[cid]
+                else:
+                    break
+        return items, cards
 
     def emit(self, plans: list[tuple[int, int, list[_PlanEntry]]]) -> tuple[TurnScript, ...]:
-        """A failing step is numbered by its position in its turn, counting a
-        branch's steps along the half that failed (the x half, after it)."""
-        return tuple(
-            TurnScript(turn, side, tuple(self._run_entries(self.state, entries, turn, 0, True)))
-            for turn, side, entries in plans
-        )
+        """The turns of the line; ``cards`` keeps, turn by turn, the card
+        each item plays.  A failing step is numbered by its position in its
+        turn, counting a branch's steps along the half that failed (the x
+        half, after it)."""
+        turns = []
+        for turn, side, entries in plans:
+            items, cards = self._run_entries(self.state, entries, turn, 0, True)
+            turns.append(TurnScript(turn, side, tuple(items)))
+            self.cards.append(cards)
+        return tuple(turns)
 
     def _check_convergence(
         self, sx: GameState, sy: GameState, turn: int, k: int
     ) -> None:
         """Both halves of the branch opened at step ``k`` must leave the same
-        position but for the accumulator's health and an enemy turn's survivor."""
-        def masked(s: GameState) -> tuple:
-            hero, deck, hand, board = s.players[1].canonical()
-            board = list(board)
-            if board:
-                board[0] = board[0][0]  # the accumulator's card id
-            if turn % 2 == 0 and len(board) > 4:
-                board[4] = None  # the survivor differs by design
-            enemy = (hero, deck, hand, board)
-            return (s.players[0].canonical(), enemy, s.active, s.turn, s.removed)
-        if masked(sx) != masked(sy):
+        position but for the accumulator's health and an enemy turn's
+        survivor.  The halves start from one fork, so a minion that neither
+        half wrote is one object in both, and equal without a look."""
+        same = (sx.active, sx.turn, sx.removed) == (sy.active, sy.turn, sy.removed)
+        for side in (0, 1):
+            px, py = sx.players[side], sy.players[side]
+            same = (same and px.hero.canonical() == py.hero.canonical()
+                    and px.deck[px.deck_pos:] == py.deck[py.deck_pos:]
+                    and px.hand == py.hand and len(px.board) == len(py.board))
+            for slot, (mx, my) in enumerate(zip(px.board, py.board)):
+                if not same:
+                    break
+                if mx is my:
+                    continue
+                if side == 1 and slot == 0:
+                    same = mx.card_id == my.card_id  # the accumulator
+                elif not (side == 1 and slot == 4 and turn % 2 == 0):  # the survivor
+                    same = mx.canonical() == my.canonical()
+        if not same:
             raise ScheduleInfeasible(
                 "branch halves fail to reconverge", turn=turn, step=k
             )
@@ -1047,6 +1109,61 @@ class CompileResult:
     line: ScriptedLine
 
 
+def _check_replay(config: GameConfig, line: ScriptedLine, cards: list[list],
+                  vector: tuple[str, ...], start: GameState) -> None:
+    """Replay ``vector`` on ``config``, whose start state is ``start``, and
+    raise ``ScheduleInfeasible`` unless every required step is legal, every
+    play plays the card the emitter played at that step (``cards``, as
+    ``_Emitter.emit`` keeps them), and the game ends as the vector's sum
+    says; a rejected step is reported first, then a wrong card.
+
+    A play's card is read on the state before it, which is the state
+    ``run_line`` hands the previous step's ``on_step`` (and ``start`` for
+    step 0).
+    """
+    name = "".join(vector)
+    expected: list[tuple[ScriptStep, str | None]] = []
+    for script, turn_cards in zip(line.turns, cards):
+        for item, card in zip(script.items, turn_cards):
+            if card.__class__ is tuple:
+                choice = vector[item.decision - 1]
+                expected += zip(item.steps(choice), card[choice == "y"])
+            else:
+                expected.append((item, card))
+    wrong: list[str] = []
+
+    def check_next(index: int, _step, _skipped, state: GameState) -> None:
+        index += 1
+        if index < len(expected) and state.outcome is _ONGOING and not wrong:
+            step, card = expected[index]
+            if card is not None:
+                hand = state.players[state.active].hand
+                slot = step.action.hand
+                # A slot out of range is the engine's to reject.
+                if slot < len(hand) and hand[slot] != card:
+                    wrong.append(f"vector {name} replay step {index} plays {hand[slot]}, "
+                                 f"not {card}")
+
+    check_next(-1, None, None, start)
+    try:
+        final = run_line(config, line, vector, on_step=check_next)
+    except IllegalAction as exc:
+        raise ScheduleInfeasible(
+            f"vector {name} replay rejects step {exc.step}: {exc.reason}"
+        ) from None
+    if wrong:
+        raise ScheduleInfeasible(wrong[0])
+    expected_outcome = (
+        Outcome.FRIENDLY_WINS
+        if chosen_sum(line.instance, vector) == line.instance.target
+        else Outcome.ENEMY_WINS
+    )
+    if final.outcome is not expected_outcome:
+        raise ScheduleInfeasible(
+            f"vector {name} ended {final.outcome.value}, expected {expected_outcome.value}"
+        )
+
+
 def compile_instance(
     instance: PartitionInstance,
     *,
@@ -1058,7 +1175,9 @@ def compile_instance(
     ``validate`` controls post-compile replay checking: "canonical" replays
     the all-x and all-y vectors, "all" replays every vector (n <= 12 only),
     "none" skips replays.  A replayed vector that rejects a required step,
-    or ends other than its sum says, raises ``ScheduleInfeasible``.
+    plays another card than the emitter played at a step, or ends other
+    than its sum says, raises ``ScheduleInfeasible``.  The cards the emitter
+    played are kept for this check only; the line file does not hold them.
     """
     if validate not in ("canonical", "all", "none"):
         raise ValueError(f"unknown validate mode {validate!r}")
@@ -1095,21 +1214,7 @@ def compile_instance(
             ]
         else:
             vectors = [("x",) * instance.n, ("y",) * instance.n]
+        start = start_game(config)
         for vec in vectors:
-            try:
-                final = run_line(config, line, vec)
-            except IllegalAction as exc:
-                raise ScheduleInfeasible(
-                    f"vector {''.join(vec)} replay rejects step {exc.step}: {exc.reason}"
-                ) from None
-            expected = (
-                Outcome.FRIENDLY_WINS
-                if chosen_sum(instance, vec) == instance.target
-                else Outcome.ENEMY_WINS
-            )
-            if final.outcome is not expected:
-                raise ScheduleInfeasible(
-                    f"vector {''.join(vec)} ended {final.outcome.value}, "
-                    f"expected {expected.value}"
-                )
+            _check_replay(config, line, emitter.cards, vec, start)
     return result

@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-from .cards import CardKind, CardSpec, EffectTag, Tribe, card
+from .cards import _DB as _CARDS, CardKind, CardSpec, EffectTag, Tribe
 from .state import (
     Action,
     Attack,
@@ -72,6 +72,7 @@ from .state import (
 # module global, so the members it tests are bound here once.
 _ONGOING = Outcome.ONGOING
 _MINION = CardKind.MINION
+_SPELL = CardKind.SPELL
 _WEAPON = CardKind.WEAPON
 _DEMON = Tribe.DEMON
 _BEAST = Tribe.BEAST
@@ -157,15 +158,16 @@ def spell_shielded(board: list[MinionInstance], slot: int) -> bool:
 
 def _spell_target_ok(state: GameState, caster: int, effect: EffectTag, ref: CharRef) -> str | None:
     """Why ``ref`` is not a legal target for the spell, or None if it is."""
-    if ref.is_hero:
+    slot = ref.slot
+    if slot is None:  # a hero
         if effect is _RESTORE_FIVE_HEALTH:
             return None
         return "spell cannot target a hero"
     owner = state.players[ref.side]
-    if ref.slot is None or not (0 <= ref.slot < len(owner.board)):
+    if not (0 <= slot < len(owner.board)):
         return "no minion at target slot"
-    m = owner.board[ref.slot]
-    if spell_shielded(owner.board, ref.slot):
+    m = owner.board[slot]
+    if spell_shielded(owner.board, slot):
         return "target is shielded from spells"
     if effect is _DEAL_TWO_TO_UNDAMAGED_MINION and m.damaged:
         return "target must be undamaged"
@@ -278,7 +280,7 @@ def legal_actions(state: GameState) -> list[Action]:
     acts: list[Action] = []
 
     for hi, cid in enumerate(p.hand):
-        spec = card(cid)
+        spec = _CARDS[cid]
         if spec.cost > p.hero.mana:
             continue
         if spec.kind is _MINION:
@@ -432,13 +434,10 @@ def _process_deaths(state: GameState, log: EventLog | None) -> None:
 def _resolve_spell(
     state: GameState, log: EventLog | None, side: int, spec: CardSpec, target: CharRef | None
 ) -> None:
+    """Resolve every spell but the Innervate, which ``_play_card`` resolves
+    inline."""
     effect = spec.effect
     p = state.players[side]
-    if effect is _GAIN_TWO_MANA:
-        p.hero.mana = min(p.hero.mana + 2, MAX_MANA)
-        if log is not None:
-            log.emit("mana", side=side, mana=p.hero.mana)
-        return
     if effect is _DRAW_TWO:
         _draw_card(state, log, side)
         _draw_card(state, log, side)
@@ -454,7 +453,7 @@ def _resolve_spell(
         return
 
     assert target is not None
-    if target.is_hero:
+    if target.slot is None:
         # Only the heal reaches heroes; target legality was checked upstream.
         _heal_hero(state, log, target.side, 5)
         return
@@ -522,14 +521,69 @@ def _resolve_spell(
 
 
 def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None:
+    """Play the card in hand slot ``action.hand``.
+
+    Spells come first, on a direct path: about four in five of a compiled
+    line's steps are spells, and half of all its steps are Innervates
+    (143 of 287 on the worked all-x line).  The card is read
+    from the card table without a ``card()`` call, an Innervate's +2 mana is
+    resolved inline and every other spell by ``_resolve_spell``, and then
+    the caster's board is walked once for its draw-on-spell minions.
+    Minions and weapons follow.  Every check comes before the first change
+    to the state.
+    """
     side = state.active
     p = state.players[side]
-    if not (0 <= action.hand < len(p.hand)):
-        raise IllegalAction(f"no card in hand slot {action.hand}")
-    cid = p.hand[action.hand]
-    spec = card(cid)
-    if spec.cost > p.hero.mana:
-        raise IllegalAction(f"not enough mana for {cid} (have {p.hero.mana}, need {spec.cost})")
+    hand = p.hand
+    index = action.hand
+    if not (0 <= index < len(hand)):
+        raise IllegalAction(f"no card in hand slot {index}")
+    cid = hand[index]
+    spec = _CARDS[cid]
+    hero = p.hero
+    if spec.cost > hero.mana:
+        raise IllegalAction(f"not enough mana for {cid} (have {hero.mana}, need {spec.cost})")
+
+    if spec.kind is _SPELL:
+        effect = spec.effect
+        target = action.target
+        if effect in _TARGETED_SPELLS:
+            if target is None:
+                raise IllegalAction(f"{cid} needs a target")
+            reason = _spell_target_ok(state, side, effect, target)
+            if reason is not None:
+                raise IllegalAction(f"{cid}: {reason}")
+        elif target is not None:
+            raise IllegalAction(f"{cid} does not take a target")
+        if action.position is not None:
+            raise IllegalAction(f"{cid} takes no position")
+        hero.mana -= spec.cost
+        del hand[index]
+        state.removed += 1
+        if log is not None:
+            log.emit("play", side=side, card=cid,
+                     **({"target": target.to_json_obj()} if target else {}))
+        if effect is _GAIN_TWO_MANA:
+            hero.mana = min(hero.mana + 2, MAX_MANA)
+            if log is not None:
+                log.emit("mana", side=side, mana=hero.mana)
+        else:
+            _resolve_spell(state, log, side, spec, target)
+            if state.outcome is not _ONGOING:
+                return
+            if effect in _LETHAL_SPELLS:
+                _process_deaths(state, log)
+        # One draw per surviving friendly draw-on-spell minion.  A draw
+        # leaves the board as it is, so the draws can be made during the walk.
+        for m in p.board:
+            if m.effect is _TRIGGER_DRAW_ON_FRIENDLY_SPELL:
+                if state.outcome is not _ONGOING:
+                    return
+                if log is not None:
+                    log.emit("trigger", card="Gadgetzan Auctioneer",
+                             effect=_TRIGGER_DRAW_ON_FRIENDLY_SPELL.value)
+                _draw_card(state, log, side)
+        return
 
     if spec.kind is _MINION:
         if len(p.board) >= MAX_BOARD:
@@ -539,8 +593,8 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             raise IllegalAction(f"bad summon position {pos}")
         if action.target is not None:
             raise IllegalAction(f"{cid} does not take a target")
-        p.hero.mana -= spec.cost
-        del p.hand[action.hand]
+        hero.mana -= spec.cost
+        del hand[index]
         if log is not None:
             log.emit("play", side=side, card=cid, position=pos)
         p.board.insert(pos, MinionInstance.from_card(spec, state.next_iid, p.gen))
@@ -554,55 +608,21 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             _draw_card(state, log, side)
         return
 
-    if spec.kind is _WEAPON:
-        if action.target is not None or action.position is not None:
-            raise IllegalAction(f"{cid} takes no target or position")
-        p.hero.mana -= spec.cost
-        del p.hand[action.hand]
-        if log is not None:
-            log.emit("play", side=side, card=cid)
-        if p.hero.weapon is not None:
-            state.removed += 1
-            if log is not None:
-                log.emit("weapon_break", side=side, replaced=True)
-        p.hero.weapon = Weapon(spec.attack or 0, spec.health or 0)
-        if log is not None:
-            log.emit("equip", side=side, card=cid,
-                     attack=p.hero.weapon.attack, durability=p.hero.weapon.durability)
-        return
-
-    # Spell.
-    if spec.effect in _TARGETED_SPELLS:
-        if action.target is None:
-            raise IllegalAction(f"{cid} needs a target")
-        reason = _spell_target_ok(state, side, spec.effect, action.target)
-        if reason is not None:
-            raise IllegalAction(f"{cid}: {reason}")
-    elif action.target is not None:
-        raise IllegalAction(f"{cid} does not take a target")
-    if action.position is not None:
-        raise IllegalAction(f"{cid} takes no position")
-    p.hero.mana -= spec.cost
-    del p.hand[action.hand]
-    state.removed += 1
+    # Weapon.
+    if action.target is not None or action.position is not None:
+        raise IllegalAction(f"{cid} takes no target or position")
+    hero.mana -= spec.cost
+    del hand[index]
     if log is not None:
-        log.emit("play", side=side, card=cid,
-                 **({"target": action.target.to_json_obj()} if action.target else {}))
-    _resolve_spell(state, log, side, spec, action.target)
-    if state.outcome is not _ONGOING:
-        return
-    if spec.effect in _LETHAL_SPELLS:
-        _process_deaths(state, log)
-    # One draw per surviving friendly draw-on-spell minion.  A draw leaves
-    # the board as it is, so the draws can be made during the walk.
-    for m in p.board:
-        if m.effect is _TRIGGER_DRAW_ON_FRIENDLY_SPELL:
-            if state.outcome is not _ONGOING:
-                return
-            if log is not None:
-                log.emit("trigger", card="Gadgetzan Auctioneer",
-                         effect=_TRIGGER_DRAW_ON_FRIENDLY_SPELL.value)
-            _draw_card(state, log, side)
+        log.emit("play", side=side, card=cid)
+    if hero.weapon is not None:
+        state.removed += 1
+        if log is not None:
+            log.emit("weapon_break", side=side, replaced=True)
+    hero.weapon = Weapon(spec.attack or 0, spec.health or 0)
+    if log is not None:
+        log.emit("equip", side=side, card=cid,
+                 attack=hero.weapon.attack, durability=hero.weapon.durability)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +760,20 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _unknown_action(state: GameState, log: EventLog | None, action: Action) -> None:
+    raise IllegalAction(f"unknown action {action!r}")
+
+
+# The resolver of each action class.  The action classes have no
+# subclasses, so the class itself is the key; ``apply_in_place`` and
+# ``run_script`` both dispatch here.
+_RESOLVE = {
+    PlayCard: _play_card,
+    Attack: _attack,
+    EndTurn: lambda state, log, action: _end_turn(state, log),
+}
+
+
 def apply_in_place(state: GameState, action: Action, log: EventLog | None = None) -> None:
     """Resolve one action on ``state`` itself.
 
@@ -749,16 +783,7 @@ def apply_in_place(state: GameState, action: Action, log: EventLog | None = None
     """
     if state.outcome is not _ONGOING:
         raise IllegalAction("the game is already decided")
-    # The action classes have no subclasses, so their identity is enough.
-    cls = action.__class__
-    if cls is PlayCard:
-        _play_card(state, log, action)
-    elif cls is Attack:
-        _attack(state, log, action)
-    elif cls is EndTurn:
-        _end_turn(state, log)
-    else:
-        raise IllegalAction(f"unknown action {action!r}")
+    _RESOLVE.get(action.__class__, _unknown_action)(state, log, action)
 
 
 def apply(state: GameState, action: Action, log: EventLog | None = None) -> GameState:
@@ -802,10 +827,14 @@ def run_script(
     """
     if state.outcome is not _ONGOING:
         return
+    resolvers = _RESOLVE
     for index, step in enumerate(steps):
         skipped = None
+        action = step.action
         try:
-            apply_in_place(state, step.action, log)
+            # The game is undecided here, so the step is resolved as
+            # ``apply_in_place`` would, without its frame.
+            resolvers.get(action.__class__, _unknown_action)(state, log, action)
         except IllegalAction as exc:
             if not step.optional:
                 raise IllegalAction(exc.reason, step=index) from None

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -474,8 +475,10 @@ class _Run(NamedTuple):
     D in ``[lo, hi]``.
 
     ``value`` is the decided value (a draw where the script runs out),
-    else None and ``end`` is the state the run ends in, with the wall's health masked, ``key`` its position key,
-    and ``a + b * D`` the damage the wall has taken there.
+    else None and ``end`` is the state the run ends in, with the wall's
+    health masked, ``key`` its position key, ``wall`` the wall's (side,
+    slot) there or None if it is gone, and ``a + b * D`` the damage the
+    wall has taken.
     """
 
     lo: float
@@ -485,6 +488,7 @@ class _Run(NamedTuple):
     a: int
     b: int
     end: GameState | None
+    wall: tuple[int, int] | None
 
 
 def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
@@ -546,29 +550,31 @@ class _Skeleton:
         self.segments.append(tuple(segment))
         self.start = start_game(config)
         enemy = self.start.players[1].board
-        self.wall = enemy[0].iid if enemy else None
+        self.wall_iid = enemy[0].iid if enemy else None
         self.h0 = enemy[0].health if enemy else 0
         self.memo: dict[tuple[int, bytes, int], tuple[int, _Choices]] = {}
         self.runs: dict[tuple[int, str, bytes], list[_Run]] = {}
         self.nodes = 0
         self.hits = 0
 
-    def swap_health(self, state: GameState, health):
-        """Give the wall ``health``, returning what it had; None if it is gone."""
-        for p in state.players:
+    def find_wall(self, state: GameState) -> tuple[int, int] | None:
+        """Where the wall is, as (side, slot); None if it is gone."""
+        for side, p in enumerate(state.players):
             for slot, m in enumerate(p.board):
-                if m.iid == self.wall:
-                    m = _own(p, slot)
-                    old, m.health = m.health, health
-                    return old
+                if m.iid == self.wall_iid:
+                    return side, slot
         return None
 
-    def run(self, k: int, part: str, start: GameState, key: bytes, d: int,
-            offset: int) -> _Run:
+    def run(self, k: int, part: str, start: GameState, wall: tuple[int, int] | None,
+            key: bytes, d: int, offset: int) -> _Run:
         """The run of segment ``k`` (``part`` "-") or of a half of branch
-        ``k`` ("x" or "y") from ``start`` at damage ``d``: cached, or made
-        on a fork of ``start``.  ``offset`` is its first step's index along
-        the line."""
+        ``k`` ("x" or "y") from ``start``, where the wall is at ``wall``, at
+        damage ``d``: cached, or made on a fork of ``start``.  ``offset`` is
+        its first step's index along the line.
+
+        The wall is looked for once per run, after it, and its place is
+        kept with the end state for the runs that start there.
+        """
         entries = self.runs.setdefault((k, part, key), [])
         for entry in entries:
             if entry.lo <= d <= entry.hi:
@@ -576,34 +582,43 @@ class _Skeleton:
                 return entry
         state = start.fork()
         path = _Path(d)
-        self.swap_health(state, _Health(self.h0, -1, path))
+        if wall is not None:
+            m = _own(state.players[wall[0]], wall[1])
+            m.health = _Health(self.h0, -1, path)
         steps = self.segments[k] if part == "-" else self.branches[k].steps(part)
         try:
-            self.nodes += sum(1 for _ in run_script(state, steps))
+            # The last (index, step, skipped) says how many steps ran.
+            last = deque(run_script(state, steps), maxlen=1)
         except IllegalAction as exc:
             raise IllegalAction(exc.reason, step=offset + exc.step) from None
+        if last:
+            self.nodes += last[0][0] + 1
         value = terminal_value(state)
         if value is None and part == "-" and k == len(self.branches):
             value = DRAW
         if value is not None:
-            entry = _Run(path.lo, path.hi, value, None, 0, 0, None)
+            entry = _Run(path.lo, path.hi, value, None, 0, 0, None, None)
         else:
-            health = self.swap_health(state, None)
-            if health is None:
-                a, b = 0, 0
-            elif type(health) is _Health:
-                a, b = self.h0 - health.c, -health.s
-            else:
-                a, b = self.h0 - health, 0
-            entry = _Run(path.lo, path.hi, None, position_key(state), a, b, state)
+            a, b = 0, 0
+            if wall is not None:
+                wall = self.find_wall(state)
+            if wall is not None:
+                m = _own(state.players[wall[0]], wall[1])
+                health, m.health = m.health, None
+                if type(health) is _Health:
+                    a, b = self.h0 - health.c, -health.s
+                else:
+                    a = self.h0 - health
+            entry = _Run(path.lo, path.hi, None, position_key(state), a, b, state, wall)
         entries.append(entry)
         return entry
 
-    def solve(self, k: int, key: bytes, d: int, node: GameState, offset: int
-              ) -> tuple[int, _Choices]:
+    def solve(self, k: int, key: bytes, d: int, node: GameState,
+              wall: tuple[int, int] | None, offset: int) -> tuple[int, _Choices]:
         """Value and choices from ``node``, the position before branch
-        ``k`` with the wall's health masked, at damage ``d``.  The choices
-        come as a chain, so a node adds its own without copying the rest.
+        ``k`` with the wall's health masked and the wall at ``wall``, at
+        damage ``d``.  The choices come as a chain, so a node adds its own
+        without copying the rest.
 
         ``node`` is never written, only forked; ``offset`` is the branch's
         first step's index along the line.
@@ -618,16 +633,16 @@ class _Skeleton:
         best: tuple[int, _Choices] | None = None
         for choice in ("x", "y"):
             # The half, then the forced segment after it.
-            after = self.run(k, choice, node, key, d, offset)
+            after = self.run(k, choice, node, wall, key, d, offset)
             d_after = after.a + after.b * d
             at = offset + len(branch.steps(choice))
             if after.value is None:
-                after = self.run(k + 1, "-", after.end, after.key, d_after, at)
+                after = self.run(k + 1, "-", after.end, after.wall, after.key, d_after, at)
                 d_after = after.a + after.b * d_after
                 at += len(self.segments[k + 1])
             value, rest = after.value, None
             if value is None:
-                value, rest = self.solve(k + 1, after.key, d_after, after.end, at)
+                value, rest = self.solve(k + 1, after.key, d_after, after.end, after.wall, at)
             if best is None or (value > best[0] if maximizing else value < best[0]):
                 best = (value, (choice, rest))
             if best[0] == (WIN if maximizing else LOSS):
@@ -638,11 +653,14 @@ class _Skeleton:
 
     def solve_line(self) -> SkeletonResult:
         start = self.start
-        self.swap_health(start, None)
-        first = self.run(0, "-", start, position_key(start), 0, 0)
+        wall = self.find_wall(start)
+        if wall is not None:
+            _own(start.players[wall[0]], wall[1]).health = None
+        first = self.run(0, "-", start, wall, position_key(start), 0, 0)
         value, chain = first.value, None
         if value is None:
-            value, chain = self.solve(0, first.key, first.a, first.end, len(self.segments[0]))
+            value, chain = self.solve(0, first.key, first.a, first.end, first.wall,
+                                      len(self.segments[0]))
         vector: list[str] = []
         while chain is not None:
             choice, chain = chain

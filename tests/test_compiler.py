@@ -20,6 +20,7 @@ from hearthproof.cards import (
     ARCANE_INTELLECT,
     FLASH_HEAL,
     FLOATING_WATCHER,
+    FROST_NOVA,
     GAHZRILLA,
     LEPER_GNOME,
     LIGHTS_JUSTICE,
@@ -277,6 +278,11 @@ class TestCompiledArtifacts:
         with pytest.raises(InstanceError):
             ScriptedLine.from_json_obj(obj)
 
+    @pytest.mark.parametrize("text", ["[]", "1"])
+    def test_line_must_be_an_object(self, text) -> None:
+        with pytest.raises(InstanceError, match="top level is not a JSON object"):
+            ScriptedLine.from_json(text)
+
     def test_accumulator_stats(self, worked_compiled) -> None:
         """The enemy anchor is a huge taunt wall whose health encodes the
         target: 10*18 + 2*4 + 8 for the worked instance."""
@@ -420,6 +426,44 @@ class TestCompiledArtifacts:
         path.write_text(json.dumps(worked_instance.to_json_obj()))
         assert main(["compile", str(path), "--out-dir", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == f"error: schedule infeasible: {message}\n"
+
+    @pytest.mark.parametrize("validate", ["canonical", "all"])
+    def test_validation_checks_each_card_played(self, worked_instance, tmp_path,
+                                                monkeypatch, capsys, validate) -> None:
+        """Swapping the enemy deck's last Frost Nova with its final Light's
+        Justice leaves every step legal and every outcome right, since both
+        cards are untargeted; the validating replay still names the vector
+        and the step that plays the wrong card, and ``compile`` exits 3."""
+        build = compiler.build_config
+
+        def swapped(shifted, friendly_deck, enemy_deck, turn_limit):
+            last = {cid: k for k, cid in enumerate(enemy_deck)}
+            nova, justice = last[FROST_NOVA], last[LIGHTS_JUSTICE]
+            enemy_deck[nova], enemy_deck[justice] = enemy_deck[justice], enemy_deck[nova]
+            return build(shifted, friendly_deck, enemy_deck, turn_limit)
+
+        monkeypatch.setattr(compiler, "build_config", swapped)
+        message = "vector xxxx replay step 259 plays Light's Justice, not Frost Nova"
+        with pytest.raises(ScheduleInfeasible) as info:
+            compile_instance(worked_instance, validate=validate)
+        assert str(info.value) == message
+        path = tmp_path / "worked.json"
+        path.write_text(json.dumps(worked_instance.to_json_obj()))
+        argv = ["compile", str(path), "--out-dir", str(tmp_path / "out"), "--validate", validate]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: schedule infeasible: {message}\n"
+
+    def test_criterion_3_space_is_pinned(self) -> None:
+        """Byte pin over the criterion-3 pair space (every one to three
+        pairs of values 0-2, 819 pair sets) at target 3."""
+        space = list(itertools.product(range(3), repeat=2))
+        digest = hashlib.sha256()
+        for n in (1, 2, 3):
+            for pairs in itertools.product(space, repeat=n):
+                result = compile_instance(PartitionInstance(pairs, 3), validate="none")
+                digest.update((result.config.to_json() + result.line.to_json()).encode())
+        assert digest.hexdigest() == (
+            "62b282b9602c13e8fc23fce31432e711b159e8bd65fb38bfe6dc90faf0ff9ce2")
 
     def test_laid_decks_play_out_the_canonical_lines(self) -> None:
         """On the built config, with the wall inflated as ``compile_instance``
