@@ -20,7 +20,9 @@ Layout produced (player 0 moves first and owns the odd turns):
   that hit exactly when the chosen values sum to T, freeing the way for a
   weapon swing at the 1-health enemy hero.
 
-The emitter plays the turn plans through the engine and lays each side's
+Each turn is written once, as a turn builder (``_odd_turn``, ``_even_turn``,
+``_punishment_turn`` and their parts) that plays its cards and attacks
+through the emitter, which runs them on the engine and lays each side's
 deck as it goes.  The decks start unlaid: each draw takes the next deck
 slot, and when the line plays a card that is not in hand, the oldest drawn
 slot not yet laid is laid with it.  A deck so lists the cards its turns play
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
 from . import cards as C
@@ -522,12 +524,13 @@ class ScriptedLine:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: symbolic turn plans
+# Turn builders
 # ---------------------------------------------------------------------------
 #
-# Plan entries are abstract; slots are known statically because the board
-# choreography is fixed: the friendly core occupies slots 0-5 (newcomers at
-# 6), the enemy core slots 0-3 (staged carriers at 4 and 5).
+# Each builder plays one turn's cards and attacks through the emitter.  The
+# slots are known statically because the board choreography is fixed: the
+# friendly core occupies slots 0-5 (newcomers at 6), the enemy core slots
+# 0-3 (staged carriers at 4 and 5).
 
 _F_CARRY = minion_ref(0, 5)  # carrier slot beside the 5-minion core
 _F_SECOND = minion_ref(0, 6)  # second carrier while both are fielded
@@ -539,170 +542,96 @@ _E_HERO = hero_ref(1)
 _F_TAUNT = minion_ref(0, 4)
 
 
-@dataclass
-class _Cast:
-    card: str
-    target: CharRef | None = None
-    position = None  # a play entry has a card, a target and a position
-
-
-@dataclass
-class _Summon:
-    card: str
-    position: int
-    target = None  # a play entry has a card, a target and a position
-
-
-@dataclass
-class _Att:
-    attacker: CharRef
-    defender: CharRef
-    optional: bool = False
-
-
-@dataclass
-class _End:
-    pass
-
-
-@dataclass
-class _Window:
-    """Branch point: execute either x_entries or y_entries."""
-
-    decision: int
-    x_entries: list = field(default_factory=list)
-    y_entries: list = field(default_factory=list)
-    pair_cards: tuple[str, ...] = ()  # laid as the branch opens, played by either half
-
-
-_PlanEntry = _Cast | _Summon | _Att | _End | _Window
-
-
-def _buff_entries(cards: tuple[str, ...], target: CharRef) -> list[_PlanEntry]:
-    return [_Cast(cid, target) for cid in cards]
-
-
-def _plan_odd_turn(
-    i: int, n: int, x: int, y: int, is_last_pair_turn: bool
-) -> list[_PlanEntry]:
+def _odd_turn(e: _Emitter, i: int, x: int, y: int, last: bool) -> None:
     """Friendly turn i: deliver pair i (demon on slot 5, beast beside it)."""
-    entries: list[_PlanEntry] = []
     if i >= 3:
-        entries += _plan_steal_back()
-    entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.FLOATING_WATCHER, 5)]
-    entries += _buff_entries(synthesize_demon_buffs(x).cards, _F_CARRY)
-    entries.append(_Cast(C.ARCANE_INTELLECT))  # stocks the branch pair
+        _steal_back(e)
+    e.play(C.ARCANE_INTELLECT)
+    e.play(C.FLOATING_WATCHER, position=5)
+    for cid in synthesize_demon_buffs(x).cards:
+        e.play(cid, _F_CARRY)
+    e.play(C.ARCANE_INTELLECT)  # stocks the branch pair
+    beast = synthesize_beast_buffs(y, "blessed").cards
 
     # Both carriers share the board inside the branch; the unchosen one is
     # destroyed before the chosen one attacks.  The two halves cast the same
     # cards at the same costs in the same order, so mana and draws align.
-    x_entries: list[_PlanEntry] = [_Cast(C.CHARGE, _F_CARRY)]
-    x_entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 6)]
-    x_entries += _buff_entries(synthesize_beast_buffs(y, "blessed").cards, _F_SECOND)
-    x_entries += [_Cast(C.SHADOW_WORD_DEATH, _F_SECOND), _Att(_F_CARRY, _E_LEPER)]
+    def x_half() -> None:
+        e.play(C.CHARGE, _F_CARRY)
+        e.play(C.ARCANE_INTELLECT)
+        e.play(C.GAHZRILLA, position=6)
+        for cid in beast:
+            e.play(cid, _F_SECOND)
+        e.play(C.SHADOW_WORD_DEATH, _F_SECOND)
+        e.attack(_F_CARRY, _E_LEPER)
 
-    y_entries: list[_PlanEntry] = [_Cast(C.SHADOW_WORD_DEATH, _F_CARRY)]
-    y_entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 5)]
-    y_entries += _buff_entries(synthesize_beast_buffs(y, "blessed").cards, _F_CARRY)
-    y_entries += [_Cast(C.CHARGE, _F_CARRY), _Att(_F_CARRY, _E_LEPER)]
+    def y_half() -> None:
+        e.play(C.SHADOW_WORD_DEATH, _F_CARRY)
+        e.play(C.ARCANE_INTELLECT)
+        e.play(C.GAHZRILLA, position=5)
+        for cid in beast:
+            e.play(cid, _F_CARRY)
+        e.play(C.CHARGE, _F_CARRY)
+        e.attack(_F_CARRY, _E_LEPER)
 
-    window = _Window(
-        decision=i,
-        x_entries=x_entries,
-        y_entries=y_entries,
-        pair_cards=(C.CHARGE, C.SHADOW_WORD_DEATH),
-    )
-    entries.append(window)
-
-    if not is_last_pair_turn:
-        # Stage the next pair's demon seed, then refreeze the enemy core.
-        entries += [
-            _Cast(C.ARCANE_INTELLECT),
-            _Summon(C.FLOATING_WATCHER, 5),
-            _Cast(C.DEMONFUSE, _F_CARRY),
-            _Cast(C.FROST_NOVA),
-        ]
+    e.branch(i, (C.CHARGE, C.SHADOW_WORD_DEATH), x_half, y_half)
+    if last:
+        _verification_tail(e)
     else:
-        entries += _plan_verification_tail()
-    entries.append(_End())
-    return entries
+        # Stage the next pair's demon seed, then refreeze the enemy core.
+        e.play(C.ARCANE_INTELLECT)
+        e.play(C.FLOATING_WATCHER, position=5)
+        e.play(C.DEMONFUSE, _F_CARRY)
+        e.play(C.FROST_NOVA)
+    e.end()
 
 
-def _plan_steal_back() -> list[_PlanEntry]:
+def _steal_back(e: _Emitter) -> None:
     """Steal back the survivor of the previous pair, deliver it, then
     recycle the staging slot with a ping-fodder engineer."""
-    return [
-        _Cast(C.MIND_CONTROL, _E_STAGE0),
-        _Cast(C.CHARGE, _F_CARRY),
-        _Att(_F_CARRY, _E_LEPER),
-        _Summon(C.NOVICE_ENGINEER, 5),
-        _Cast(C.MORTAL_COIL, _F_CARRY),
-    ]
+    e.play(C.MIND_CONTROL, _E_STAGE0)
+    e.play(C.CHARGE, _F_CARRY)
+    e.attack(_F_CARRY, _E_LEPER)
+    e.play(C.NOVICE_ENGINEER, position=5)
+    e.play(C.MORTAL_COIL, _F_CARRY)
 
 
-def _plan_verification_tail() -> list[_PlanEntry]:
+def _verification_tail(e: _Emitter) -> None:
     """Final delivery: an unbuffed beast hits for exactly 8 after the charge."""
-    return [
-        _Cast(C.ARCANE_INTELLECT),
-        _Summon(C.GAHZRILLA, 5),
-        _Cast(C.FLASH_HEAL, _F_HERO),
-        _Cast(C.CHARGE, _F_CARRY),
-        _Att(_F_CARRY, _E_LEPER),
-        _Att(_F_HERO, _E_HERO, optional=True),
-    ]
+    e.play(C.ARCANE_INTELLECT)
+    e.play(C.GAHZRILLA, position=5)
+    e.play(C.FLASH_HEAL, _F_HERO)
+    e.play(C.CHARGE, _F_CARRY)
+    e.attack(_F_CARRY, _E_LEPER)
+    e.attack(_F_HERO, _E_HERO, optional=True)
 
 
-def _plan_even_turn(i: int, n: int, x: int, y: int) -> list[_PlanEntry]:
+def _even_turn(e: _Emitter, i: int, x: int, y: int) -> None:
     """Enemy turn i: finish the staged demon to 10x, stage the beast to 10y,
     destroy one of the two, park the survivor on the stage slot."""
-    entries: list[_PlanEntry] = [_Cast(C.DEMONFUSE, _F_CARRY)]
-    entries += _buff_entries(synthesize_demon_buffs(x).cards[2:], _F_CARRY)
-    entries += [_Cast(C.MORTAL_COIL, _F_CARRY)] * 6
-    entries.append(_Cast(C.MIND_CONTROL, _F_CARRY))
-    entries += [_Cast(C.ARCANE_INTELLECT), _Summon(C.GAHZRILLA, 5)]
-    entries += _buff_entries(synthesize_beast_buffs(y, "backstab").cards, _E_STAGE1)
-    window = _Window(
-        decision=i,
-        x_entries=[_Cast(C.SHADOW_WORD_DEATH, _E_STAGE1)],  # keep the demon (x)
-        y_entries=[_Cast(C.SHADOW_WORD_DEATH, _E_STAGE0)],  # keep the beast (y)
-        pair_cards=(C.SHADOW_WORD_DEATH,),
-    )
-    entries += [window, _Cast(C.FROST_NOVA), _End()]
-    return entries
+    e.play(C.DEMONFUSE, _F_CARRY)
+    for cid in synthesize_demon_buffs(x).cards[2:]:
+        e.play(cid, _F_CARRY)
+    for _ in range(6):
+        e.play(C.MORTAL_COIL, _F_CARRY)
+    e.play(C.MIND_CONTROL, _F_CARRY)
+    e.play(C.ARCANE_INTELLECT)
+    e.play(C.GAHZRILLA, position=5)
+    for cid in synthesize_beast_buffs(y, "backstab").cards:
+        e.play(cid, _E_STAGE1)
+    e.branch(i, (C.SHADOW_WORD_DEATH,),
+             lambda: e.play(C.SHADOW_WORD_DEATH, _E_STAGE1),  # keep the demon (x)
+             lambda: e.play(C.SHADOW_WORD_DEATH, _E_STAGE0))  # keep the beast (y)
+    e.play(C.FROST_NOVA)
+    e.end()
 
 
-def _plan_verification_turn(n: int) -> list[_PlanEntry]:
-    """Standalone final friendly turn used when n is even."""
-    return [*_plan_steal_back(), *_plan_verification_tail(), _End()]
-
-
-def _plan_punishment_turn() -> list[_PlanEntry]:
+def _punishment_turn(e: _Emitter) -> None:
     """Enemy cleanup if the sum missed the target: clear the taunt, go face."""
-    return [
-        _Att(_E_LEPER, _F_TAUNT, optional=True),
-        _Att(minion_ref(1, 1), _F_HERO, optional=True),
-        _Att(minion_ref(1, 2), _F_HERO, optional=True),
-        _Att(minion_ref(1, 3), _F_HERO, optional=True),
-        _End(),
-    ]
-
-
-def build_turn_plans(shifted: PartitionInstance) -> list[tuple[int, int, list[_PlanEntry]]]:
-    """(turn number, side, entries) for every scripted turn of the line."""
-    n = shifted.n
-    plans: list[tuple[int, int, list[_PlanEntry]]] = []
-    for i in range(1, n + 1):
-        x, y = shifted.pairs[i - 1]
-        if i % 2 == 1:
-            plans.append((i, 0, _plan_odd_turn(i, n, x, y, is_last_pair_turn=(i == n))))
-        else:
-            plans.append((i, 1, _plan_even_turn(i, n, x, y)))
-    if n % 2 == 0:
-        plans.append((n + 1, 0, _plan_verification_turn(n)))
-        plans.append((n + 2, 1, _plan_punishment_turn()))
-    else:
-        plans.append((n + 1, 1, _plan_punishment_turn()))
-    return plans
+    e.attack(_E_LEPER, _F_TAUNT, optional=True)
+    for slot in (1, 2, 3):
+        e.attack(minion_ref(1, slot), _F_HERO, optional=True)
+    e.end()
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +704,7 @@ def build_config(
 
 
 # ---------------------------------------------------------------------------
-# Phase 2: engine-driven script emission
+# Engine-driven script emission
 # ---------------------------------------------------------------------------
 
 # Both decks while the emitter plays: draw k takes slot k, which enters the
@@ -790,31 +719,32 @@ _LIGHTS_JUSTICE = C.LIGHTS_JUSTICE
 
 
 class _Emitter:
-    """Plays the turn plans through the real engine, producing concrete
-    actions with live hand indices, checking every move is legal and laying
-    both decks as it goes.
+    """Plays the turns through the real engine as the turn builders call
+    ``play``, ``attack``, ``end`` and ``branch``, producing concrete actions
+    with live hand indices, checking every move is legal and laying both
+    decks as it goes.
 
     The start state's decks are not laid yet: each draw takes the next slot
     (see ``_SLOTS``).  When the main chain (every step outside a branch,
     and each branch's x half) plays a card not in hand, the oldest unlaid
-    slot in hand is laid with it; the hand keeps cards in draw order,
-    so slots are laid first in, first out, and a deck lists its cards in
-    the order they are laid.  A branch lays its pair cards as it opens, so
-    both halves find them in hand.  The y half may not lay a slot: it runs
-    on a fork after the x half, and the game goes on from the x half, which
-    has already decided every slot it draws.  So the y half finds its cards
-    only among those the x half laid, and fails where one is missing.  Mana
-    bursts (Innervates) go in while the mover's live mana is short of a
-    card's cost, and after each planned card, Light's Justice equips go in
-    while the mover holds four or more cards.  A slot drawn but never laid
-    holds Light's Justice in the final deck (``decks``).
+    slot in hand is laid with it (``_lay``); the hand keeps cards in draw
+    order, so slots are laid first in, first out, and a deck lists its
+    cards in the order they are laid.  A branch lays its pair cards as it
+    opens, so both halves find them in hand.  The y half may not lay a
+    slot: it runs on a fork after the x half, and the game goes on from the
+    x half, which has already decided every slot it draws.  So the y half
+    finds its cards only among those the x half laid, and fails where one
+    is missing.  Mana bursts (Innervates) go in while the mover's live mana
+    is short of a card's cost, and after each played card, Light's Justice
+    equips go in while the mover holds four or more cards.  A slot drawn
+    but never laid holds Light's Justice in the final deck (``decks``).
 
-    ``_run_entries`` does all of this in one loop, about half of whose
-    steps are Innervates: a play reads the card's cost from ``_COSTS``,
-    finds or lays the card, takes its ``ScriptStep`` and resolves it with
-    the engine's ``_play_card``, with no call of its own per step.  The
-    emitter keeps the card each step plays (``cards``), which the
-    validating replay checks and the line file does not hold.
+    ``play`` does all of this in one loop, about half of whose steps are
+    Innervates: each step reads the card's cost from ``_COSTS``, finds or
+    lays the card, takes its ``ScriptStep`` and resolves it with the
+    engine's ``_play_card``, with no call of its own per step.  The emitter
+    keeps the card each step plays (``cards``), which the validating replay
+    checks and the line file does not hold.
 
     ``compile_instance`` inflates the accumulator's hit points on the start
     state (the turn start that ``engine.begin_game`` runs does not read
@@ -823,13 +753,17 @@ class _Emitter:
     delivery, so every pair turn and both halves of every branch are run.
     It then blocks the final weapon swing, and the punishment turn decides
     the emitter's game (``enemy_wins``) before its last steps, which the
-    loop records without applying them.  That is why it keeps its own
+    emitter records without applying them.  That is why it keeps its own
     loop: ``engine.run_script`` stops at a decided outcome.
 
     A line repeats about twenty distinct steps hundreds of times, so each
     distinct ``ScriptStep`` is built once and shared by every equal step of
     the compile: an untargeted play's by its hand index, any other step's
     by its action's arguments.
+
+    The steps go to ``items`` and their cards to ``played``, and the next
+    step is step ``k`` of ``turn``; ``lays`` is False in a y half.  A new
+    emitter stands at step 0 of turn 1.
     """
 
     def __init__(self, config: GameConfig):
@@ -843,6 +777,9 @@ class _Emitter:
         self._steps: dict[tuple, ScriptStep] = {}
         self._end_turn = ScriptStep(EndTurn())
         self.cards: list[list] = []
+        self.items: list[TurnItem] = []
+        self.played: list = []
+        self.turn, self.k, self.lays = 1, 0, True
 
     def decks(self) -> list[list[str]]:
         """Each side's deck: its laid cards, padded with Light's Justice up
@@ -850,133 +787,142 @@ class _Emitter:
         return [[laid.get(slot, C.LIGHTS_JUSTICE) for slot in range(p.deck_pos)]
                 for laid, p in zip(self.laid, self.state.players)]
 
-    def _lay(self, state: GameState, cid: str, turn: int, k: int) -> None:
-        """Lay ``cid`` in the oldest unlaid slot of the mover's hand."""
+    def _lay(self, cid: str, k: int) -> int:
+        """Lay ``cid`` in the oldest unlaid slot of the mover's hand and
+        return its index; a y half lays none."""
+        state = self.state
         hand = state.players[state.active].hand
-        for index, held in enumerate(hand):
-            if held.__class__ is int:
-                self.laid[state.active][held] = hand[index] = cid
-                return
-        raise ScheduleInfeasible(f"{cid} not in hand", turn=turn, step=k)
+        if self.lays:
+            for index, held in enumerate(hand):
+                if held.__class__ is int:
+                    self.laid[state.active][held] = hand[index] = cid
+                    return index
+        raise ScheduleInfeasible(f"{cid} not in hand", turn=self.turn, step=k)
 
-    def _run_entries(
-        self, state: GameState, entries: list[_PlanEntry], turn: int, k: int, lays: bool
-    ) -> tuple[list[TurnItem], list]:
-        """The items of a run of entries, applied to ``state`` in place, and
-        the card each item plays: a card id for a play, None for another
-        step, and a pair of such lists for a branch.  The first step is step
-        ``k`` of its turn, and a branch's steps count along its x half.
-        ``lays`` is False for a y half.
-
-        One loop: a cast or a summon plays Innervates while the mover's
-        mana is short of the card's cost, then the card, then Light's
-        Justice (funded the same way) while the hand holds four or more
-        cards.  Each play finds its card in hand, or lays it on the main
-        chain, and takes the compile's step for that hand index.  Once the
-        game is decided a step is recorded without being applied.
-        """
-        items: list[TurnItem] = []
-        cards: list = []
-        append, played = items.append, cards.append
+    def play(self, cid: str, target: CharRef | None = None, position: int | None = None) -> None:
+        """Play ``cid`` on ``target`` or at board ``position``: Innervates
+        while the mover's mana is short of the card's cost, then the card,
+        then Light's Justice (funded the same way) while the hand holds four
+        or more cards.  Each play finds its card in hand, or lays it, and
+        takes the compile's step for that hand index.  Once the game is
+        decided a step is recorded without being applied."""
+        state, turn, k, lays = self.state, self.turn, self.k, self.lays
+        append, played = self.items.append, self.played.append
         plays, steps = self._plays, self._steps
-        for entry in entries:
-            cls = entry.__class__
-            if cls is _Window:
-                for cid in entry.pair_cards:
-                    self._lay(state, cid, turn, k)
-                fork = state.fork()
-                x_steps, x_cards = self._run_entries(state, entry.x_entries, turn, k, True)
-                y_steps, y_cards = self._run_entries(fork, entry.y_entries, turn, k, False)
-                self._check_convergence(state, fork, turn, k)
-                append(Branch(entry.decision, tuple(x_steps), tuple(y_steps)))
-                played((x_cards, y_cards))
-                k += len(x_steps)
-                continue
-            if cls is _Att or cls is _End:
-                if cls is _End:
-                    step = self._end_turn
-                else:
-                    key = (entry.attacker, entry.defender, entry.optional)
-                    step = steps.get(key)
-                    if step is None:
-                        step = steps[key] = ScriptStep(
-                            Attack(entry.attacker, entry.defender), entry.optional)
-                if state.outcome is _ONGOING:
-                    try:
-                        apply_in_place(state, step.action)
-                    except IllegalAction as exc:
-                        if not step.optional:
-                            raise ScheduleInfeasible(
-                                f"scripted action rejected: {exc.reason}", turn=turn, step=k
-                            ) from exc
-                append(step)
-                played(None)
-                k += 1
-                continue
-            player = state.players[state.active]
-            hand, hero, laid = player.hand, player.hero, self.laid[state.active]
-            cid, target, position = entry.card, entry.target, entry.position
-            cost = _COSTS[cid]
-            while True:
-                funding = hero.mana < cost
-                play = _INNERVATE if funding else cid
-                if not lays:
-                    # Slots the x half laid after the fork reach this half as numbers.
-                    hand[:] = map(laid.get, hand, hand)
-                if play in hand:
-                    index = hand.index(play)
-                else:
-                    # The main chain lays the oldest unlaid slot in hand; a
-                    # y half lays none.
-                    for index, held in enumerate(hand):
-                        if lays and held.__class__ is int:
-                            laid[held] = hand[index] = play
-                            break
-                    else:
-                        raise ScheduleInfeasible(f"{play} not in hand", turn=turn, step=k)
-                if funding or target is None and position is None:
-                    step = plays[index]
-                    if step is None:
-                        step = plays[index] = ScriptStep(PlayCard(index))
-                else:
-                    # Keyed by numbers: a ``CharRef`` hashes in Python.
-                    key = (index, position) if target is None else (
-                        index, target.side, target.slot, position)
-                    step = steps.get(key)
-                    if step is None:
-                        step = steps[key] = ScriptStep(PlayCard(index, target, position))
-                before = hero.mana
-                if state.outcome is _ONGOING:
-                    try:
-                        _play_card(state, None, step.action)
-                    except IllegalAction as exc:
-                        raise ScheduleInfeasible(
-                            f"scripted action rejected: {exc.reason}", turn=turn, step=k
-                        ) from exc
-                append(step)
-                played(play)
-                k += 1
-                if funding:
-                    if hero.mana == before:
-                        raise ScheduleInfeasible(
-                            f"cannot fund cost {cost} at mana cap", turn=turn, step=k
-                        )
-                elif len(hand) >= 4 and state.outcome is _ONGOING:
-                    cid, target, position = _LIGHTS_JUSTICE, None, None
-                    cost = _COSTS[cid]
-                else:
-                    break
-        return items, cards
+        player = state.players[state.active]
+        hand, hero, laid = player.hand, player.hero, self.laid[state.active]
+        cost = _COSTS[cid]
+        while True:
+            funding = hero.mana < cost
+            play = _INNERVATE if funding else cid
+            if not lays:
+                # Slots the x half laid after the fork reach this half as numbers.
+                hand[:] = map(laid.get, hand, hand)
+            index = hand.index(play) if play in hand else self._lay(play, k)
+            if funding or target is None and position is None:
+                step = plays[index]
+                if step is None:
+                    step = plays[index] = ScriptStep(PlayCard(index))
+            else:
+                # Keyed by numbers: a ``CharRef`` hashes in Python.
+                key = (index, position) if target is None else (
+                    index, target.side, target.slot, position)
+                step = steps.get(key)
+                if step is None:
+                    step = steps[key] = ScriptStep(PlayCard(index, target, position))
+            before = hero.mana
+            if state.outcome is _ONGOING:
+                try:
+                    _play_card(state, None, step.action)
+                except IllegalAction as exc:
+                    raise ScheduleInfeasible(
+                        f"scripted action rejected: {exc.reason}", turn=turn, step=k
+                    ) from exc
+            append(step)
+            played(play)
+            k += 1
+            if funding:
+                if hero.mana == before:
+                    raise ScheduleInfeasible(
+                        f"cannot fund cost {cost} at mana cap", turn=turn, step=k
+                    )
+            elif len(hand) >= 4 and state.outcome is _ONGOING:
+                cid, target, position = _LIGHTS_JUSTICE, None, None
+                cost = _COSTS[cid]
+            else:
+                break
+        self.k = k
 
-    def emit(self, plans: list[tuple[int, int, list[_PlanEntry]]]) -> tuple[TurnScript, ...]:
-        """The turns of the line; ``cards`` keeps, turn by turn, the card
-        each item plays.  A failing step is numbered by its position in its
-        turn, counting a branch's steps along the half that failed (the x
-        half, after it)."""
+    def attack(self, attacker: CharRef, defender: CharRef, optional: bool = False) -> None:
+        key = (attacker, defender, optional)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = ScriptStep(Attack(attacker, defender), optional)
+        self._apply(step)
+
+    def end(self) -> None:
+        self._apply(self._end_turn)
+
+    def _apply(self, step: ScriptStep) -> None:
+        """Apply an attack or an end of turn; an illegal optional step is
+        recorded as it is, and so is any step once the game is decided."""
+        state = self.state
+        if state.outcome is _ONGOING:
+            try:
+                apply_in_place(state, step.action)
+            except IllegalAction as exc:
+                if not step.optional:
+                    raise ScheduleInfeasible(
+                        f"scripted action rejected: {exc.reason}", turn=self.turn, step=self.k
+                    ) from exc
+        self.items.append(step)
+        self.played.append(None)
+        self.k += 1
+
+    def branch(self, decision: int, pair_cards: tuple[str, ...],
+               x_half: Callable[[], None], y_half: Callable[[], None]) -> None:
+        """Lay ``pair_cards``, run ``x_half`` on the live state and
+        ``y_half`` on a fork of it, and check that both leave the same
+        position.  Both halves' steps are numbered from the branch's first
+        step, and the turn goes on after the x half's."""
+        state, items, played, k = self.state, self.items, self.played, self.k
+        for cid in pair_cards:
+            self._lay(cid, k)
+        fork = state.fork()
+        self.items, self.played = x_steps, x_cards = [], []
+        x_half()
+        self.state, self.lays, self.k = fork, False, k
+        self.items, self.played = y_steps, y_cards = [], []
+        y_half()
+        self.state, self.lays, self.k = state, True, k + len(x_steps)
+        self.items, self.played = items, played
+        self._check_convergence(state, fork, self.turn, k)
+        items.append(Branch(decision, tuple(x_steps), tuple(y_steps)))
+        played.append((x_cards, y_cards))
+
+    def emit(self, shifted: PartitionInstance) -> tuple[TurnScript, ...]:
+        """Every turn of the line: one per pair, a turn of its own to verify
+        the sum when n is even, and the punishment turn.  ``cards`` keeps,
+        turn by turn, the card each item plays: a card id for a play, None
+        for another step and a pair of such lists for a branch.  A failing
+        step is numbered by its position in its turn, counting a branch's
+        steps along the half that failed (the x half, after it)."""
+        n = shifted.n
         turns = []
-        for turn, side, entries in plans:
-            items, cards = self._run_entries(self.state, entries, turn, 0, True)
-            turns.append(TurnScript(turn, side, tuple(items)))
+        for turn in range(1, n + 2 + (n % 2 == 0)):
+            self.items, self.played = items, cards = [], []
+            self.turn, self.k = turn, 0
+            if turn <= n and turn % 2:
+                _odd_turn(self, turn, *shifted.pairs[turn - 1], turn == n)
+            elif turn <= n:
+                _even_turn(self, turn, *shifted.pairs[turn - 1])
+            elif turn % 2:  # n is even: the sum is verified on a turn of its own
+                _steal_back(self)
+                _verification_tail(self)
+                self.end()
+            else:
+                _punishment_turn(self)
+            turns.append(TurnScript(turn, 1 - turn % 2, tuple(items)))
             self.cards.append(cards)
         return tuple(turns)
 
@@ -1183,19 +1129,17 @@ def compile_instance(
         raise ValueError(f"unknown validate mode {validate!r}")
     if validate == "all" and instance.n > 12:
         raise InstanceError("validate='all' limited to n <= 12")
+    spans = instance.n + 1 + (instance.n % 2 == 0)  # ``_Emitter.emit``'s turns
+    if turn_limit < spans:
+        raise ScheduleInfeasible(f"line spans {spans} turns but the turn limit is {turn_limit}")
     shifted, shift = shifted_instance(instance)
-    plans = build_turn_plans(shifted)
-    if turn_limit < len(plans):
-        raise ScheduleInfeasible(
-            f"line spans {len(plans)} turns but the turn limit is {turn_limit}"
-        )
 
     emitter = _Emitter(GameConfig(_setup(shifted, [], [], turn_limit)))
     wall = emitter.state.players[1].board[0]
     margin = 10 * sum(shifted.values()) + 10 * shifted.target + 10_000
     wall.health += margin
     wall.max_health += margin
-    turns = emitter.emit(plans)
+    turns = emitter.emit(shifted)
     config = build_config(shifted, *emitter.decks(), turn_limit)
     line = ScriptedLine(
         instance=instance,

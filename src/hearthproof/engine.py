@@ -34,6 +34,10 @@ swaps a private copy into the board slot unless the player already owns the
 minion (see the ``state`` module docstring).  A ``fork()`` of a state thus
 shares each minion with its source until one of them writes it.
 
+Other modules call two underscore functions: the compiler's emitter
+resolves its plays with :func:`_play_card` directly, and the skeleton writes
+the wall's symbolic health through :func:`_own`.
+
 Logging: each event site is ``if log is not None: log.emit(kind, ...)``, and
 the log numbers its events in the order they arrive.  Search and compilation
 pass ``log=None``; then no event payload is built at all (no keyword dict, no

@@ -180,10 +180,10 @@ class TestCompile:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"pairs": [[1, 2]] * 13, "target": 10}))
 
-        def no_planning(*args):
+        def no_compiling(*args):
             raise AssertionError("compiled before checking the limit")
 
-        monkeypatch.setattr(compiler, "build_turn_plans", no_planning)
+        monkeypatch.setattr(compiler, "shifted_instance", no_compiling)
         code = main(["compile", str(path), "--out-dir", str(tmp_path / "x"),
                      "--validate", "all"])
         captured = capsys.readouterr()

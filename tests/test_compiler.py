@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -35,7 +36,6 @@ from hearthproof.compiler import (
     ScriptedLine,
     TurnScript,
     big_attack,
-    build_turn_plans,
     chosen_sum,
     compile_instance,
     leper_health,
@@ -43,11 +43,7 @@ from hearthproof.compiler import (
     shifted_instance,
     synthesize_beast_buffs,
     synthesize_demon_buffs,
-    _Att,
-    _Cast,
     _Emitter,
-    _Summon,
-    _Window,
 )
 from hearthproof.engine import apply
 from hearthproof.state import (
@@ -314,18 +310,26 @@ class TestCompiledArtifacts:
         odd = compile_instance(PartitionInstance(((1, 2),), 1), validate="none")
         assert [(t.turn, t.side) for t in odd.line.turns] == [(1, 0), (2, 1)]
 
-    def test_turn_limit_must_cover_line(self, worked_instance) -> None:
-        with pytest.raises(ScheduleInfeasible):
-            compile_instance(worked_instance, turn_limit=3, validate="none")
+    @pytest.mark.parametrize("n, turns", [(1, 2), (2, 4), (3, 4), (4, 6)])
+    def test_turn_limit_must_cover_line(self, n, turns) -> None:
+        """The line spans n + 1 turns, and one more when n is even; the
+        limit is checked against that count before anything is emitted."""
+        instance = PartitionInstance(((1, 2),) * n, 1)
+        result = compile_instance(instance, turn_limit=turns, validate="none")
+        assert len(result.line.turns) == turns
+        with pytest.raises(ScheduleInfeasible) as info:
+            compile_instance(instance, turn_limit=turns - 1, validate="none")
+        assert info.value.reason == (
+            f"line spans {turns} turns but the turn limit is {turns - 1}")
 
     def test_card_missing_from_hand_is_infeasible(self, worked_compiled) -> None:
         """The chain a game plays lays each card it needs in the oldest
         drawn slot not yet laid; with none left, the card is not in hand.
         Turn 1 starts with one drawn slot, so the second summon has none."""
         emitter = _Emitter(worked_compiled.config)
-        watchers = [_Summon(FLOATING_WATCHER, 5), _Summon(FLOATING_WATCHER, 6)]
+        emitter.play(FLOATING_WATCHER, position=5)
         with pytest.raises(ScheduleInfeasible) as info:
-            emitter._run_entries(emitter.state, watchers, 1, 0, True)
+            emitter.play(FLOATING_WATCHER, position=6)
         assert info.value.reason == "Floating Watcher not in hand"
         assert (info.value.turn, info.value.step) == (1, 1)
         assert emitter.laid == ({0: FLOATING_WATCHER}, {})
@@ -334,19 +338,27 @@ class TestCompiledArtifacts:
         """A step's number is its position in its turn; inside a branch it
         counts the steps of the half that failed.  A y half lays no slot, so
         a card the x half did not lay is not in hand there."""
-        swing = _Att(hero_ref(0), hero_ref(1), optional=True)  # blocked by the taunt
-        missing = _Cast(FLASH_HEAL, hero_ref(0))
-        window = _Window(1, x_entries=[swing] * 3, y_entries=[swing, missing])
         emitter = _Emitter(worked_compiled.config)
+
+        def swings(count: int) -> None:
+            for _ in range(count):  # blocked by the taunt
+                emitter.attack(hero_ref(0), hero_ref(1), optional=True)
+
+        def missing() -> None:
+            swings(1)
+            emitter.play(FLASH_HEAL, hero_ref(0))
+
+        swings(2)
         with pytest.raises(ScheduleInfeasible) as info:
-            emitter.emit([(1, 0, [swing, swing, window, swing])])
+            emitter.branch(1, (), lambda: swings(3), missing)
         assert info.value.reason == "Flash Heal not in hand"
         assert (info.value.turn, info.value.step) == (1, 3)
         emitter = _Emitter(worked_compiled.config)
-        window = _Window(1, x_entries=[swing] * 3, y_entries=[swing] * 3)
-        watcher = _Summon(FLOATING_WATCHER, 5)
+        swings(2)
+        emitter.branch(1, (), lambda: swings(3), lambda: swings(3))
+        emitter.play(FLOATING_WATCHER, position=5)
         with pytest.raises(ScheduleInfeasible) as info:
-            emitter.emit([(1, 0, [swing, swing, window, watcher, watcher])])
+            emitter.play(FLOATING_WATCHER, position=5)
         assert info.value.reason == "Floating Watcher not in hand"
         assert (info.value.turn, info.value.step) == (1, 6)
 
@@ -358,7 +370,7 @@ class TestCompiledArtifacts:
         emitter.state.outcome = Outcome.ENEMY_WINS
         emitter.state.players[0].hero.mana = 0
         with pytest.raises(ScheduleInfeasible) as info:
-            emitter._run_entries(emitter.state, [_Cast(ARCANE_INTELLECT)], 1, 0, True)
+            emitter.play(ARCANE_INTELLECT)
         assert info.value.reason == "cannot fund cost 3 at mana cap"
         assert (info.value.turn, info.value.step) == (1, 1)
 
@@ -384,11 +396,24 @@ class TestCompiledArtifacts:
             assert info.value.reason == "branch halves fail to reconverge"
         # Through emission: only the x half summons, so the boards differ.
         emitter = _Emitter(worked_compiled.config)
-        window = _Window(1, x_entries=[_Summon(FLOATING_WATCHER, 5)], y_entries=[])
         with pytest.raises(ScheduleInfeasible) as info:
-            emitter.emit([(1, 0, [window])])
+            emitter.branch(1, (), lambda: emitter.play(FLOATING_WATCHER, position=5),
+                           lambda: None)
         assert info.value.reason == "branch halves fail to reconverge"
         assert (info.value.turn, info.value.step) == (1, 0)
+
+    def test_compile_leaves_no_cyclic_garbage(self, worked_instance) -> None:
+        """A compile frees everything it drops by reference counting alone:
+        the branch halves are closures, and a reference cycle through one
+        would leave garbage behind every compile for the collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            compile_instance(worked_instance, validate="canonical")
+            compile_instance(PartitionInstance(((1, 2),), 2), validate="canonical")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_seeded_outputs_are_pinned(self) -> None:
         """Byte pin over 40 seeded instances (n 1-14, values 0-300, every
