@@ -54,7 +54,7 @@ DRAW = 0
 WIN = 1
 
 # Bound once: an ``Enum.MEMBER`` lookup costs 120-190 ns on CPython 3.11,
-# and ``terminal_value`` runs at every probe child.
+# and every search child tests its outcome against these.
 _ONGOING = Outcome.ONGOING
 _FRIENDLY_WINS = Outcome.FRIENDLY_WINS
 _ENEMY_WINS = Outcome.ENEMY_WINS
@@ -795,11 +795,21 @@ class _TurnRejoinProbe:
     leaves unchanged (see ``engine._end_turn``).  Such a child returns
     ``(False, False)`` before it is counted or memoised, so the probe
     counts, memoises and budgets exactly the nodes it would otherwise.
+
+    Nor is ``PlayCard(hand=i, ...)`` tried where ``hand[i - 1] == hand[i]``.
+    ``engine._play_card`` reads the index only to pick the card and delete
+    it, so that child equals the child of the same play of card ``i - 1``,
+    which is legal exactly when this one is and comes first in
+    ``legal_actions``.  Visited again, that child would return at once, as
+    a decided game, a turn end compared with the boundary, a memo hit or a
+    spent budget, without counting a node or changing the answer; so
+    skipping it, too, leaves every count, memo entry and finding as it was.
     """
 
     def __init__(self, turn: int, mover: int, boundary: GameState | None, max_nodes: int):
         self.turn = turn
         self.mover = mover
+        self.mover_wins = _FRIENDLY_WINS if mover == 0 else _ENEMY_WINS
         self.boundary = None if boundary is None else position_key(boundary)
         self.counters = None if boundary is None else _end_turn_counters(boundary, mover)
         self.max_nodes = max_nodes
@@ -824,13 +834,12 @@ class _TurnRejoinProbe:
     def _explore(self, state: GameState) -> tuple[bool, bool]:
         if self.exhausted:
             return False, False
-        tv = terminal_value(state)
-        if tv is not None:
-            won = (tv == WIN and self.mover == 0) or (tv == LOSS and self.mover == 1)
-            return False, won
-        if state.turn > self.turn:
-            return position_key(state) == self.boundary, False
+        outcome = state.outcome
+        if outcome is not _ONGOING:
+            return False, outcome is self.mover_wins
         key = position_key(state)
+        if state.turn > self.turn:
+            return key == self.boundary, False
         cached = self.memo.get(key)
         if cached is not None:
             return cached
@@ -842,15 +851,23 @@ class _TurnRejoinProbe:
         actions = legal_actions(state)
         if self._end_turn_is_inert(state):
             actions.pop()  # ``EndTurn``, always the last legal action
-        last = len(actions) - 1
-        for i, action in enumerate(actions):
+        hand = state.players[state.active].hand
+        actions.reverse()
+        while actions:
+            action = actions.pop()
+            if action.__class__ is PlayCard:
+                i = action.hand
+                if i and hand[i - 1] == hand[i]:
+                    continue  # the same child as the play of card i - 1
             # Nothing reads ``state`` once its key is taken, so the last
             # action may consume it; the others work on forks.
-            child = state.fork() if i < last else state
+            child = state.fork() if actions else state
             apply_in_place(child, action)
             r, w = self._explore(child)
-            rejoin = rejoin or r
-            win = win or w
+            if r:
+                rejoin = True
+            if w:
+                win = True
             if rejoin and win:
                 break
         if not self.exhausted:

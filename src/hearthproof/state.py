@@ -4,7 +4,8 @@ States are value objects with two ways to copy them.  ``clone()`` is deep:
 the copy shares no mutable object with its source, so either may be
 written freely.  ``fork()`` is the cheap copy for searches that branch: it
 builds new state, player and hero objects and new hand and board lists,
-but shares the minions (and, like ``clone()``, the deck and the weapon).
+all in its own frame with no call per player or hero, but shares the
+minions (and, like ``clone()``, the deck and the weapon).
 The engine's ``apply`` never mutates an input state, it clones and
 returns; ``apply_in_place`` steps a state its caller owns and leaves it
 untouched when it rejects the action.
@@ -445,27 +446,14 @@ class PlayerState:
     def deck_remaining(self) -> int:
         return len(self.deck) - self.deck_pos
 
-    def _copy(self) -> "PlayerState":
-        """A copy with a fresh ``gen``, all but its board."""
+    def clone(self) -> "PlayerState":
         p = PlayerState.__new__(PlayerState)
         p.hero = self.hero.clone()
         p.deck = self.deck
         p.deck_pos = self.deck_pos
         p.hand = list(self.hand)
-        p.gen = next(_GENS)
-        return p
-
-    def clone(self) -> "PlayerState":
-        p = self._copy()
-        p.board = [m.clone(p.gen) for m in self.board]
-        return p
-
-    def fork(self) -> "PlayerState":
-        """A copy that shares this player's minions; neither side owns them
-        afterwards (see the module docstring)."""
-        p = self._copy()
-        p.board = list(self.board)
-        self.gen = next(_GENS)
+        p.gen = gen = next(_GENS)
+        p.board = [m.clone(gen) for m in self.board]
         return p
 
     def canonical(self) -> tuple:
@@ -508,22 +496,56 @@ class GameState:
 
     def clone(self) -> "GameState":
         """A deep copy: it shares no mutable object with this state."""
-        return self._copy([p.clone() for p in self.players])
-
-    def fork(self) -> "GameState":
-        """A copy for a search branch: it shares the minions with this state
-        until the engine writes one of them, on either side."""
-        return self._copy([p.fork() for p in self.players])
-
-    def _copy(self, players: list[PlayerState]) -> "GameState":
         s = GameState.__new__(GameState)
-        s.players = players
+        s.players = [p.clone() for p in self.players]
         s.active = self.active
         s.turn = self.turn
         s.turn_limit = self.turn_limit
         s.outcome = self.outcome
         s.removed = self.removed
         s.next_iid = self.next_iid
+        return s
+
+    def fork(self) -> "GameState":
+        """A copy for a search branch: it shares the minions with this state
+        until the engine writes one of them, on either side.
+
+        Search makes one fork per child it tries, so both players and
+        heroes are built here, in this one frame, rather than through
+        ``PlayerState`` and ``HeroState`` methods.  Each player gets a new
+        hero, new hand and board lists and a fresh ``gen``; the deck, the
+        weapon and the minions are shared.  The source's players get fresh
+        ``gen``s too, so neither side owns the shared minions afterwards
+        (see the module docstring).
+        """
+        s = GameState.__new__(GameState)
+        s.players = players = []
+        s.active = self.active
+        s.turn = self.turn
+        s.turn_limit = self.turn_limit
+        s.outcome = self.outcome
+        s.removed = self.removed
+        s.next_iid = self.next_iid
+        for src in self.players:
+            h = src.hero
+            hero = HeroState.__new__(HeroState)
+            hero.health = h.health
+            hero.max_health = h.max_health
+            hero.weapon = h.weapon
+            hero.mana_crystals = h.mana_crystals
+            hero.mana = h.mana
+            hero.attacked = h.attacked
+            hero.frozen = h.frozen
+            hero.fatigue = h.fatigue
+            p = PlayerState.__new__(PlayerState)
+            p.hero = hero
+            p.deck = src.deck
+            p.deck_pos = src.deck_pos
+            p.hand = src.hand[:]
+            p.board = src.board[:]
+            p.gen = next(_GENS)
+            src.gen = next(_GENS)
+            players.append(p)
         return s
 
     def canonical(self) -> tuple:

@@ -21,9 +21,12 @@ from hearthproof.state import (
     EndTurn,
     EventLog,
     GameConfig,
+    GameState,
+    HeroState,
     IllegalAction,
     Outcome,
     PlayCard,
+    PlayerState,
     ScriptStep,
     SnapshotMemo,
     hero_ref,
@@ -373,6 +376,44 @@ class TestFork:
         # The suffixes reach every kind of minion write: combat, the
         # freeze and its thaw at a turn end, buffs, Mind Control, deaths.
         assert {"damage", "freeze", "end_turn", "buff", "steal", "death"} <= seen
+
+
+    def test_fork_builds_and_shares_what_it_documents(
+            self, worked_compiled, compiled_config) -> None:
+        """A fork has new state, player and hero objects with every slot
+        copied, new hand and board lists, the same minions, deck and weapon,
+        and fresh ``gen``s on both sides, so neither owns a shared minion."""
+        starts = [worked_compiled.config, compiled_config, micro_config()]
+        seen = {"minions": 0, "weapons": 0}
+        for config in starts:
+            for seed in range(4):
+                walk, _ = seeded_walk(config, seed, 40)
+                for state in walk:
+                    source = state.clone()
+                    gens = {p.gen for p in source.players}
+                    fork = source.fork()
+                    assert type(fork) is GameState
+                    assert fork is not source and fork.players is not source.players
+                    for name in GameState.__slots__:
+                        if name != "players":
+                            assert getattr(fork, name) is getattr(source, name)
+                    assert len(fork.players) == len(source.players) == 2
+                    for p, q in zip(source.players, fork.players):
+                        assert type(q) is PlayerState and q is not p
+                        assert type(q.hero) is HeroState and q.hero is not p.hero
+                        for name in HeroState.__slots__:
+                            assert getattr(q.hero, name) is getattr(p.hero, name)
+                        assert q.deck is p.deck and q.deck_pos == p.deck_pos
+                        assert q.hand is not p.hand and q.hand == p.hand
+                        assert q.board is not p.board
+                        assert len(q.board) == len(p.board)
+                        assert all(a is b for a, b in zip(q.board, p.board))
+                        assert p.gen not in gens and q.gen not in gens
+                        assert all(m.gen not in (p.gen, q.gen) for m in q.board)
+                        seen["minions"] += len(q.board)
+                        seen["weapons"] += q.hero.weapon is not None
+                    assert len({p.gen for p in source.players + fork.players}) == 4
+        assert seen["minions"] > 500 and seen["weapons"] > 50
 
 
 class TestEndTurn:

@@ -13,8 +13,8 @@ import random
 import pytest
 
 from conftest import WORKED_TARGET, WORKED_VECTOR
-from hearthproof import engine
-from hearthproof.cards import LEPER_GNOME
+from hearthproof import engine, solver
+from hearthproof.cards import LEPER_GNOME, card
 from hearthproof.compiler import PartitionInstance, chosen_sum, compile_instance, run_line
 from hearthproof.engine import apply, legal_actions, start_game
 from hearthproof.solver import (
@@ -36,8 +36,8 @@ from hearthproof.solver import (
     walk_line,
 )
 from hearthproof.state import (
-    EndTurn, EventLog, GameConfig, IllegalAction, Outcome, action_to_json_obj,
-    position_key)
+    EndTurn, EventLog, GameConfig, IllegalAction, Outcome, PlayCard,
+    action_to_json_obj, position_key)
 from micro_positions import micro_positions
 
 
@@ -655,3 +655,146 @@ class TestEndTurnSkip:
                     if boundary is end and end.outcome is Outcome.ONGOING:
                         assert not probe._end_turn_is_inert(walk[-1])
         assert skipped > 50
+
+
+def assert_skipped_plays_repeat_kept_ones(state, legal: list, tried: list,
+                                          stopped_early: bool) -> list:
+    """``tried``, the actions the rejoin probe applied from ``state``, keep
+    the order of ``legal``.  Every play it left out before it stopped
+    builds the position that the nearest earlier tried play with the same
+    target and position builds, and ends the game alike.  Returns the plays
+    left out.  ``EndTurn`` is left to ``TestEndTurnSkip``."""
+    remaining = iter(legal)
+    assert all(action in remaining for action in tried)
+    if stopped_early:  # past its last try, the loop may have broken off
+        legal = legal[:legal.index(tried[-1]) + 1]
+    skipped = [a for a in legal if a not in tried and a != EndTurn()]
+    for play in skipped:
+        assert isinstance(play, PlayCard) and play.hand > 0
+        kept = next(PlayCard(j, play.target, play.position)
+                    for j in range(play.hand - 1, -1, -1)
+                    if PlayCard(j, play.target, play.position) in tried)
+        child, sibling = apply(state, play), apply(state, kept)
+        assert position_key(child) == position_key(sibling)
+        assert child.outcome is sibling.outcome
+    return skipped
+
+
+def repeat_play_configs() -> list[GameConfig]:
+    """Positions whose hands repeat minions, targeted and untargeted spells
+    and weapons, next to each other and apart, with boards to aim at and
+    to place minions between, and decks to draw from."""
+    def side(hand, board, deck, weapon=None):
+        hero = {"health": 30, "manaCrystals": 10}
+        if weapon:
+            hero["weapon"] = weapon
+        return {"hero": hero, "deck": deck, "hand": hand,
+                "board": [{"card": c} for c in board]}
+
+    hands = [
+        ["Innervate", "Innervate", "Backstab", "Backstab", "Leper Gnome",
+         "Leper Gnome", "Light's Justice", "Light's Justice", "Innervate"],
+        ["Novice Engineer", "Novice Engineer", "Mortal Coil", "Mortal Coil",
+         "Flash Heal", "Leper Gnome", "Flash Heal", "Arcane Intellect",
+         "Arcane Intellect"],
+        ["Mistress of Mixtures", "Mistress of Mixtures", "Mistress of Mixtures",
+         "Charge", "Charge", "Shadow Word: Death", "Shadow Word: Death",
+         "Mark of Y'Shaarj", "Mark of Y'Shaarj"],
+    ]
+    deck = ["Innervate", "Backstab", "Innervate", "Leper Gnome", "Mortal Coil"]
+    configs = []
+    for hand in hands:
+        for board in ([], ["Leper Gnome", "Floating Watcher"]):
+            configs.append(GameConfig.from_json_obj({
+                "formatVersion": 1,
+                "players": [
+                    side(hand, board, deck, {"attack": 1, "durability": 2}),
+                    side(hand[::-1], ["Gahz'rilla", "Leper Gnome", "Wee Spellstopper"],
+                         deck),
+                ],
+                "active": 0,
+                "turn": 1,
+                "turnLimit": 6,
+            }))
+    return configs
+
+
+class TestDuplicatePlaySkip:
+    """The rejoin probe's skip of a play whose card equals the one before it
+    in hand drops only children that an earlier sibling has already built."""
+
+    @staticmethod
+    def _checking(monkeypatch) -> dict:
+        """From now on, record the actions the probe lists and applies at
+        each position it expands, and check its skipped plays there."""
+        seen = {"expanded": 0, "skipped": []}
+        frames: list[dict] = []
+        explore = _TurnRejoinProbe._explore
+        listed, applied = solver.legal_actions, solver.apply_in_place
+
+        def recorded_explore(probe, state):
+            frame = {"state": state.clone(), "legal": None, "tried": []}
+            frames.append(frame)
+            result = explore(probe, state)
+            frames.pop()
+            if frame["legal"] is not None:
+                seen["expanded"] += 1
+                seen["skipped"] += [
+                    (frame["state"], play) for play in assert_skipped_plays_repeat_kept_ones(
+                        frame["state"], frame["legal"], frame["tried"], all(result))]
+            return result
+
+        def recorded_legal_actions(state):
+            actions = listed(state)
+            if frames:
+                frames[-1]["legal"] = list(actions)
+            return actions
+
+        def recorded_apply(state, action, log=None):
+            if frames:
+                frames[-1]["tried"].append(action)
+            applied(state, action, log)
+
+        monkeypatch.setattr(_TurnRejoinProbe, "_explore", recorded_explore)
+        monkeypatch.setattr(solver, "legal_actions", recorded_legal_actions)
+        monkeypatch.setattr(solver, "apply_in_place", recorded_apply)
+        return seen
+
+    def test_on_the_worked_named_probes(self, worked_compiled, monkeypatch) -> None:
+        seen = self._checking(monkeypatch)
+        checker = DeviationChecker(
+            worked_compiled.config, worked_compiled.line, WORKED_VECTOR)
+        check_named_deviations(checker)
+        assert seen["expanded"] == sum(
+            probe.nodes for probe in checker._rejoin_probes.values())
+        assert len(seen["skipped"]) > 1500
+
+    def test_on_the_pinned_one_pair_probe(self, monkeypatch) -> None:
+        seen = self._checking(monkeypatch)
+        compiled = compile_instance(PartitionInstance(((1, 2),), 2),
+                                    validate="none")
+        deviation_check(compiled.config, compiled.line, max_turns=1,
+                        rejoin_nodes=2000, value_nodes=200)
+        assert len(seen["skipped"]) > 0
+
+    def test_on_seeded_walks(self, monkeypatch) -> None:
+        """Seeded walks through both players' turns.  At each position a
+        probe with a one-node budget expands that position alone and still
+        applies every action it keeps there."""
+        seen = self._checking(monkeypatch)
+        positions = 0
+        for config in repeat_play_configs():
+            for seed in range(6):
+                rng = random.Random(seed)
+                state = config.to_state()
+                while state.outcome is Outcome.ONGOING:
+                    _TurnRejoinProbe(state.turn, state.active, None, 1).analyze(state)
+                    positions += 1
+                    state = apply(state, rng.choice(legal_actions(state)))
+        assert seen["expanded"] == positions
+        assert len(seen["skipped"]) > 1000
+        kinds = set()
+        for state, play in seen["skipped"]:
+            kind = card(state.players[state.active].hand[play.hand]).kind.value
+            kinds.add(kind if play.target is None else "targeted " + kind)
+        assert kinds == {"minion", "spell", "targeted spell", "weapon"}
