@@ -52,7 +52,6 @@ from .state import (
     GameConfig,
     IllegalAction,
     SnapshotMemo,
-    _validate_config,
     action_to_json_obj,
     event_json,
     snapshot_json,
@@ -106,15 +105,15 @@ def _load_instance(path: str) -> PartitionInstance:
 
 
 def _load_config(path: str) -> GameConfig:
-    """The validated config in ``path``.  The dict is fresh from
-    ``json.loads`` and nothing else holds it, so it is wrapped as it is,
-    without the copy ``GameConfig.from_json_obj`` makes."""
+    """The config in ``path``, checked as ``GameConfig`` builds it; a
+    malformed one is an input error.  The dict is fresh from ``json.loads``
+    and nothing else holds it, so it is wrapped as it is, without the copy
+    ``GameConfig.from_json_obj`` makes."""
     obj = _read_json(path)
     try:
-        _validate_config(obj)
+        return GameConfig(obj)
     except ConfigError as exc:
         raise InputProblem(f"{path}: {exc}") from exc
-    return GameConfig(obj)
 
 
 def _load_line(path: str) -> ScriptedLine:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable
 
 from . import cards as C
 from .engine import _play_card, apply_in_place, begin_game, run_script, start_game
@@ -57,7 +57,6 @@ from .state import (
     Outcome,
     PlayCard,
     ScriptStep,  # re-exported: line files are made of these
-    _validate_config,
     action_to_json_obj,
     hero_ref,
     json_int,
@@ -176,9 +175,6 @@ def big_attack(max_value: int) -> int:
 # Buff synthesis
 # ---------------------------------------------------------------------------
 
-BuffMode = Literal["demon", "beast_blessed", "beast_backstab"]
-
-
 @dataclass(frozen=True)
 class BuffSequence:
     """Cards that raise a carrier's attack from its base to exactly 10*value.
@@ -191,7 +187,6 @@ class BuffSequence:
     cards: tuple[str, ...]
     final_attack: int
     buff_length: int
-    mode: BuffMode
 
 
 def _digits_after_leading(v: int) -> list[int]:
@@ -214,7 +209,7 @@ def synthesize_demon_buffs(v: int) -> BuffSequence:
             seq.extend([C.MARK_OF_YSHAARJ] * 5)
             attack += 10
     assert attack == 10 * v
-    return BuffSequence(tuple(seq), attack, len(seq), "demon")
+    return BuffSequence(tuple(seq), attack, len(seq))
 
 
 def synthesize_beast_buffs(v: int, mode: str = "blessed") -> BuffSequence:
@@ -250,10 +245,7 @@ def synthesize_beast_buffs(v: int, mode: str = "blessed") -> BuffSequence:
             buff_len += 5
             attack += 10
     assert attack == 10 * v
-    return BuffSequence(
-        tuple(seq), attack, buff_len,
-        "beast_blessed" if mode == "blessed" else "beast_backstab",
-    )
+    return BuffSequence(tuple(seq), attack, buff_len)
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +689,9 @@ def build_config(
     enemy_deck: list[str],
     turn_limit: int,
 ) -> GameConfig:
-    """Validated and wrapped as built: no caller holds the dict to copy it from."""
-    obj = _setup(shifted, friendly_deck, enemy_deck, turn_limit)
-    _validate_config(obj)
-    return GameConfig(obj)
+    """The compiled game's config, checked as ``GameConfig`` builds it, and
+    wrapped as built: no caller holds the dict to copy it from."""
+    return GameConfig(_setup(shifted, friendly_deck, enemy_deck, turn_limit))
 
 
 # ---------------------------------------------------------------------------

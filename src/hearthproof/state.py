@@ -661,13 +661,23 @@ _BOARD_FLAGS = ("taunt", "frozen", "exhausted", "charge")
 
 @dataclass
 class GameConfig:
-    """Parsed, validated game setup; convertible to an engine state."""
+    """A game setup in its external JSON form, checked on construction.
+
+    The constructor parses ``obj`` once, raising ``ConfigError`` at the
+    first malformed field, and keeps the start state it built.
+    ``to_state()`` returns a fresh ``clone()`` of that state, which its
+    caller owns and may write directly.  ``obj`` must not be changed
+    afterwards: the start state would no longer match it.
+    """
 
     obj: dict
+    _start: GameState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._start = _parse_config(self.obj)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "GameConfig":
-        _validate_config(obj)
         return GameConfig(copy.deepcopy(obj))
 
     @staticmethod
@@ -685,12 +695,13 @@ class GameConfig:
         return json.dumps(self.obj, indent=2, sort_keys=True) + "\n"
 
     def to_state(self) -> GameState:
-        return config_to_state(self)
+        return self._start.clone()
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args: Any) -> None:
+    """Raise ``ConfigError`` with ``msg.format(*args)`` unless ``cond``."""
     if not cond:
-        raise ConfigError(msg)
+        raise ConfigError(msg.format(*args))
 
 
 def _int_in(value: Any, low: int, high: float = float("inf")) -> bool:
@@ -698,120 +709,83 @@ def _int_in(value: Any, low: int, high: float = float("inf")) -> bool:
     return type(value) is int and low <= value <= high
 
 
-def _validate_config(obj: dict) -> None:
+def _parse_config(obj: dict) -> GameState:
+    """The start state of the config ``obj``, checked field by field as it
+    is built; the first malformed field raises ``ConfigError``."""
     _require(isinstance(obj, dict), "config must be an object")
     _require(obj.get("formatVersion") == FORMAT_VERSION, "formatVersion must be 1")
     players = obj.get("players")
     _require(isinstance(players, list) and len(players) == 2, "need exactly 2 players")
-    _require(_int_in(obj.get("active"), 0, 1), "active must be 0 or 1")
-    _require(_int_in(obj.get("turn"), 1), "turn must be >= 1")
+    active = obj.get("active")
+    _require(_int_in(active, 0, 1), "active must be 0 or 1")
+    turn = obj.get("turn")
+    _require(_int_in(turn, 1), "turn must be >= 1")
     limit = obj.get("turnLimit", DEFAULT_TURN_LIMIT)
     _require(_int_in(limit, 1), "turnLimit must be >= 1")
+    states: list[PlayerState] = []
+    next_iid = 1
     for idx, ps in enumerate(players):
         where = f"players[{idx}]"
-        _require(isinstance(ps, dict), f"{where} must be an object")
+        _require(isinstance(ps, dict), "{} must be an object", where)
         hero = ps.get("hero")
-        _require(isinstance(hero, dict), f"{where}.hero missing")
-        _require(_int_in(hero.get("health"), 1),
-                 f"{where}.hero.health must be a positive integer")
+        _require(isinstance(hero, dict), "{}.hero missing", where)
+        hero_health = hero.get("health")
+        _require(_int_in(hero_health, 1), "{}.hero.health must be a positive integer", where)
         max_health = hero.get("maxHealth", MAX_HERO_HEALTH)
-        _require(_int_in(max_health, hero["health"]),
-                 f"{where}.hero.maxHealth must be an integer >= health")
+        _require(_int_in(max_health, hero_health),
+                 "{}.hero.maxHealth must be an integer >= health", where)
         crystals = hero.get("manaCrystals", MAX_MANA)
-        _require(_int_in(crystals, 0, MAX_MANA), f"{where}.hero.manaCrystals out of range")
+        _require(_int_in(crystals, 0, MAX_MANA), "{}.hero.manaCrystals out of range", where)
         weapon = hero.get("weapon")
         if weapon is not None:
             _require(
                 isinstance(weapon, dict)
                 and _int_in(weapon.get("attack"), 0)
                 and _int_in(weapon.get("durability"), 1),
-                f"{where}.hero.weapon malformed",
+                "{}.hero.weapon malformed", where,
             )
-        for zone in ("deck", "hand"):
-            ids = ps.get(zone, [])
-            _require(isinstance(ids, list), f"{where}.{zone} must be a list")
+            weapon = Weapon(weapon["attack"], weapon["durability"])
+        deck, hand = ps.get("deck", []), ps.get("hand", [])
+        for zone, ids in (("deck", deck), ("hand", hand)):
+            _require(isinstance(ids, list), "{}.{} must be a list", where, zone)
             try:
                 for cid in ids:
                     card(cid)
             except (KeyError, TypeError):  # TypeError: a list or object, not a name
                 raise ConfigError(f"{where}.{zone}: unknown card {cid!r}")
-        _require(len(ps.get("hand", [])) <= MAX_HAND, f"{where}.hand exceeds {MAX_HAND}")
+        _require(len(hand) <= MAX_HAND, "{}.hand exceeds {}", where, MAX_HAND)
         board = ps.get("board", [])
-        _require(isinstance(board, list) and len(board) <= MAX_BOARD, f"{where}.board too large")
+        _require(isinstance(board, list) and len(board) <= MAX_BOARD, "{}.board too large", where)
+        minions: list[MinionInstance] = []
         for bi, entry in enumerate(board):
-            bwhere = f"{where}.board[{bi}]"
-            _require(isinstance(entry, dict) and "card" in entry, f"{bwhere} needs a card")
+            _require(isinstance(entry, dict) and "card" in entry,
+                     "{}.board[{}] needs a card", where, bi)
             try:
                 spec = card(entry["card"])
             except (KeyError, TypeError):
-                raise ConfigError(f"{bwhere}: unknown card {entry['card']!r}")
-            _require(spec.kind == CardKind.MINION, f"{bwhere}: {entry['card']} is not a minion")
+                raise ConfigError(f"{where}.board[{bi}]: unknown card {entry['card']!r}")
+            _require(spec.kind == CardKind.MINION,
+                     "{}.board[{}]: {} is not a minion", where, bi, entry["card"])
             flags = entry.get("flags", [])
-            _require(isinstance(flags, list), f"{bwhere}: flags must be a list")
+            _require(isinstance(flags, list), "{}.board[{}]: flags must be a list", where, bi)
             for flag in flags:
-                _require(flag in _BOARD_FLAGS, f"{bwhere}: unknown flag {flag!r}")
-            _require(_int_in(entry.get("attack", spec.attack), 0),
-                     f"{bwhere}: attack must be a non-negative integer")
+                _require(flag in _BOARD_FLAGS, "{}.board[{}]: unknown flag {!r}", where, bi, flag)
+            attack = entry.get("attack", spec.attack)
+            _require(_int_in(attack, 0),
+                     "{}.board[{}]: attack must be a non-negative integer", where, bi)
             health = entry.get("health", spec.health)
-            _require(_int_in(health, 1), f"{bwhere}: health out of range")
+            _require(_int_in(health, 1), "{}.board[{}]: health out of range", where, bi)
             max_h = entry.get("maxHealth", max(health, spec.health))
-            _require(_int_in(max_h, health), f"{bwhere}: health out of range")
-
-
-def config_to_state(config: GameConfig) -> GameState:
-    obj = config.obj
-    players: list[PlayerState] = []
-    next_iid = 1
-    for ps in obj["players"]:
-        hero_obj = ps["hero"]
-        weapon_obj = hero_obj.get("weapon")
-        weapon = (
-            Weapon(weapon_obj["attack"], weapon_obj["durability"]) if weapon_obj else None
-        )
-        crystals = hero_obj.get("manaCrystals", MAX_MANA)
-        hero = HeroState(
-            health=hero_obj["health"],
-            max_health=hero_obj.get("maxHealth", MAX_HERO_HEALTH),
-            weapon=weapon,
-            mana_crystals=crystals,
-            mana=crystals,
-        )
-        board: list[MinionInstance] = []
-        for entry in ps.get("board", []):
-            spec = card(entry["card"])
-            flags = entry.get("flags", [])
-            health = entry.get("health", spec.health)
-            minion = MinionInstance(
-                card_id=spec.card_id,
-                effect=spec.effect,
-                tribe=spec.tribe,
-                attack=entry.get("attack", spec.attack),
-                health=health,
-                max_health=entry.get("maxHealth", max(health, spec.health)),
-                taunt="taunt" in flags,
-                frozen="frozen" in flags,
-                exhausted="exhausted" in flags,
-                charge="charge" in flags,
+            _require(_int_in(max_h, health), "{}.board[{}]: health out of range", where, bi)
+            minions.append(MinionInstance(
+                spec.card_id, spec.effect, spec.tribe, attack, health, max_h,
+                "taunt" in flags, "frozen" in flags, "exhausted" in flags, "charge" in flags,
                 iid=next_iid,
-            )
+            ))
             next_iid += 1
-            board.append(minion)
-        players.append(
-            PlayerState(
-                hero=hero,
-                deck=tuple(ps.get("deck", [])),
-                deck_pos=0,
-                hand=list(ps.get("hand", [])),
-                board=board,
-            )
-        )
-    return GameState(
-        players=players,
-        active=obj["active"],
-        turn=obj["turn"],
-        turn_limit=obj.get("turnLimit", DEFAULT_TURN_LIMIT),
-        next_iid=next_iid,
-    )
+        hero_state = HeroState(hero_health, max_health, weapon, crystals, crystals)
+        states.append(PlayerState(hero_state, tuple(deck), 0, list(hand), minions))
+    return GameState(states, active, turn, limit, next_iid=next_iid)
 
 
 def _minion_obj(m: MinionInstance) -> dict:

@@ -3,15 +3,17 @@ clone isolation."""
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
+from typing import Callable
 
 import pytest
 
 from conftest import WORKED_PAIRS, WORKED_TARGET
 from hearthproof.cards import card
 from hearthproof.compiler import PartitionInstance, compile_instance
-from hearthproof.engine import apply, legal_actions, start_game
+from hearthproof.engine import apply, apply_in_place, legal_actions, start_game
 from hearthproof.state import (
     _CARD_CODES,
     Attack,
@@ -53,6 +55,89 @@ def micro_config_obj() -> dict:
         "turn": 1,
         "turnLimit": 8,
     }
+
+
+def faultless_config_obj() -> dict:
+    """The micro config with a card in each zone of the second player."""
+    obj = micro_config_obj()
+    obj["players"][1].update(deck=["Innervate"], hand=["Innervate"],
+                             board=[{"card": "Leper Gnome", "attack": 2, "health": 1}])
+    return obj
+
+
+def _fault(path: tuple, value) -> Callable[[dict], dict]:
+    """A fault that sets the field at ``path`` to ``value``, or deletes it
+    when ``value`` is ``_DELETE``; an empty path replaces the whole config."""
+    def apply_fault(obj: dict) -> dict:
+        if not path:
+            return value
+        *parents, last = path
+        target = obj
+        for step in parents:
+            target = target[step]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = copy.deepcopy(value)
+        return obj
+    return apply_fault
+
+
+_DELETE = object()
+_P1 = ("players", 1)
+_HERO = _P1 + ("hero",)
+_ENTRY = _P1 + ("board", 0)
+
+# (id, fault, message) for each check of the config parser, in the order
+# the parser makes them.  One case per check, except where one check
+# rejects two kinds of fault.
+CONFIG_FAULTS = [
+    ("not_object", _fault((), []), "config must be an object"),
+    ("format_version", _fault(("formatVersion",), 2), "formatVersion must be 1"),
+    ("one_player", _fault(("players",), [{}]), "need exactly 2 players"),
+    ("active", _fault(("active",), 2), "active must be 0 or 1"),
+    ("turn", _fault(("turn",), 0), "turn must be >= 1"),
+    ("turn_limit", _fault(("turnLimit",), 0), "turnLimit must be >= 1"),
+    ("player_list", _fault(_P1, []), "players[1] must be an object"),
+    ("hero_missing", _fault(_HERO, _DELETE), "players[1].hero missing"),
+    ("hero_health", _fault(_HERO + ("health",), 0),
+     "players[1].hero.health must be a positive integer"),
+    ("hero_max_health", _fault(_HERO + ("maxHealth",), 4),
+     "players[1].hero.maxHealth must be an integer >= health"),
+    ("crystals", _fault(_HERO + ("manaCrystals",), 11),
+     "players[1].hero.manaCrystals out of range"),
+    ("weapon", _fault(_HERO + ("weapon",), {"attack": 1}), "players[1].hero.weapon malformed"),
+    ("deck_str", _fault(_P1 + ("deck",), "Innervate"), "players[1].deck must be a list"),
+    ("deck_unknown", _fault(_P1 + ("deck", 0), "Fireball"),
+     "players[1].deck: unknown card 'Fireball'"),
+    ("deck_list", _fault(_P1 + ("deck",), [["Innervate"]]),
+     "players[1].deck: unknown card ['Innervate']"),
+    ("hand_dict", _fault(_P1 + ("hand",), {}), "players[1].hand must be a list"),
+    ("hand_unknown", _fault(_P1 + ("hand", 0), "Fireball"),
+     "players[1].hand: unknown card 'Fireball'"),
+    ("hand_list", _fault(_P1 + ("hand",), [["Innervate"]]),
+     "players[1].hand: unknown card ['Innervate']"),
+    ("hand_size", _fault(_P1 + ("hand",), ["Innervate"] * 11), "players[1].hand exceeds 10"),
+    ("board_dict", _fault(_P1 + ("board",), {}), "players[1].board too large"),
+    ("board_size", _fault(_P1 + ("board",), [{"card": "Leper Gnome"}] * 8),
+     "players[1].board too large"),
+    ("entry_str", _fault(_ENTRY, "Leper Gnome"), "players[1].board[0] needs a card"),
+    ("entry_unknown", _fault(_ENTRY + ("card",), "Fireball"),
+     "players[1].board[0]: unknown card 'Fireball'"),
+    ("entry_list", _fault(_ENTRY + ("card",), ["Leper Gnome"]),
+     "players[1].board[0]: unknown card ['Leper Gnome']"),
+    ("entry_spell", _fault(_ENTRY + ("card",), "Charge"),
+     "players[1].board[0]: Charge is not a minion"),
+    ("flags_str", _fault(_ENTRY + ("flags",), "taunt"),
+     "players[1].board[0]: flags must be a list"),
+    ("flag_unknown", _fault(_ENTRY + ("flags",), ["taunt", "stealth"]),
+     "players[1].board[0]: unknown flag 'stealth'"),
+    ("entry_attack", _fault(_ENTRY + ("attack",), -1),
+     "players[1].board[0]: attack must be a non-negative integer"),
+    ("entry_health", _fault(_ENTRY + ("health",), 0), "players[1].board[0]: health out of range"),
+    ("entry_max_health", _fault(_ENTRY + ("maxHealth",), 0),
+     "players[1].board[0]: health out of range"),
+]
 
 
 class TestConfigValidation:
@@ -127,6 +212,91 @@ class TestConfigValidation:
         out = config.to_json_obj()
         out["players"][0]["hero"]["health"] = 2
         assert config.obj["players"][0]["hero"]["health"] == 10
+
+    @pytest.mark.parametrize("index", range(len(CONFIG_FAULTS)),
+                             ids=[fault[0] for fault in CONFIG_FAULTS])
+    def test_each_fault_has_its_message(self, index) -> None:
+        _, fault, message = CONFIG_FAULTS[index]
+        with pytest.raises(ConfigError) as caught:
+            GameConfig.from_json_obj(fault(faultless_config_obj()))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("index", range(len(CONFIG_FAULTS)),
+                             ids=[fault[0] for fault in CONFIG_FAULTS])
+    def test_faults_are_reported_in_check_order(self, index) -> None:
+        """With this fault and every fault listed after it in one config,
+        the error names this one: the checks run in the listed order."""
+        obj = faultless_config_obj()
+        for _, fault, _ in reversed(CONFIG_FAULTS[index:]):
+            obj = fault(obj)
+        with pytest.raises(ConfigError) as caught:
+            GameConfig.from_json_obj(obj)
+        assert str(caught.value) == CONFIG_FAULTS[index][2]
+
+
+class TestToState:
+    def test_start_state_reads_every_field(self) -> None:
+        config = GameConfig.from_json_obj({
+            "formatVersion": 1,
+            "players": [
+                {
+                    "hero": {"health": 7, "maxHealth": 20, "manaCrystals": 3,
+                             "weapon": {"attack": 2, "durability": 3}},
+                    "deck": ["Innervate", "Leper Gnome"],
+                    "hand": ["Mortal Coil"],
+                    "board": [
+                        {"card": "Leper Gnome", "attack": 4, "health": 2, "maxHealth": 3,
+                         "flags": ["taunt", "charge"]},
+                        {"card": "Wee Spellstopper", "flags": ["frozen", "exhausted"]},
+                    ],
+                },
+                {"hero": {"health": 5}, "board": [{"card": "Leper Gnome"}]},
+            ],
+            "active": 1,
+            "turn": 3,
+            "turnLimit": 9,
+        })
+        state = config.to_state()
+        assert state.canonical() == (
+            ((7, 20, Weapon(2, 3), 3, 3, False, False, 0), ("Innervate", "Leper Gnome"),
+             ("Mortal Coil",),
+             (("Leper Gnome", 4, 2, 3, True, False, False, True, False),
+              ("Wee Spellstopper", 2, 5, 5, False, True, True, False, False))),
+            ((5, 30, None, 10, 10, False, False, 0), (), (),
+             (("Leper Gnome", 2, 1, 1, False, False, False, False, False),)),
+            1, 3, 9, "ongoing", 0,
+        )
+        assert [m.iid for p in state.players for m in p.board] == [1, 2, 3]
+        assert state.next_iid == 4
+
+    def test_each_call_hands_out_an_independent_state(self) -> None:
+        config = GameConfig.from_json_obj(micro_config_obj())
+        first = config.to_state()
+        canonical, key = first.canonical(), position_key(first)
+        player = first.players[0]
+        player.hero.health = 1
+        player.hand.append("Innervate")
+        player.board[0].attack = 99
+        player.deck_pos = 1
+        second = config.to_state()
+        assert second.canonical() == canonical
+        assert position_key(second) == key
+        third = config.to_state()
+        apply_in_place(second, Attack(minion_ref(0, 0), hero_ref(1)))
+        stepped = second.canonical()
+        assert stepped != canonical
+        assert third.canonical() == canonical
+        apply_in_place(third, EndTurn())
+        assert third.canonical() != canonical
+        assert second.canonical() == stepped
+
+    def test_constructor_checks_the_config(self) -> None:
+        obj = micro_config_obj()
+        obj["players"][1]["hero"]["health"] = 0
+        with pytest.raises(ConfigError):
+            GameConfig(obj)
+        with pytest.raises(ConfigError):
+            GameConfig([])
 
 
 class TestActionJson:
