@@ -58,6 +58,7 @@ from .state import (
     PlayCard,
     ScriptStep,  # re-exported: line files are made of these
     action_to_json_obj,
+    hero_fields,
     hero_ref,
     json_int,
     minion_ref,
@@ -463,7 +464,8 @@ class ScriptedLine:
         """
         if type(obj) is not dict:
             raise InstanceError("malformed line: the top level is not a JSON object")
-        if obj.get("formatVersion") != FORMAT_VERSION:
+        version = obj.get("formatVersion")
+        if type(version) is not int or version != FORMAT_VERSION:
             raise InstanceError("unsupported line formatVersion")
         steps: dict[str, ScriptStep] = {}
 
@@ -709,6 +711,13 @@ _INNERVATE = C.INNERVATE
 _LIGHTS_JUSTICE = C.LIGHTS_JUSTICE
 
 
+def _line_turns(n: int) -> int:
+    """How many turns the line of an n-pair instance spans: one per pair,
+    a turn of its own to verify the sum when n is even, and the punishment
+    turn."""
+    return n + 1 + (n % 2 == 0)
+
+
 class _Emitter:
     """Plays the turns through the real engine as the turn builders call
     ``play``, ``attack``, ``end`` and ``branch``, producing concrete actions
@@ -801,10 +810,10 @@ class _Emitter:
         append, played = self.items.append, self.played.append
         plays, steps = self._plays, self._steps
         player = state.players[state.active]
-        hand, hero, laid = player.hand, player.hero, self.laid[state.active]
+        hand, laid = player.hand, self.laid[state.active]
         cost = _COSTS[cid]
         while True:
-            funding = hero.mana < cost
+            funding = player.mana < cost
             play = _INNERVATE if funding else cid
             if not lays:
                 # Slots the x half laid after the fork reach this half as numbers.
@@ -821,7 +830,7 @@ class _Emitter:
                 step = steps.get(key)
                 if step is None:
                     step = steps[key] = ScriptStep(PlayCard(index, target, position))
-            before = hero.mana
+            before = player.mana
             if state.outcome is _ONGOING:
                 try:
                     _play_card(state, None, step.action)
@@ -833,7 +842,7 @@ class _Emitter:
             played(play)
             k += 1
             if funding:
-                if hero.mana == before:
+                if player.mana == before:
                     raise ScheduleInfeasible(
                         f"cannot fund cost {cost} at mana cap", turn=turn, step=k
                     )
@@ -892,15 +901,14 @@ class _Emitter:
         played.append((x_cards, y_cards))
 
     def emit(self, shifted: PartitionInstance) -> tuple[TurnScript, ...]:
-        """Every turn of the line: one per pair, a turn of its own to verify
-        the sum when n is even, and the punishment turn.  ``cards`` keeps,
+        """Every turn of the line (see :func:`_line_turns`).  ``cards`` keeps,
         turn by turn, the card each item plays: a card id for a play, None
         for another step and a pair of such lists for a branch.  A failing
         step is numbered by its position in its turn, counting a branch's
         steps along the half that failed (the x half, after it)."""
         n = shifted.n
         turns = []
-        for turn in range(1, n + 2 + (n % 2 == 0)):
+        for turn in range(1, _line_turns(n) + 1):
             self.items, self.played = items, cards = [], []
             self.turn, self.k = turn, 0
             if turn <= n and turn % 2:
@@ -927,7 +935,7 @@ class _Emitter:
         same = (sx.active, sx.turn, sx.removed) == (sy.active, sy.turn, sy.removed)
         for side in (0, 1):
             px, py = sx.players[side], sy.players[side]
-            same = (same and px.hero.canonical() == py.hero.canonical()
+            same = (same and hero_fields(px) == hero_fields(py)
                     and px.deck[px.deck_pos:] == py.deck[py.deck_pos:]
                     and px.hand == py.hand and len(px.board) == len(py.board))
             for slot, (mx, my) in enumerate(zip(px.board, py.board)):
@@ -1120,7 +1128,7 @@ def compile_instance(
         raise ValueError(f"unknown validate mode {validate!r}")
     if validate == "all" and instance.n > 12:
         raise InstanceError("validate='all' limited to n <= 12")
-    spans = instance.n + 1 + (instance.n % 2 == 0)  # ``_Emitter.emit``'s turns
+    spans = _line_turns(instance.n)
     if turn_limit < spans:
         raise ScheduleInfeasible(f"line spans {spans} turns but the turn limit is {turn_limit}")
     shifted, shift = shifted_instance(instance)

@@ -131,8 +131,8 @@ def _check_outcome(state: GameState, log: EventLog | None) -> bool:
     """Lock the outcome if any hero is dead; return True once decided."""
     if state.outcome is not _ONGOING:
         return True
-    h0 = state.players[0].hero.health
-    h1 = state.players[1].hero.health
+    h0 = state.players[0].health
+    h1 = state.players[1].health
     if h0 <= 0 and h1 <= 0:
         state.outcome = Outcome.DRAW
     elif h0 <= 0:
@@ -203,13 +203,12 @@ _TARGETED_SPELLS = {
 
 
 def _hero_can_attack(player: PlayerState) -> bool:
-    hero = player.hero
     return (
-        hero.weapon is not None
-        and hero.weapon.durability >= 1
-        and hero.weapon.attack >= 1
-        and not hero.attacked
-        and not hero.frozen
+        player.weapon is not None
+        and player.weapon.durability >= 1
+        and player.weapon.attack >= 1
+        and not player.attacked
+        and not player.frozen
     )
 
 
@@ -285,7 +284,7 @@ def legal_actions(state: GameState) -> list[Action]:
 
     for hi, cid in enumerate(p.hand):
         spec = _CARDS[cid]
-        if spec.cost > p.hero.mana:
+        if spec.cost > p.mana:
             continue
         if spec.kind is _MINION:
             if len(p.board) >= MAX_BOARD:
@@ -338,12 +337,12 @@ def _draw_card(state: GameState, log: EventLog | None, side: int) -> None:
             if log is not None:
                 log.emit("draw", side=side, card=cid)
     else:
-        p.hero.fatigue += 1
+        p.fatigue += 1
         if log is not None:
-            log.emit("fatigue", side=side, damage=p.hero.fatigue)
-        p.hero.health -= p.hero.fatigue
+            log.emit("fatigue", side=side, damage=p.fatigue)
+        p.health -= p.fatigue
         if log is not None:
-            log.emit("damage", target={"hero": side}, amount=p.hero.fatigue)
+            log.emit("damage", target={"hero": side}, amount=p.fatigue)
         _check_outcome(state, log)
 
 
@@ -367,7 +366,7 @@ def _damage_minion(
 def _damage_hero(state: GameState, log: EventLog | None, side: int, amount: int) -> None:
     if amount <= 0 or state.outcome is not _ONGOING:
         return
-    state.players[side].hero.health -= amount
+    state.players[side].health -= amount
     if log is not None:
         log.emit("damage", target={"hero": side}, amount=amount)
 
@@ -375,9 +374,9 @@ def _damage_hero(state: GameState, log: EventLog | None, side: int, amount: int)
 def _heal_hero(state: GameState, log: EventLog | None, side: int, amount: int) -> None:
     if state.outcome is not _ONGOING:
         return
-    hero = state.players[side].hero
-    healed = min(amount, hero.max_health - hero.health)
-    hero.health += healed
+    p = state.players[side]
+    healed = min(amount, p.max_health - p.health)
+    p.health += healed
     if log is not None:
         log.emit("heal", target={"hero": side}, amount=healed)
 
@@ -544,9 +543,8 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
         raise IllegalAction(f"no card in hand slot {index}")
     cid = hand[index]
     spec = _CARDS[cid]
-    hero = p.hero
-    if spec.cost > hero.mana:
-        raise IllegalAction(f"not enough mana for {cid} (have {hero.mana}, need {spec.cost})")
+    if spec.cost > p.mana:
+        raise IllegalAction(f"not enough mana for {cid} (have {p.mana}, need {spec.cost})")
 
     if spec.kind is _SPELL:
         effect = spec.effect
@@ -561,16 +559,16 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             raise IllegalAction(f"{cid} does not take a target")
         if action.position is not None:
             raise IllegalAction(f"{cid} takes no position")
-        hero.mana -= spec.cost
+        p.mana -= spec.cost
         del hand[index]
         state.removed += 1
         if log is not None:
             log.emit("play", side=side, card=cid,
                      **({"target": target.to_json_obj()} if target else {}))
         if effect is _GAIN_TWO_MANA:
-            hero.mana = min(hero.mana + 2, MAX_MANA)
+            p.mana = min(p.mana + 2, MAX_MANA)
             if log is not None:
-                log.emit("mana", side=side, mana=hero.mana)
+                log.emit("mana", side=side, mana=p.mana)
         else:
             _resolve_spell(state, log, side, spec, target)
             if state.outcome is not _ONGOING:
@@ -597,7 +595,7 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             raise IllegalAction(f"bad summon position {pos}")
         if action.target is not None:
             raise IllegalAction(f"{cid} does not take a target")
-        hero.mana -= spec.cost
+        p.mana -= spec.cost
         del hand[index]
         if log is not None:
             log.emit("play", side=side, card=cid, position=pos)
@@ -615,18 +613,18 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
     # Weapon.
     if action.target is not None or action.position is not None:
         raise IllegalAction(f"{cid} takes no target or position")
-    hero.mana -= spec.cost
+    p.mana -= spec.cost
     del hand[index]
     if log is not None:
         log.emit("play", side=side, card=cid)
-    if hero.weapon is not None:
+    if p.weapon is not None:
         state.removed += 1
         if log is not None:
             log.emit("weapon_break", side=side, replaced=True)
-    hero.weapon = Weapon(spec.attack or 0, spec.health or 0)
+    p.weapon = Weapon(spec.attack or 0, spec.health or 0)
     if log is not None:
         log.emit("equip", side=side, card=cid,
-                 attack=hero.weapon.attack, durability=hero.weapon.durability)
+                 attack=p.weapon.attack, durability=p.weapon.durability)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +646,7 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
     if atk_ref.is_hero:
         if not _hero_can_attack(p):
             raise IllegalAction("hero cannot attack (weapon, frozen or already attacked)")
-        power = p.hero.weapon.attack
+        power = p.weapon.attack
     else:
         if not (0 <= atk_ref.slot < len(p.board)):
             raise IllegalAction("no attacker at that slot")
@@ -679,12 +677,12 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
     if attacker_minion is not None:
         _own(p, atk_ref.slot).attacked = True
     else:
-        p.hero.attacked = True
-        weapon = p.hero.weapon
+        p.attacked = True
+        weapon = p.weapon
         if weapon.durability > 1:
-            p.hero.weapon = Weapon(weapon.attack, weapon.durability - 1)
+            p.weapon = Weapon(weapon.attack, weapon.durability - 1)
         else:
-            p.hero.weapon = None
+            p.weapon = None
             state.removed += 1
             if log is not None:
                 log.emit("weapon_break", side=side)
@@ -713,14 +711,14 @@ def _begin_turn(state: GameState, log: EventLog | None) -> None:
     """Start-of-turn sequence for the current active player."""
     side = state.active
     p = state.players[side]
-    p.hero.attacked = False
+    p.attacked = False
     for slot, m in enumerate(p.board):
         if m.exhausted or m.attacked:
             m = _own(p, slot)
             m.exhausted = False
             m.attacked = False
     if log is not None:
-        log.emit("start_turn", side=side, turn=state.turn, mana=p.hero.mana)
+        log.emit("start_turn", side=side, turn=state.turn, mana=p.mana)
     _draw_card(state, log, side)
 
 
@@ -742,7 +740,7 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
         log.emit("end_turn", side=side)
     # Thaw at the end of the owner's turn.
     p = state.players[side]
-    p.hero.frozen = False
+    p.frozen = False
     for slot, m in enumerate(p.board):
         if m.frozen:
             _own(p, slot).frozen = False
@@ -754,8 +752,8 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
             log.emit("outcome", result=state.outcome.value, reason="turn_limit")
         return
     nxt = state.players[state.active]
-    nxt.hero.mana_crystals = min(nxt.hero.mana_crystals + 1, MAX_MANA)
-    nxt.hero.mana = nxt.hero.mana_crystals
+    nxt.mana_crystals = min(nxt.mana_crystals + 1, MAX_MANA)
+    nxt.mana = nxt.mana_crystals
     _begin_turn(state, log)
 
 

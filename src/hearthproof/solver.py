@@ -786,7 +786,7 @@ class _TurnRejoinProbe:
     position key.  ``_explore`` owns the state it is given: it forks it for
     every action it tries but the last, which steps that state in place.  A
     fork shares the minions that an action does not write, so a child costs
-    new state, player and hero objects and two list copies, not a new
+    a new state, two player objects and their list copies, not a new
     board.  ``analyze`` hands ``_explore`` a fork, leaving its argument as
     it was.
 
@@ -976,16 +976,18 @@ class DeviationChecker:
         return probe
 
     def _loss_probe(self, rec: StepRecord, child: GameState) -> tuple[bool, int]:
-        """Prove, if cheap, that the deviation loses within the horizon."""
-        clamped = child.fork()
-        clamped.turn_limit = min(child.turn_limit, rec.turn + _PROBE_HORIZON)
+        """Prove, if cheap, that the deviation loses within the horizon.
+
+        Clamps the turn limit of ``child``, which the caller owns and does
+        not read again, in place."""
+        child.turn_limit = min(child.turn_limit, rec.turn + _PROBE_HORIZON)
         tt = self._value_tts.setdefault(rec.turn, {})
         ab = AlphaBeta(max_depth=_VALUE_DEPTH, max_nodes=self.value_nodes, tt=tt)
         if rec.state_before.active == 0:
-            v = ab.search(clamped, LOSS, DRAW, _VALUE_DEPTH)
+            v = ab.search(child, LOSS, DRAW, _VALUE_DEPTH)
             proven = v is not None and v <= LOSS
         else:
-            v = ab.search(clamped, DRAW, WIN, _VALUE_DEPTH)
+            v = ab.search(child, DRAW, WIN, _VALUE_DEPTH)
             proven = v is not None and v >= WIN
         return proven, ab.nodes
 

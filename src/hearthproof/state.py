@@ -1,24 +1,27 @@
 """Game state value types, configuration IO and position keys.
 
-States are value objects with two ways to copy them.  ``clone()`` is deep:
-the copy shares no mutable object with its source, so either may be
-written freely.  ``fork()`` is the cheap copy for searches that branch: it
-builds new state, player and hero objects and new hand and board lists,
-all in its own frame with no call per player or hero, but shares the
-minions (and, like ``clone()``, the deck and the weapon).
+States are value objects.  A player is one object: its hero's health,
+weapon, mana and fatigue sit next to its deck, hand and board.  ``fork()``
+is the only code that copies players.  It is the cheap copy for searches
+that branch: it builds a new state, two new players and new hand and board
+lists, all in its own frame, but shares the minions, the decks and the
+weapons.  ``clone()`` is a fork whose players then take private copies of
+their minions, so it shares no mutable object with its source and either
+may be written freely.
 The engine's ``apply`` never mutates an input state, it clones and
 returns; ``apply_in_place`` steps a state its caller owns and leaves it
 untouched when it rejects the action.
 
 Ownership of shared minions: every ``PlayerState`` carries a ``gen``
-number, fresh on construction, ``clone()`` and ``fork()``, and every
-minion records the ``gen`` of the player that owns it (0 for none).  A
-player may write a minion only when the two agree.  ``fork()`` renews the
-source's ``gen`` as well as the copy's, so after a fork neither side owns
-the minions they share, and the engine's one minion write path,
-``engine._own``, swaps a private copy into the board slot before the first
-write.  Code outside the engine that writes a minion directly must do so
-on a state that has never been forked, or on a ``clone()``.
+number, fresh on construction and on ``fork()``, and every minion records
+the ``gen`` of the player that owns it (0 for none).  A player may write a
+minion only when the two agree.  ``fork()`` renews the source's ``gen`` as
+well as the copy's, so after a fork neither side owns the minions they
+share, and the engine's one minion write path, ``engine._own``, swaps a
+private copy into the board slot before the first write.  Code outside the
+engine that writes a minion directly must do so on a ``clone()``, or on a
+state whose minions no fork shares: one that has never been forked, or
+only by ``clone()``, whose copy takes none of them.
 
 Decks are shared immutable tuples with a per-player draw cursor so copying
 is O(board + hand), not O(deck).  Decks are interned, so equal decks are one
@@ -36,6 +39,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import operator
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
@@ -357,63 +361,6 @@ class MinionInstance:
         )
 
 
-class HeroState:
-    __slots__ = (
-        "health",
-        "max_health",
-        "weapon",
-        "mana_crystals",
-        "mana",
-        "attacked",
-        "frozen",
-        "fatigue",
-    )
-
-    def __init__(
-        self,
-        health: int,
-        max_health: int = MAX_HERO_HEALTH,
-        weapon: Weapon | None = None,
-        mana_crystals: int = MAX_MANA,
-        mana: int = 0,
-        attacked: bool = False,
-        frozen: bool = False,
-        fatigue: int = 0,
-    ):
-        self.health = health
-        self.max_health = max_health
-        self.weapon = weapon
-        self.mana_crystals = mana_crystals
-        self.mana = mana
-        self.attacked = attacked
-        self.frozen = frozen
-        self.fatigue = fatigue
-
-    def clone(self) -> "HeroState":
-        h = HeroState.__new__(HeroState)
-        h.health = self.health
-        h.max_health = self.max_health
-        h.weapon = self.weapon
-        h.mana_crystals = self.mana_crystals
-        h.mana = self.mana
-        h.attacked = self.attacked
-        h.frozen = self.frozen
-        h.fatigue = self.fatigue
-        return h
-
-    def canonical(self) -> tuple:
-        return (
-            self.health,
-            self.max_health,
-            self.weapon,
-            self.mana_crystals,
-            self.mana,
-            self.attacked,
-            self.frozen,
-            self.fatigue,
-        )
-
-
 # Every deck ever given to a player, keyed by itself.  Interning makes equal
 # decks one object that is never freed, so ``id(deck)`` names the deck's
 # contents exactly for the life of the process (see :func:`position_key`).
@@ -424,20 +371,52 @@ _DECKS: dict[tuple[str, ...], tuple[str, ...]] = {}
 _GENS = itertools.count(1)
 
 
+# A player's hero fields as one tuple: the first part of its ``canonical()``.
+hero_fields = operator.attrgetter(
+    "health", "max_health", "weapon", "mana_crystals", "mana", "attacked", "frozen", "fatigue")
+
+
 class PlayerState:
-    __slots__ = ("hero", "deck", "deck_pos", "hand", "board", "gen")
+    """One side of the game: its hero's fields, its deck, hand and board, and
+    the ``gen`` that marks the minions it owns.  The constructor builds a
+    player at the start of a game, with full mana and no fatigue."""
+
+    __slots__ = (
+        "health",
+        "max_health",
+        "weapon",
+        "mana_crystals",
+        "mana",
+        "attacked",
+        "frozen",
+        "fatigue",
+        "deck",
+        "deck_pos",
+        "hand",
+        "board",
+        "gen",
+    )
 
     def __init__(
         self,
-        hero: HeroState,
+        health: int,
+        max_health: int,
+        weapon: Weapon | None,
+        mana_crystals: int,
         deck: tuple[str, ...],
-        deck_pos: int,
         hand: list[str],
         board: list[MinionInstance],
     ):
-        self.hero = hero
+        self.health = health
+        self.max_health = max_health
+        self.weapon = weapon
+        self.mana_crystals = mana_crystals
+        self.mana = mana_crystals
+        self.attacked = False
+        self.frozen = False
+        self.fatigue = 0
         self.deck = _DECKS.setdefault(deck, deck)
-        self.deck_pos = deck_pos
+        self.deck_pos = 0
         self.hand = hand
         self.board = board
         self.gen = next(_GENS)
@@ -446,19 +425,9 @@ class PlayerState:
     def deck_remaining(self) -> int:
         return len(self.deck) - self.deck_pos
 
-    def clone(self) -> "PlayerState":
-        p = PlayerState.__new__(PlayerState)
-        p.hero = self.hero.clone()
-        p.deck = self.deck
-        p.deck_pos = self.deck_pos
-        p.hand = list(self.hand)
-        p.gen = gen = next(_GENS)
-        p.board = [m.clone(gen) for m in self.board]
-        return p
-
     def canonical(self) -> tuple:
         return (
-            self.hero.canonical(),
+            hero_fields(self),
             self.deck[self.deck_pos :],
             tuple(self.hand),
             tuple(m.canonical() for m in self.board),
@@ -495,28 +464,24 @@ class GameState:
         self.next_iid = next_iid
 
     def clone(self) -> "GameState":
-        """A deep copy: it shares no mutable object with this state."""
-        s = GameState.__new__(GameState)
-        s.players = [p.clone() for p in self.players]
-        s.active = self.active
-        s.turn = self.turn
-        s.turn_limit = self.turn_limit
-        s.outcome = self.outcome
-        s.removed = self.removed
-        s.next_iid = self.next_iid
+        """A deep copy: a :meth:`fork` whose players own copies of their
+        minions, so it shares no mutable object with this state."""
+        s = self.fork()
+        for p in s.players:
+            gen = p.gen
+            p.board = [m.clone(gen) for m in p.board]
         return s
 
     def fork(self) -> "GameState":
         """A copy for a search branch: it shares the minions with this state
         until the engine writes one of them, on either side.
 
-        Search makes one fork per child it tries, so both players and
-        heroes are built here, in this one frame, rather than through
-        ``PlayerState`` and ``HeroState`` methods.  Each player gets a new
-        hero, new hand and board lists and a fresh ``gen``; the deck, the
-        weapon and the minions are shared.  The source's players get fresh
-        ``gen``s too, so neither side owns the shared minions afterwards
-        (see the module docstring).
+        The only code that copies players.  Search makes one fork per child
+        it tries, so each player is built here, in this one frame: a new
+        ``PlayerState`` with new hand and board lists and a fresh ``gen``;
+        the deck, the weapon and the minions are shared.  The source's
+        players get fresh ``gen``s too, so neither side owns the shared
+        minions afterwards (see the module docstring).
         """
         s = GameState.__new__(GameState)
         s.players = players = []
@@ -527,18 +492,15 @@ class GameState:
         s.removed = self.removed
         s.next_iid = self.next_iid
         for src in self.players:
-            h = src.hero
-            hero = HeroState.__new__(HeroState)
-            hero.health = h.health
-            hero.max_health = h.max_health
-            hero.weapon = h.weapon
-            hero.mana_crystals = h.mana_crystals
-            hero.mana = h.mana
-            hero.attacked = h.attacked
-            hero.frozen = h.frozen
-            hero.fatigue = h.fatigue
             p = PlayerState.__new__(PlayerState)
-            p.hero = hero
+            p.health = src.health
+            p.max_health = src.max_health
+            p.weapon = src.weapon
+            p.mana_crystals = src.mana_crystals
+            p.mana = src.mana
+            p.attacked = src.attacked
+            p.frozen = src.frozen
+            p.fatigue = src.fatigue
             p.deck = src.deck
             p.deck_pos = src.deck_pos
             p.hand = src.hand[:]
@@ -610,23 +572,22 @@ def position_key(state: GameState) -> bytes:
     ]
     codes = _CARD_CODES
     for p in state.players:
-        h = p.hero
         hand = p.hand
         board = p.board
         key += (
-            h.health,
-            h.max_health,
-            h.mana_crystals,
-            h.mana,
-            h.attacked,
-            h.frozen,
-            h.fatigue,
+            p.health,
+            p.max_health,
+            p.mana_crystals,
+            p.mana,
+            p.attacked,
+            p.frozen,
+            p.fatigue,
             id(p.deck),
             p.deck_pos,
             len(hand),
             len(board),
         )
-        w = h.weapon
+        w = p.weapon
         if w is None:
             key.append(None)
         else:
@@ -713,7 +674,8 @@ def _parse_config(obj: dict) -> GameState:
     """The start state of the config ``obj``, checked field by field as it
     is built; the first malformed field raises ``ConfigError``."""
     _require(isinstance(obj, dict), "config must be an object")
-    _require(obj.get("formatVersion") == FORMAT_VERSION, "formatVersion must be 1")
+    _require(_int_in(obj.get("formatVersion"), FORMAT_VERSION, FORMAT_VERSION),
+             "formatVersion must be 1")
     players = obj.get("players")
     _require(isinstance(players, list) and len(players) == 2, "need exactly 2 players")
     active = obj.get("active")
@@ -783,8 +745,8 @@ def _parse_config(obj: dict) -> GameState:
                 iid=next_iid,
             ))
             next_iid += 1
-        hero_state = HeroState(hero_health, max_health, weapon, crystals, crystals)
-        states.append(PlayerState(hero_state, tuple(deck), 0, list(hand), minions))
+        states.append(PlayerState(hero_health, max_health, weapon, crystals,
+                                  tuple(deck), list(hand), minions))
     return GameState(states, active, turn, limit, next_iid=next_iid)
 
 
@@ -809,16 +771,17 @@ def _minion_obj(m: MinionInstance) -> dict:
     }
 
 
-def _hero_obj(h: HeroState) -> dict:
+def _hero_obj(p: PlayerState) -> dict:
+    """The ``hero`` object of player ``p`` in a ``--trace`` snapshot."""
     hero = {
-        "health": h.health,
-        "maxHealth": h.max_health,
-        "manaCrystals": h.mana_crystals,
-        "mana": h.mana,
-        "fatigue": h.fatigue,
+        "health": p.health,
+        "maxHealth": p.max_health,
+        "manaCrystals": p.mana_crystals,
+        "mana": p.mana,
+        "fatigue": p.fatigue,
     }
-    if h.weapon:
-        hero["weapon"] = {"attack": h.weapon.attack, "durability": h.weapon.durability}
+    if p.weapon:
+        hero["weapon"] = {"attack": p.weapon.attack, "durability": p.weapon.durability}
     return hero
 
 
@@ -828,7 +791,7 @@ def state_to_json_obj(state: GameState) -> dict:
     return {
         "players": [
             {
-                "hero": _hero_obj(p.hero),
+                "hero": _hero_obj(p),
                 "hand": list(p.hand),
                 "deckRemaining": p.deck_remaining,
                 "board": [_minion_obj(m) for m in p.board],
@@ -882,11 +845,10 @@ def snapshot_json(state: GameState, step_index: int, memo: SnapshotMemo) -> str:
     """
     players = []
     for p in state.players:
-        h = p.hero
-        key = (h.health, h.max_health, h.mana_crystals, h.mana, h.fatigue, h.weapon)
+        key = (p.health, p.max_health, p.mana_crystals, p.mana, p.fatigue, p.weapon)
         hero = memo.heroes.get(key)
         if hero is None:
-            hero = memo.heroes[key] = json.dumps(_hero_obj(h))
+            hero = memo.heroes[key] = json.dumps(_hero_obj(p))
         hand_key = tuple(p.hand)
         hand = memo.hands.get(hand_key)
         if hand is None:
@@ -910,6 +872,6 @@ def total_card_count(state: GameState) -> int:
     total = state.removed
     for p in state.players:
         total += p.deck_remaining + len(p.hand) + len(p.board)
-        if p.hero.weapon is not None:
+        if p.weapon is not None:
             total += 1
     return total

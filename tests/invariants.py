@@ -15,12 +15,12 @@ def assert_invariants(state: GameState, expected_total: int) -> None:
     for side, p in enumerate(state.players):
         assert len(p.board) <= MAX_BOARD, f"side {side} board over {MAX_BOARD}"
         assert len(p.hand) <= MAX_HAND, f"side {side} hand over {MAX_HAND}"
-        assert 0 <= p.hero.mana <= MAX_MANA, f"side {side} mana out of range"
-        assert 0 <= p.hero.mana_crystals <= MAX_MANA
+        assert 0 <= p.mana <= MAX_MANA, f"side {side} mana out of range"
+        assert 0 <= p.mana_crystals <= MAX_MANA
         assert 0 <= p.deck_pos <= len(p.deck)
         if state.outcome is Outcome.ONGOING:
-            assert p.hero.health >= 1, f"side {side} hero dead while the game is ongoing"
+            assert p.health >= 1, f"side {side} hero dead while the game is ongoing"
             for m in p.board:
                 assert m.health >= 1, f"dead {m.card_id} persists on board"
-        if p.hero.weapon is not None:
-            assert p.hero.weapon.durability >= 1, "spent weapon persists"
+        if p.weapon is not None:
+            assert p.weapon.durability >= 1, "spent weapon persists"

@@ -599,19 +599,23 @@ class TestReplay:
          "malformed line file: unrecognised action object: {'end': 'yes'}"),
         (lambda obj: TestReplay._first_step(obj).update(action={"end": False}),
          "malformed line file: unrecognised action object: {'end': False}"),
+        (lambda obj: obj.update(formatVersion=True), "unsupported line formatVersion"),
+        (lambda obj: obj.update(formatVersion=1.0), "unsupported line formatVersion"),
     ], ids=["decision_and_shift", "shift", "decision_record", "turn_side",
             "hand_index", "char_ref", "optional_flag", "branch_decision_high",
             "branch_decision_zero", "short_decisions", "branch_decision_repeated",
             "branch_decision_missing", "play_array", "step_array", "action_array",
-            "half_string", "end_one", "end_yes", "end_false"])
+            "half_string", "end_one", "end_yes", "end_false", "format_version_true",
+            "format_version_float"])
     def test_non_integer_line_numbers_are_input_errors(
             self, compiled_dir, tmp_path, capsys, tamper, message) -> None:
-        """A float, a numeric string or a bool in a line file is not
-        rounded into the line, nor is a truthy non-boolean ``optional`` or
-        ``end`` read as true, nor branches or a decision list that do not
-        match the instance's pairs one to one.  A step, action or ``play``
-        must be a JSON object and a branch half an array.  Each makes the
-        replay exit 2 before any output."""
+        """A float, a numeric string or a bool in a line file, its
+        ``formatVersion`` included, is not rounded into the line, nor is a
+        truthy non-boolean ``optional`` or ``end`` read as true, nor
+        branches or a decision list that do not match the instance's pairs
+        one to one.  A step, action or ``play`` must be a JSON object and a
+        branch half an array.  Each makes the replay exit 2 before any
+        output."""
         obj = json.loads((compiled_dir / "line.json").read_text())
         assert "step" in obj["turns"][0]["items"][0]
         tamper(obj)

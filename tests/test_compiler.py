@@ -199,7 +199,7 @@ def simulate_buffs(carrier: str, cards: tuple[str, ...]) -> int:
     state = GameConfig.from_json_obj(obj).to_state()
     for card_id in cards:
         state.players[0].hand[:] = [card_id]
-        state.players[0].hero.mana = 10
+        state.players[0].mana = 10
         state = apply(state, PlayCard(0, target=minion_ref(0, 0)))
     return state.players[0].board[0].attack
 
@@ -368,7 +368,7 @@ class TestCompiledArtifacts:
         rises and the card's cost cannot be funded."""
         emitter = _Emitter(worked_compiled.config)
         emitter.state.outcome = Outcome.ENEMY_WINS
-        emitter.state.players[0].hero.mana = 0
+        emitter.state.players[0].mana = 0
         with pytest.raises(ScheduleInfeasible) as info:
             emitter.play(ARCANE_INTELLECT)
         assert info.value.reason == "cannot fund cost 3 at mana cap"
@@ -510,7 +510,7 @@ class TestCompiledArtifacts:
             for choice in "xy":
                 final = run_line(GameConfig(obj), result.line, (choice,) * len(pairs))
                 assert final.outcome is Outcome.ENEMY_WINS, (pairs, choice)
-                assert [(p.deck_remaining, p.hero.fatigue) for p in final.players] == [
+                assert [(p.deck_remaining, p.fatigue) for p in final.players] == [
                     (0, 0), (0, 0)], (pairs, choice)
 
     def test_line_shares_one_object_per_distinct_step(self, worked_compiled) -> None:

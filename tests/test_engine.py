@@ -82,7 +82,7 @@ class TestCombat:
         after = apply(state, Attack(minion_ref(0, 0), minion_ref(1, 0)))
         assert after.players[1].board[0].health == 184
         assert after.players[0].board == []  # attacker died to retaliation
-        assert after.players[0].hero.health == 10
+        assert after.players[0].health == 10
         assert after.outcome is Outcome.ONGOING
 
     def test_taunt_restricts_targets(self) -> None:
@@ -100,9 +100,9 @@ class TestCombat:
     def test_weapon_attack_consumes_durability(self) -> None:
         state = build(f_weapon={"attack": 1, "durability": 4}, e_hp=5)
         after = apply(state, Attack(hero_ref(0), hero_ref(1)))
-        assert after.players[1].hero.health == 4
-        assert after.players[0].hero.weapon.durability == 3
-        assert after.players[0].hero.attacked
+        assert after.players[1].health == 4
+        assert after.players[0].weapon.durability == 3
+        assert after.players[0].attacked
         with pytest.raises(IllegalAction):
             apply(after, Attack(hero_ref(0), hero_ref(1)))
 
@@ -138,7 +138,7 @@ class TestDeathrattles:
             e_board=[minion("Leper Gnome", attack=2, health=1)],
         )
         after = apply(state, PlayCard(0, target=minion_ref(1, 0)))
-        assert after.players[0].hero.health == 8
+        assert after.players[0].health == 8
         assert after.players[1].board == []
 
     def test_leper_gnome_lethal_deathrattle(self) -> None:
@@ -158,8 +158,8 @@ class TestDeathrattles:
             e_board=[minion("Mistress of Mixtures", attack=2, health=2)],
         )
         after = apply(state, PlayCard(0, target=minion_ref(1, 0)))
-        assert after.players[0].hero.health == 24
-        assert after.players[1].hero.health == 29
+        assert after.players[0].health == 24
+        assert after.players[1].health == 29
 
 
 class TestSpells:
@@ -234,7 +234,7 @@ class TestSpells:
         charged = apply(summoned, PlayCard(0, target=minion_ref(0, 0)))
         assert charged.players[0].board[0].attack == 3
         after = apply(charged, Attack(minion_ref(0, 0), hero_ref(1)))
-        assert after.players[1].hero.health == 7
+        assert after.players[1].health == 7
 
     def test_shadow_word_death_needs_five_attack(self) -> None:
         state = build(
@@ -272,7 +272,7 @@ class TestSpells:
     def test_innervate_caps_at_ten(self) -> None:
         state = build(f_hand=["Innervate", "Innervate"], f_mana=9)
         after = apply(state, PlayCard(0))
-        assert after.players[0].hero.mana == 10
+        assert after.players[0].mana == 10
 
     def test_arcane_intellect_draws_two(self) -> None:
         state = build(f_hand=["Arcane Intellect"],
@@ -296,7 +296,7 @@ class TestSpells:
     def test_flash_heal_restores_hero(self) -> None:
         state = build(f_hand=["Flash Heal"], f_hp=1)
         after = apply(state, PlayCard(0, target=hero_ref(0)))
-        assert after.players[0].hero.health == 6
+        assert after.players[0].health == 6
 
 
 class TestSpellShield:
@@ -352,8 +352,8 @@ class TestDrawEdges:
         state = build(f_hand=["Arcane Intellect"], f_hp=10)
         after = apply(state, PlayCard(0))
         # empty deck: two fatigue draws deal 1 then 2
-        assert after.players[0].hero.health == 7
-        assert after.players[0].hero.fatigue == 2
+        assert after.players[0].health == 7
+        assert after.players[0].fatigue == 2
 
     def test_overdraw_burns(self) -> None:
         state = build(
@@ -373,7 +373,7 @@ class TestTurnStructure:
         after = apply(state, EndTurn())
         assert after.active == 1
         assert after.turn == 2
-        assert after.players[1].hero.mana == 10
+        assert after.players[1].mana == 10
         assert after.players[1].hand == ["Innervate"]
 
     def test_turn_limit_draws(self) -> None:

@@ -22,7 +22,6 @@ from hearthproof.state import (
     EventLog,
     GameConfig,
     GameState,
-    HeroState,
     IllegalAction,
     Outcome,
     PlayCard,
@@ -37,7 +36,7 @@ from hearthproof.state import (
     total_card_count,
 )
 
-from invariants import assert_invariants
+from invariants import MAX_MANA, assert_invariants
 from micro_positions import micro_positions
 
 
@@ -378,10 +377,60 @@ class TestFork:
         assert {"damage", "freeze", "end_turn", "buff", "steal", "death"} <= seen
 
 
+    def test_clone_of_a_fork_owns_everything_it_holds(self, worked_compiled) -> None:
+        """Writing every position field of each player of a fork's clone
+        (all but its deck, an immutable shared tuple) and every minion on
+        its board directly changes neither the fork nor its source, and the
+        clone is still a valid position."""
+        starts = [worked_compiled.config] + [config for _, config, _ in micro_positions()]
+        seen = {"states": 0, "minions": 0, "hands": 0, "weapons": 0}
+        for config in starts:
+            for seed in range(8):
+                walk, _ = seeded_walk(config, seed, 60)
+                for state in walk:
+                    fork = state.fork()
+                    before = [(s.canonical(), position_key(s)) for s in (state, fork)]
+                    total = total_card_count(state)
+                    copy = fork.clone()
+                    for p in copy.players:
+                        p.health += 1
+                        p.max_health += 1
+                        if p.weapon is not None:
+                            p.weapon = p.weapon._replace(attack=p.weapon.attack + 1)
+                            seen["weapons"] += 1
+                        p.mana = p.mana_crystals = (p.mana_crystals + 1) % (MAX_MANA + 1)
+                        p.attacked = not p.attacked
+                        p.frozen = not p.frozen
+                        p.fatigue += 1
+                        if p.deck_remaining:
+                            p.deck_pos += 1
+                            copy.removed += 1
+                        if p.hand:
+                            p.hand.pop()
+                            copy.removed += 1
+                            seen["hands"] += 1
+                        p.board.reverse()
+                        for m in p.board:
+                            m.attack += 1
+                            m.health += 1
+                            m.max_health += 1
+                            m.taunt = not m.taunt
+                            m.frozen = not m.frozen
+                            m.exhausted = not m.exhausted
+                            m.charge = not m.charge
+                            m.attacked = not m.attacked
+                            seen["minions"] += 1
+                    assert [(s.canonical(), position_key(s)) for s in (state, fork)] == before
+                    assert copy.canonical() != before[1][0]
+                    assert_invariants(copy, total)
+                    seen["states"] += 1
+        assert seen["states"] > 400 and seen["minions"] > 600
+        assert seen["hands"] > 100 and seen["weapons"] > 100
+
     def test_fork_builds_and_shares_what_it_documents(
             self, worked_compiled, compiled_config) -> None:
-        """A fork has new state, player and hero objects with every slot
-        copied, new hand and board lists, the same minions, deck and weapon,
+        """A fork has new state and player objects with every slot copied,
+        new hand and board lists, the same minions, deck and weapon,
         and fresh ``gen``s on both sides, so neither owns a shared minion."""
         starts = [worked_compiled.config, compiled_config, micro_config()]
         seen = {"minions": 0, "weapons": 0}
@@ -400,10 +449,9 @@ class TestFork:
                     assert len(fork.players) == len(source.players) == 2
                     for p, q in zip(source.players, fork.players):
                         assert type(q) is PlayerState and q is not p
-                        assert type(q.hero) is HeroState and q.hero is not p.hero
-                        for name in HeroState.__slots__:
-                            assert getattr(q.hero, name) is getattr(p.hero, name)
-                        assert q.deck is p.deck and q.deck_pos == p.deck_pos
+                        for name in PlayerState.__slots__:
+                            if name not in ("hand", "board", "gen"):
+                                assert getattr(q, name) is getattr(p, name)
                         assert q.hand is not p.hand and q.hand == p.hand
                         assert q.board is not p.board
                         assert len(q.board) == len(p.board)
@@ -411,7 +459,7 @@ class TestFork:
                         assert p.gen not in gens and q.gen not in gens
                         assert all(m.gen not in (p.gen, q.gen) for m in q.board)
                         seen["minions"] += len(q.board)
-                        seen["weapons"] += q.hero.weapon is not None
+                        seen["weapons"] += q.weapon is not None
                     assert len({p.gen for p in source.players + fork.players}) == 4
         assert seen["minions"] > 500 and seen["weapons"] > 50
 
@@ -447,8 +495,8 @@ class TestEndTurn:
                     # 2. With a card to draw, no hero takes damage, and the
                     #    game goes on or ends in a turn-limit draw.
                     seen["draws"] += 1
-                    assert [p.hero.health for p in child.players] == [
-                        p.hero.health for p in state.players]
+                    assert [p.health for p in child.players] == [
+                        p.health for p in state.players]
                     assert child.outcome is Outcome.ONGOING or (
                         child.outcome is Outcome.DRAW
                         and child.turn > child.turn_limit)

@@ -90,10 +90,12 @@ _ENTRY = _P1 + ("board", 0)
 
 # (id, fault, message) for each check of the config parser, in the order
 # the parser makes them.  One case per check, except where one check
-# rejects two kinds of fault.
+# rejects more than one kind of fault.
 CONFIG_FAULTS = [
     ("not_object", _fault((), []), "config must be an object"),
     ("format_version", _fault(("formatVersion",), 2), "formatVersion must be 1"),
+    ("format_version_bool", _fault(("formatVersion",), True), "formatVersion must be 1"),
+    ("format_version_float", _fault(("formatVersion",), 1.0), "formatVersion must be 1"),
     ("one_player", _fault(("players",), [{}]), "need exactly 2 players"),
     ("active", _fault(("active",), 2), "active must be 0 or 1"),
     ("turn", _fault(("turn",), 0), "turn must be >= 1"),
@@ -274,7 +276,7 @@ class TestToState:
         first = config.to_state()
         canonical, key = first.canonical(), position_key(first)
         player = first.players[0]
-        player.hero.health = 1
+        player.health = 1
         player.hand.append("Innervate")
         player.board[0].attack = 99
         player.deck_pos = 1
@@ -336,10 +338,9 @@ def key_fields(state) -> list[tuple]:
     """The same per-player parts, built from the state's fields."""
     players = []
     for p in state.players:
-        h = p.hero
-        header = [h.health, h.max_health, h.mana_crystals, h.mana, h.attacked,
-                  h.frozen, h.fatigue, id(p.deck), p.deck_pos]
-        weapon = [None] if h.weapon is None else [h.weapon.attack, h.weapon.durability]
+        header = [p.health, p.max_health, p.mana_crystals, p.mana, p.attacked,
+                  p.frozen, p.fatigue, id(p.deck), p.deck_pos]
+        weapon = [None] if p.weapon is None else [p.weapon.attack, p.weapon.durability]
         hand = [_CARD_CODES[c] for c in p.hand]
         board = [f for m in p.board for f in (_CARD_CODES[m.card_id], *m.canonical()[1:])]
         players.append((header, weapon, hand, board))
@@ -405,9 +406,9 @@ class TestPositionKey:
         obj["players"][0]["hand"] = ["Mortal Coil", "Leper Gnome"]
         base = GameConfig.from_json_obj(obj).to_state()
         wounded = base.clone()
-        wounded.players[1].hero.health -= 1
+        wounded.players[1].health -= 1
         armed = base.clone()
-        armed.players[0].hero.weapon = Weapon(2, 2)
+        armed.players[0].weapon = Weapon(2, 2)
         reordered = base.clone()
         reordered.players[0].hand.reverse()
         summoned = base.clone()
@@ -427,10 +428,10 @@ class TestCloneIsolation:
         copy = state.clone()
         copy.players[0].board[0].attack = 99
         copy.players[0].hand.append("Innervate")
-        copy.players[0].hero.health = 1
+        copy.players[0].health = 1
         assert state.players[0].board[0].attack == 2
         assert state.players[0].hand == ["Mortal Coil"]
-        assert state.players[0].hero.health == 10
+        assert state.players[0].health == 10
 
 
 class TestSnapshot:
