@@ -633,6 +633,19 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
 
 
 def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
+    """Resolve a combat.
+
+    The rejoin probe (``solver._TurnRejoinProbe``) relies on a third fact,
+    next to the two of :func:`_end_turn`:
+
+    3. A hero that attacks a minion whose attack is at least the hero's
+       health loses the game on the spot.  The retaliation is fixed before
+       any damage; the blow the minion takes kills nobody (deaths resolve
+       only after the outcome check) and hits no hero; so the hero drops to zero
+       or below while the other hero stays above it (no hero is at zero
+       while the game is ongoing), and ``_check_outcome`` locks the
+       opponent's win before any death resolves.
+    """
     side = state.active
     atk_ref, def_ref = action.attacker, action.defender
     if atk_ref.side != side:
@@ -725,7 +738,8 @@ def _begin_turn(state: GameState, log: EventLog | None) -> None:
 def _end_turn(state: GameState, log: EventLog | None) -> None:
     """End the active player's turn and start the next player's.
 
-    Two facts the rejoin probe (``solver._TurnRejoinProbe``) relies on:
+    Two facts the rejoin probe (``solver._TurnRejoinProbe``) relies on
+    (:func:`_attack` states a third):
 
     1. It leaves the ending player's ``deck_pos`` and hand size and both
        boards' sizes as they were.  The thaw, the next player's refresh and

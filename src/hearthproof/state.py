@@ -18,18 +18,21 @@ the ``gen`` of the player that owns it (0 for none).  A player may write a
 minion only when the two agree.  ``fork()`` renews the source's ``gen`` as
 well as the copy's, so after a fork neither side owns the minions they
 share, and the engine's one minion write path, ``engine._own``, swaps a
-private copy into the board slot before the first write.  Code outside the
-engine that writes a minion directly must do so on a ``clone()``, or on a
-state whose minions no fork shares: one that has never been forked, or
-only by ``clone()``, whose copy takes none of them.
+private copy into the board slot before the first write.  ``clone()``
+gives its source its ``gen``s back, since its copy takes none of the
+source's minions.  So a minion that no player owns is never written
+again, and :func:`position_key` keeps its encoded fields.  Code outside
+the engine that writes a minion directly must do so on a ``clone()``, or
+on a state whose minions no fork shares: one that has never been forked,
+or only by ``clone()``.
 
 Decks are shared immutable tuples with a per-player draw cursor so copying
 is O(board + hand), not O(deck).  Decks are interned, so equal decks are one
 object for the life of the process.  Weapons are immutable values too: the
 engine replaces a hero's weapon rather than changing it.
 
-Search tables key positions by :func:`position_key`: one flat tuple of
-ints, bools and None, pickled once, in which the hand and board lengths
+Search tables key positions by :func:`position_key`: the pickle of one
+flat tuple of ints, bools and None, in which the hand and board lengths
 come before the parts they measure.  It therefore splits back into its
 fields one way only, which makes the key exact.  Actions are frozen values;
 the engine shares one instance of each among all the lists it returns.
@@ -43,7 +46,7 @@ import operator
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from .cards import CardKind, CardSpec, EffectTag, Tribe, card, card_database
 
@@ -260,6 +263,10 @@ class Weapon(NamedTuple):
 
 
 class MinionInstance:
+    """A minion on a board.  ``gen`` is the ``gen`` of the player that owns
+    it (0 for none); ``encoded`` is its part of a position key, kept once
+    a key has met it unowned (see :func:`position_key`), else None."""
+
     __slots__ = (
         "card_id",
         "effect",
@@ -274,6 +281,7 @@ class MinionInstance:
         "attacked",
         "iid",
         "gen",
+        "encoded",
     )
 
     def __init__(
@@ -305,6 +313,7 @@ class MinionInstance:
         self.attacked = attacked
         self.iid = iid
         self.gen = gen
+        self.encoded = None
 
     @staticmethod
     def from_card(spec: CardSpec, iid: int, gen: int = 0) -> "MinionInstance":
@@ -330,7 +339,8 @@ class MinionInstance:
         return (not self.exhausted) or self.charge
 
     def clone(self, gen: int) -> "MinionInstance":
-        """A copy owned by the player whose ``gen`` is given."""
+        """A copy owned by the player whose ``gen`` is given.  It starts
+        without an ``encoded`` key part: its owner may still write it."""
         m = MinionInstance.__new__(MinionInstance)
         m.card_id = self.card_id
         m.effect = self.effect
@@ -345,6 +355,7 @@ class MinionInstance:
         m.attacked = self.attacked
         m.iid = self.iid
         m.gen = gen
+        m.encoded = None
         return m
 
     def canonical(self) -> tuple:
@@ -465,11 +476,13 @@ class GameState:
 
     def clone(self) -> "GameState":
         """A deep copy: a :meth:`fork` whose players own copies of their
-        minions, so it shares no mutable object with this state."""
+        minions, so it shares no mutable object with this state.  This
+        state gets its ``gen``s back, so it owns what it owned before."""
+        gens = [p.gen for p in self.players]
         s = self.fork()
-        for p in s.players:
-            gen = p.gen
-            p.board = [m.clone(gen) for m in p.board]
+        for p, src, gen in zip(s.players, self.players, gens):
+            src.gen = gen
+            p.board = [m.clone(p.gen) for m in p.board]
         return s
 
     def fork(self) -> "GameState":
@@ -536,6 +549,13 @@ _CARD_CODES = {card_id: code for code, card_id in enumerate(card_database())}
 _OUTCOME_CODES = {outcome: code for code, outcome in enumerate(Outcome)}
 
 
+# ``pickle.dumps(t, 3)`` of a tuple ``t`` of four or more ints, bools and
+# None is this head, the items' encodings in order, and this tail.  No item
+# is memoised, so an item's encoding depends on its value alone.
+_KEY_HEAD = b"\x80\x03("
+_KEY_TAIL = b"tq\x00."
+
+
 def position_key(state: GameState) -> bytes:
     """Exact, compact in-process key of the position, for search tables.
 
@@ -547,7 +567,8 @@ def position_key(state: GameState) -> bytes:
     equal keys whenever their decks are equal, as for every state reached
     from one start.
 
-    The fields go into one flat sequence of ints, bools and None:
+    The key is ``pickle.dumps(t, 3)`` of one flat tuple ``t`` of ints,
+    bools and None:
 
     * ``active``, ``turn``, ``turn_limit``, the outcome code, ``removed``;
     * then, for each player: the hero's health, max health, mana crystals,
@@ -562,6 +583,18 @@ def position_key(state: GameState) -> bytes:
     only: the key is exact.  A flat tuple of scalars shares no
     sub-objects, so its pickle depends on its values alone.  The bytes are
     tied to this process.
+
+    Those bytes are the items' encodings in order, so they are put
+    together from parts.  A minion its player does not own (a ``gen``
+    apart, as after a fork) is never written again: the engine writes a
+    private copy instead (``engine._own``), and that copy starts without
+    a key part.  Such a minion's nine encoded fields are kept in its
+    ``encoded`` slot the first time a key meets it, and later keys splice
+    them in.  Owned minions, which their player may still write, are
+    encoded with the fields around them.  Each run of fields before,
+    between or after kept parts starts with the game's fields, a player's
+    header or an owned minion, so it holds at least four items, and its
+    encoding is its pickle with the head and tail cut off.
     """
     key = [
         state.active,
@@ -571,6 +604,7 @@ def position_key(state: GameState) -> bytes:
         state.removed,
     ]
     codes = _CARD_CODES
+    parts = [_KEY_HEAD]
     for p in state.players:
         hand = p.hand
         board = p.board
@@ -593,19 +627,35 @@ def position_key(state: GameState) -> bytes:
         else:
             key += (w.attack, w.durability)
         key += [codes[c] for c in hand]
+        gen = p.gen
         for m in board:
-            key += (
-                codes[m.card_id],
-                m.attack,
-                m.health,
-                m.max_health,
-                m.taunt,
-                m.frozen,
-                m.exhausted,
-                m.charge,
-                m.attacked,
-            )
-    return pickle.dumps(tuple(key), 3)
+            part = None if m.gen == gen else m.encoded
+            if part is None:
+                fields = (
+                    codes[m.card_id],
+                    m.attack,
+                    m.health,
+                    m.max_health,
+                    m.taunt,
+                    m.frozen,
+                    m.exhausted,
+                    m.charge,
+                    m.attacked,
+                )
+                if m.gen == gen:
+                    key += fields
+                    continue
+                part = m.encoded = pickle.dumps(fields, 3)[3:-4]
+            if key:
+                parts.append(pickle.dumps(tuple(key), 3)[3:-4])
+                key = []
+            parts.append(part)
+    if len(parts) == 1:
+        return pickle.dumps(tuple(key), 3)
+    if key:
+        parts.append(pickle.dumps(tuple(key), 3)[3:-4])
+    parts.append(_KEY_TAIL)
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,39 @@ class TestEndTurn:
         assert seen["draws"] > 100 and seen["fatigue"] > 100
 
 
+NINE_PAIRS = ((3, 7), (9, 2), (4, 4), (6, 1), (2, 8), (5, 5), (7, 3), (1, 9), (8, 6))
+
+
+class TestHeroAttack:
+    """The fact about a hero's attack that the rejoin probe's skip rests on
+    (see ``engine._attack``), at every state of seeded walks."""
+
+    def test_into_a_retaliation_of_its_health_loses_on_the_spot(
+            self, worked_compiled, compiled_config) -> None:
+        nine = compile_instance(PartitionInstance(NINE_PAIRS, 41), validate="none").config
+        starts = [worked_compiled.config, compiled_config, nine, micro_config()]
+        starts += [config for _, config, _ in micro_positions()]
+        seen = {"lost": 0, "survived": 0}
+        for config in starts:
+            for seed in range(8):
+                walk, _ = seeded_walk(config, seed, 60)
+                for state in walk:
+                    side = state.active
+                    hero, enemies = state.players[side], state.players[1 - side].board
+                    for action in legal_actions(state):
+                        if not (isinstance(action, Attack) and action.attacker.is_hero
+                                and not action.defender.is_hero):
+                            continue
+                        if enemies[action.defender.slot].attack < hero.health:
+                            seen["survived"] += 1
+                            continue
+                        child = apply(state, action)
+                        assert child.outcome is (
+                            Outcome.ENEMY_WINS if side == 0 else Outcome.FRIENDLY_WINS)
+                        seen["lost"] += 1
+        assert seen["lost"] > 100 and seen["survived"] > 50
+
+
 class TestSnapshotText:
     """``snapshot_json`` writes, from memoised part texts, the text
     ``json.dumps`` makes of the snapshot dict."""

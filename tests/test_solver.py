@@ -36,8 +36,8 @@ from hearthproof.solver import (
     walk_line,
 )
 from hearthproof.state import (
-    EndTurn, EventLog, GameConfig, IllegalAction, Outcome, PlayCard,
-    action_to_json_obj, position_key)
+    Attack, EndTurn, EventLog, GameConfig, IllegalAction, Outcome, PlayCard,
+    action_to_json_obj, hero_ref, position_key)
 from micro_positions import micro_positions
 
 
@@ -657,19 +657,33 @@ class TestEndTurnSkip:
         assert skipped > 50
 
 
-def assert_skipped_plays_repeat_kept_ones(state, legal: list, tried: list,
-                                          stopped_early: bool) -> list:
+def classify_skipped_actions(state, legal: list, tried: list,
+                             stopped_early: bool) -> tuple[list, list]:
     """``tried``, the actions the rejoin probe applied from ``state``, keep
-    the order of ``legal``.  Every play it left out before it stopped
-    builds the position that the nearest earlier tried play with the same
-    target and position builds, and ends the game alike.  Returns the plays
+    the order of ``legal``.  Every action it left out before it stopped is
+    one of two kinds.  A repeated play builds the position that the nearest
+    earlier tried play with the same target and position builds, and ends
+    the game alike.  A lost attack is the mover's hero attacking an enemy
+    minion whose attack is at least the hero's health, and its child, built
+    on a clone, is the opponent's win.  Returns the plays and the attacks
     left out.  ``EndTurn`` is left to ``TestEndTurnSkip``."""
     remaining = iter(legal)
     assert all(action in remaining for action in tried)
     if stopped_early:  # past its last try, the loop may have broken off
         legal = legal[:legal.index(tried[-1]) + 1]
     skipped = [a for a in legal if a not in tried and a != EndTurn()]
-    for play in skipped:
+    side = state.active
+    plays, attacks = [], []
+    for action in skipped:
+        if isinstance(action, Attack):
+            assert action.attacker == hero_ref(side) and action.defender.side == 1 - side
+            defender = state.players[1 - side].board[action.defender.slot]
+            assert defender.attack >= state.players[side].health
+            child = apply(state, action)
+            assert child.outcome is (Outcome.ENEMY_WINS if side == 0 else Outcome.FRIENDLY_WINS)
+            attacks.append(action)
+            continue
+        play = action
         assert isinstance(play, PlayCard) and play.hand > 0
         kept = next(PlayCard(j, play.target, play.position)
                     for j in range(play.hand - 1, -1, -1)
@@ -677,7 +691,8 @@ def assert_skipped_plays_repeat_kept_ones(state, legal: list, tried: list,
         child, sibling = apply(state, play), apply(state, kept)
         assert position_key(child) == position_key(sibling)
         assert child.outcome is sibling.outcome
-    return skipped
+        plays.append(play)
+    return plays, attacks
 
 
 def repeat_play_configs() -> list[GameConfig]:
@@ -719,15 +734,49 @@ def repeat_play_configs() -> list[GameConfig]:
     return configs
 
 
+def near_lethal_configs() -> list[GameConfig]:
+    """Positions whose armed heroes can attack enemy minions with attack
+    below, at and above their health: taunts and not, heals and a weapon
+    in hand to move the health and the weapon, decks to draw from."""
+    def side(health, hand, board, weapon):
+        return {"hero": {"health": health, "manaCrystals": 3, "weapon": weapon},
+                "deck": ["Flash Heal", "Leper Gnome", "Light's Justice", "Innervate"],
+                "hand": hand, "board": board}
+
+    boards = [
+        [{"card": "Leper Gnome"}, {"card": "Novice Engineer"},
+         {"card": "Mistress of Mixtures"}, {"card": "Floating Watcher"}],
+        [{"card": "Wee Spellstopper", "flags": ["taunt"]}, {"card": "Gahz'rilla"},
+         {"card": "Leper Gnome", "flags": ["taunt"]}],
+    ]
+    configs = []
+    for health in (2, 3, 5):
+        for mine, theirs in ((boards[0], boards[1]), (boards[1], boards[0])):
+            configs.append(GameConfig.from_json_obj({
+                "formatVersion": 1,
+                "players": [
+                    side(health, ["Flash Heal", "Light's Justice", "Backstab"], mine,
+                         {"attack": 1, "durability": 3}),
+                    side(health + 1, ["Flash Heal", "Innervate"], theirs,
+                         {"attack": 2, "durability": 2}),
+                ],
+                "active": 0,
+                "turn": 1,
+                "turnLimit": 6,
+            }))
+    return configs
+
+
 class TestDuplicatePlaySkip:
-    """The rejoin probe's skip of a play whose card equals the one before it
-    in hand drops only children that an earlier sibling has already built."""
+    """The rejoin probe's skips of a play whose card equals the one before
+    it in hand, and of a hero attack that loses on the spot, drop only
+    children that an earlier sibling has already built or that are lost."""
 
     @staticmethod
     def _checking(monkeypatch) -> dict:
         """From now on, record the actions the probe lists and applies at
-        each position it expands, and check its skipped plays there."""
-        seen = {"expanded": 0, "skipped": []}
+        each position it expands, and check its skipped actions there."""
+        seen = {"expanded": 0, "skipped": [], "lost": [], "tried": []}
         frames: list[dict] = []
         explore = _TurnRejoinProbe._explore
         listed, applied = solver.legal_actions, solver.apply_in_place
@@ -739,9 +788,11 @@ class TestDuplicatePlaySkip:
             frames.pop()
             if frame["legal"] is not None:
                 seen["expanded"] += 1
-                seen["skipped"] += [
-                    (frame["state"], play) for play in assert_skipped_plays_repeat_kept_ones(
-                        frame["state"], frame["legal"], frame["tried"], all(result))]
+                plays, attacks = classify_skipped_actions(
+                    frame["state"], frame["legal"], frame["tried"], all(result))
+                seen["skipped"] += [(frame["state"], play) for play in plays]
+                seen["lost"] += [(frame["state"], attack) for attack in attacks]
+                seen["tried"] += [(frame["state"], action) for action in frame["tried"]]
             return result
 
         def recorded_legal_actions(state):
@@ -768,6 +819,9 @@ class TestDuplicatePlaySkip:
         assert seen["expanded"] == sum(
             probe.nodes for probe in checker._rejoin_probes.values())
         assert len(seen["skipped"]) > 1500
+        # The mover's 1-health hero could swing its weapon into the wall
+        # at every position expanded.
+        assert len(seen["lost"]) == seen["expanded"]
 
     def test_on_the_pinned_one_pair_probe(self, monkeypatch) -> None:
         seen = self._checking(monkeypatch)
@@ -776,6 +830,7 @@ class TestDuplicatePlaySkip:
         deviation_check(compiled.config, compiled.line, max_turns=1,
                         rejoin_nodes=2000, value_nodes=200)
         assert len(seen["skipped"]) > 0
+        assert len(seen["lost"]) > 0
 
     def test_on_seeded_walks(self, monkeypatch) -> None:
         """Seeded walks through both players' turns.  At each position a
@@ -798,3 +853,37 @@ class TestDuplicatePlaySkip:
             kind = card(state.players[state.active].hand[play.hand]).kind.value
             kinds.add(kind if play.target is None else "targeted " + kind)
         assert kinds == {"minion", "spell", "targeted spell", "weapon"}
+
+    def test_on_seeded_walks_near_lethal(self, monkeypatch) -> None:
+        """The same on positions where a hero's health is close to the
+        attack of the minions it may strike: the probe leaves out each
+        attack into a retaliation at least that health, and tries the ones
+        into one point less and below, for both sides."""
+        seen = self._checking(monkeypatch)
+        positions = 0
+        for config in near_lethal_configs():
+            for seed in range(6):
+                rng = random.Random(seed)
+                state = config.to_state()
+                while state.outcome is Outcome.ONGOING:
+                    _TurnRejoinProbe(state.turn, state.active, None, 1).analyze(state)
+                    positions += 1
+                    state = apply(state, rng.choice(legal_actions(state)))
+        assert seen["expanded"] == positions
+
+        def margins(pairs):
+            """Retaliation minus health of each hero attack on a minion."""
+            out = {0: set(), 1: set()}
+            for state, action in pairs:
+                if (isinstance(action, Attack) and action.attacker.slot is None
+                        and action.defender.slot is not None):
+                    side = state.active
+                    out[side].add(state.players[1 - side].board[action.defender.slot].attack
+                                  - state.players[side].health)
+            return out
+
+        lost, tried = margins(seen["lost"]), margins(seen["tried"])
+        for side in (0, 1):
+            assert {0, 1} <= lost[side] and min(lost[side]) >= 0
+            assert -1 in tried[side] and max(tried[side]) < 0
+        assert len(seen["lost"]) > 100

@@ -10,18 +10,21 @@ from typing import Callable
 
 import pytest
 
-from conftest import WORKED_PAIRS, WORKED_TARGET
+from conftest import WORKED_PAIRS, WORKED_TARGET, WORKED_VECTOR
+from hearthproof import solver
 from hearthproof.cards import card
 from hearthproof.compiler import PartitionInstance, compile_instance
 from hearthproof.engine import apply, apply_in_place, legal_actions, start_game
 from hearthproof.state import (
     _CARD_CODES,
+    _OUTCOME_CODES,
     Attack,
     ConfigError,
     EndTurn,
     EventLog,
     GameConfig,
     MinionInstance,
+    Outcome,
     PlayCard,
     Weapon,
     action_from_json_obj,
@@ -420,6 +423,161 @@ class TestPositionKey:
             assert other.canonical() != base.canonical()
         for state in (base, wounded, armed, reordered, summoned):
             assert split_key(position_key(state)) == key_fields(state)
+
+
+def reference_key(state) -> bytes:
+    """``pickle.dumps(t, 3)`` of the flat tuple ``t`` that ``position_key``
+    documents, built field by field with no cache."""
+    t = [state.active, state.turn, state.turn_limit, _OUTCOME_CODES[state.outcome],
+         state.removed]
+    for p in state.players:
+        t += [p.health, p.max_health, p.mana_crystals, p.mana, p.attacked, p.frozen,
+              p.fatigue, id(p.deck), p.deck_pos, len(p.hand), len(p.board)]
+        t += [None] if p.weapon is None else [p.weapon.attack, p.weapon.durability]
+        t += [_CARD_CODES[c] for c in p.hand]
+        for m in p.board:
+            t += [_CARD_CODES[m.card_id], m.attack, m.health, m.max_health, m.taunt,
+                  m.frozen, m.exhausted, m.charge, m.attacked]
+    return pickle.dumps(tuple(t), 3)
+
+
+def write_every_minion(state) -> int:
+    """Change every field a key reads of every minion on both boards,
+    directly; returns how many minions were written."""
+    count = 0
+    for p in state.players:
+        for m in p.board:
+            m.attack += 1
+            m.health += 1
+            m.max_health += 1
+            m.taunt = not m.taunt
+            m.frozen = not m.frozen
+            m.exhausted = not m.exhausted
+            m.charge = not m.charge
+            m.attacked = not m.attacked
+            count += 1
+    return count
+
+
+class TestKeyParts:
+    """``position_key`` keeps the encoded fields of each minion its player
+    does not own and splices them into later keys; its bytes stay those of
+    the plain encoder, whatever copies and writes came between."""
+
+    def test_matches_a_plain_encoder_on_mixed_walks(self) -> None:
+        """Seeded walks that step by ``apply``, by ``fork()`` and
+        ``apply_in_place``, by ``clone()`` and ``apply_in_place``, and in
+        place, in turn.  Each state is keyed when it is reached, after a
+        fork of it has stepped a sibling action, and again at the end of
+        its walk, by which time later states have written the minions it
+        shared with them through their own copies.  No sibling is forked
+        before an in-place step, which then writes minions the state owns
+        after they were keyed."""
+        worked = compile_instance(
+            PartitionInstance(WORKED_PAIRS, WORKED_TARGET), validate="none").config
+        one_pair = compile_instance(PartitionInstance(((1, 2),), 2), validate="none").config
+        starts = [worked, one_pair] + [config for _, config, _ in micro_positions()]
+        keyed = {"states": 0, "minions": 0, "shared": 0}
+        for start_index, config in enumerate(starts):
+            for seed in range(8):
+                rng = random.Random(start_index * 100 + seed)
+                state = start_game(config)
+                walk = [state]
+                for step in range(60):
+                    actions = legal_actions(state)
+                    if not actions:
+                        break
+                    assert position_key(state) == reference_key(state)
+                    mode = step % 4
+                    if mode != 3:  # stepped in place, a state writes what it owns
+                        sibling = state.fork()
+                        apply_in_place(sibling, rng.choice(actions))
+                        assert position_key(sibling) == reference_key(sibling)
+                        assert position_key(state) == reference_key(state)
+                    # Prefer an action that keeps the game going.
+                    rng.shuffle(actions)
+                    action = next((a for a in actions
+                                   if apply(state, a).outcome is Outcome.ONGOING), actions[0])
+                    if mode == 0:
+                        state = apply(state, action)
+                    elif mode in (1, 2):
+                        state = state.fork() if mode == 1 else state.clone()
+                        apply_in_place(state, action)
+                    else:
+                        apply_in_place(state, action)
+                    if mode != 3:
+                        walk.append(state)
+                    for p in state.players:
+                        keyed["minions"] += len(p.board)
+                        keyed["shared"] += sum(m.gen != p.gen for m in p.board)
+                for s in walk:
+                    assert position_key(s) == reference_key(s)
+                    keyed["states"] += 1
+        assert keyed["states"] > 800
+        assert keyed["shared"] > 400 and keyed["minions"] - keyed["shared"] > 1000
+
+    def test_matches_a_plain_encoder_on_micro_positions(self) -> None:
+        for _, config, _ in micro_positions():
+            state = config.to_state()
+            assert position_key(state) == reference_key(state)
+            fork = state.fork()
+            assert position_key(fork) == reference_key(fork)
+            assert position_key(state) == reference_key(state)
+
+    def test_matches_a_plain_encoder_in_the_searches(self, worked_compiled,
+                                                     monkeypatch) -> None:
+        """Every key the skeleton takes (run ends, with the wall's health
+        masked as None) and every key of the named deviation probes (the
+        rejoin probe's forks and the loss probe's)."""
+        keys = {"all": 0, "masked": 0}
+        plain = solver.position_key
+
+        def checked(state):
+            key = plain(state)
+            assert key == reference_key(state)
+            keys["all"] += 1
+            keys["masked"] += any(m.health is None for p in state.players for m in p.board)
+            return key
+
+        monkeypatch.setattr(solver, "position_key", checked)
+        config, line = worked_compiled.config, worked_compiled.line
+        solver.skeleton_solve(config, line)
+        masked = keys["masked"]
+        solver.check_named_deviations(solver.DeviationChecker(config, line, WORKED_VECTOR))
+        assert masked > 10 and keys["all"] > 5000
+
+    def test_direct_writes_the_contract_allows_are_seen(self) -> None:
+        """The ``state`` module docstring lets code outside the engine write
+        a minion directly on a ``clone()``, or on a state that only
+        ``clone()`` has copied.  After keys of both (and of a fork of the
+        clone, which takes keys of shared minions), writing every minion of
+        either changes its next key to the plain encoder's."""
+        worked = compile_instance(
+            PartitionInstance(WORKED_PAIRS, WORKED_TARGET), validate="none").config
+        starts = [worked] + [config for _, config, _ in micro_positions()]
+        written = 0
+        for start_index, config in enumerate(starts):
+            rng = random.Random(start_index)
+            state = config.to_state()
+            for _ in range(30):
+                actions = legal_actions(state)
+                if not actions:
+                    break
+                rng.shuffle(actions)
+                source = next((child for child in map(lambda a: apply(state, a), actions)
+                               if child.outcome is Outcome.ONGOING), None)
+                if source is None:
+                    break
+                before = position_key(source)
+                copy = source.clone()
+                for s in (source, copy):
+                    key = position_key(s)
+                    assert key == before == reference_key(s)
+                    if write_every_minion(s):
+                        written += 1
+                        assert position_key(s) == reference_key(s) != key
+                state = source
+        assert written > 60
 
 
 class TestCloneIsolation:
