@@ -742,9 +742,11 @@ class _Emitter:
     ``play`` does all of this in one loop, about half of whose steps are
     Innervates: each step reads the card's cost from ``_COSTS``, finds or
     lays the card, takes its ``ScriptStep`` and resolves it with the
-    engine's ``_play_card``, with no call of its own per step.  The emitter
-    keeps the card each step plays (``cards``), which the validating replay
-    checks and the line file does not hold.
+    engine's ``_play_card``, with no call of its own per step.  A branch
+    forks the state, so ``play`` and ``branch`` take the mover through
+    ``GameState.own`` before they write its hand.  The emitter keeps the
+    card each step plays (``cards``), which the validating replay checks
+    and the line file does not hold.
 
     ``compile_instance`` inflates the accumulator's hit points on the start
     state (the turn start that ``engine.begin_game`` runs does not read
@@ -787,12 +789,11 @@ class _Emitter:
         return [[laid.get(slot, C.LIGHTS_JUSTICE) for slot in range(p.deck_pos)]
                 for laid, p in zip(self.laid, self.state.players)]
 
-    def _lay(self, cid: str, k: int) -> int:
-        """Lay ``cid`` in the oldest unlaid slot of the mover's hand and
-        return its index; a y half lays none."""
-        state = self.state
-        hand = state.players[state.active].hand
+    def _lay(self, hand: list, cid: str, k: int) -> int:
+        """Lay ``cid`` in the oldest unlaid slot of ``hand``, the mover's,
+        and return its index; a y half lays none."""
         if self.lays:
+            state = self.state
             for index, held in enumerate(hand):
                 if held.__class__ is int:
                     self.laid[state.active][held] = hand[index] = cid
@@ -810,6 +811,8 @@ class _Emitter:
         append, played = self.items.append, self.played.append
         plays, steps = self._plays, self._steps
         player = state.players[state.active]
+        if player.gen != state.gen:
+            player = state.own(state.active)
         hand, laid = player.hand, self.laid[state.active]
         cost = _COSTS[cid]
         while True:
@@ -818,7 +821,7 @@ class _Emitter:
             if not lays:
                 # Slots the x half laid after the fork reach this half as numbers.
                 hand[:] = map(laid.get, hand, hand)
-            index = hand.index(play) if play in hand else self._lay(play, k)
+            index = hand.index(play) if play in hand else self._lay(hand, play, k)
             if funding or target is None and position is None:
                 step = plays[index]
                 if step is None:
@@ -886,8 +889,9 @@ class _Emitter:
         position.  Both halves' steps are numbered from the branch's first
         step, and the turn goes on after the x half's."""
         state, items, played, k = self.state, self.items, self.played, self.k
+        hand = state.own(state.active).hand
         for cid in pair_cards:
-            self._lay(cid, k)
+            self._lay(hand, cid, k)
         fork = state.fork()
         self.items, self.played = x_steps, x_cards = [], []
         x_half()

@@ -29,14 +29,19 @@ that the card text leaves open is fixed here one way and kept stable:
   or hostile.  Untargeted spells and combat ignore the shield; heroes are
   never shielded.
 
-Minions: every write to a minion goes through :func:`_own`, which first
-swaps a private copy into the board slot unless the player already owns the
-minion (see the ``state`` module docstring).  A ``fork()`` of a state thus
-shares each minion with its source until one of them writes it.
+Players and minions are copied on write (see the ``state`` module
+docstring).  Every write to a player goes through ``GameState.own``, which
+first swaps a private copy into the state unless the state already owns
+the player, and every write to a minion goes through :func:`_own`, which
+does the same for the board slot of a player the state owns.  A ``fork()``
+of a state thus shares each player and minion with its source until one of
+them writes it, and a step copies only the players it writes.  The hot
+step paths make the ownership test inline and call ``own`` only to copy.
 
 Other modules call two underscore functions: the compiler's emitter
 resolves its plays with :func:`_play_card` directly, and the skeleton writes
-the wall's symbolic health through :func:`_own`.
+the wall's symbolic health through :func:`_own`.  Both take the player
+through ``GameState.own`` first.
 
 Logging: each event site is ``if log is not None: log.emit(kind, ...)``, and
 the log numbers its events in the order they arrive.  Search and compilation
@@ -109,7 +114,8 @@ _LETHAL_SPELLS = frozenset(
 
 
 def _own(player: PlayerState, slot: int) -> MinionInstance:
-    """The minion at ``slot``, made safe for ``player`` to write.
+    """The minion at ``slot``, made safe for ``player`` to write; the
+    player must be one its state owns (see ``GameState.own``).
 
     The one write path for minions.  A minion this player does not own
     (its ``gen`` differs, as after a fork) may be shared with another state,
@@ -322,6 +328,10 @@ def legal_actions(state: GameState) -> list[Action]:
 
 
 def _draw_card(state: GameState, log: EventLog | None, side: int) -> None:
+    """Draw a card for player ``side``.  Every caller draws for the mover
+    after writing it (``_begin_turn`` after its refresh, a played card after
+    its cost is paid), so the state already owns that player and this hot
+    path makes no ownership test."""
     if state.outcome is not _ONGOING:
         return
     p = state.players[side]
@@ -352,7 +362,10 @@ def _damage_minion(
     """Apply damage to a minion and fire its on-damage trigger if it survives."""
     if amount <= 0 or state.outcome is not _ONGOING:
         return
-    m = _own(state.players[side], slot)
+    p = state.players[side]
+    if p.gen != state.gen:
+        p = state.own(side)
+    m = _own(p, slot)
     m.health -= amount
     if log is not None:
         log.emit("damage", target={"side": side, "slot": slot}, amount=amount)
@@ -366,7 +379,10 @@ def _damage_minion(
 def _damage_hero(state: GameState, log: EventLog | None, side: int, amount: int) -> None:
     if amount <= 0 or state.outcome is not _ONGOING:
         return
-    state.players[side].health -= amount
+    p = state.players[side]
+    if p.gen != state.gen:
+        p = state.own(side)
+    p.health -= amount
     if log is not None:
         log.emit("damage", target={"hero": side}, amount=amount)
 
@@ -374,7 +390,7 @@ def _damage_hero(state: GameState, log: EventLog | None, side: int, amount: int)
 def _heal_hero(state: GameState, log: EventLog | None, side: int, amount: int) -> None:
     if state.outcome is not _ONGOING:
         return
-    p = state.players[side]
+    p = state.own(side)
     healed = min(amount, p.max_health - p.health)
     p.health += healed
     if log is not None:
@@ -386,7 +402,7 @@ def _heal_minion(
 ) -> None:
     if state.outcome is not _ONGOING:
         return
-    m = _own(state.players[side], slot)
+    m = _own(state.own(side), slot)
     healed = min(amount, m.max_health - m.health)
     m.health += healed
     if log is not None:
@@ -413,7 +429,10 @@ def _process_deaths(state: GameState, log: EventLog | None) -> None:
         if found is None:
             return
         side, slot = found
-        m = state.players[side].board.pop(slot)
+        p = state.players[side]
+        if p.gen != state.gen:
+            p = state.own(side)
+        m = p.board.pop(slot)
         state.removed += 1
         if log is not None:
             log.emit("death", side=side, slot=slot, card=m.card_id)
@@ -450,6 +469,8 @@ def _resolve_spell(
         opp = state.players[opp_side]
         for slot, m in enumerate(opp.board):
             if not m.frozen:
+                if opp.gen != state.gen:
+                    opp = state.own(opp_side)
                 _own(opp, slot).frozen = True
             if log is not None:
                 log.emit("freeze", target={"side": opp_side, "slot": slot})
@@ -460,7 +481,10 @@ def _resolve_spell(
         # Only the heal reaches heroes; target legality was checked upstream.
         _heal_hero(state, log, target.side, 5)
         return
+    # Every spell on a minion writes the minion's side.
     owner = state.players[target.side]
+    if owner.gen != state.gen:
+        owner = state.own(target.side)
     slot = target.slot
     if effect is _DEAL_TWO_TO_UNDAMAGED_MINION:
         _damage_minion(state, log, target.side, slot, 2)
@@ -506,12 +530,10 @@ def _resolve_spell(
     elif effect is _DESTROY_MINION_ATK_5_PLUS:
         _own(owner, slot).health = 0
     elif effect is _TAKE_CONTROL_ENEMY_MINION:
-        # A minion the old owner owned passes to the new owner as it is; a
-        # shared one is copied by ``_own``.
-        m = owner.board.pop(slot)
-        if m.gen == owner.gen:
-            m.gen = p.gen
-        p.board.append(m)
+        # Both players are the state's, with its ``gen``: a minion the old
+        # owner owned passes to the new owner as it is; a shared one is
+        # copied by ``_own``.
+        p.board.append(owner.board.pop(slot))
         new_slot = len(p.board) - 1
         m = _own(p, new_slot)
         m.exhausted = True
@@ -559,6 +581,9 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             raise IllegalAction(f"{cid} does not take a target")
         if action.position is not None:
             raise IllegalAction(f"{cid} takes no position")
+        if p.gen != state.gen:
+            p = state.own(side)
+            hand = p.hand
         p.mana -= spec.cost
         del hand[index]
         state.removed += 1
@@ -566,7 +591,9 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             log.emit("play", side=side, card=cid,
                      **({"target": target.to_json_obj()} if target else {}))
         if effect is _GAIN_TWO_MANA:
-            p.mana = min(p.mana + 2, MAX_MANA)
+            # No ``min`` call: half of a compiled line's steps are Innervates.
+            mana = p.mana + 2
+            p.mana = mana if mana < MAX_MANA else MAX_MANA
             if log is not None:
                 log.emit("mana", side=side, mana=p.mana)
         else:
@@ -595,8 +622,10 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
             raise IllegalAction(f"bad summon position {pos}")
         if action.target is not None:
             raise IllegalAction(f"{cid} does not take a target")
+        if p.gen != state.gen:
+            p = state.own(side)
         p.mana -= spec.cost
-        del hand[index]
+        del p.hand[index]
         if log is not None:
             log.emit("play", side=side, card=cid, position=pos)
         p.board.insert(pos, MinionInstance.from_card(spec, state.next_iid, p.gen))
@@ -613,8 +642,10 @@ def _play_card(state: GameState, log: EventLog | None, action: PlayCard) -> None
     # Weapon.
     if action.target is not None or action.position is not None:
         raise IllegalAction(f"{cid} takes no target or position")
+    if p.gen != state.gen:
+        p = state.own(side)
     p.mana -= spec.cost
-    del hand[index]
+    del p.hand[index]
     if log is not None:
         log.emit("play", side=side, card=cid)
     if p.weapon is not None:
@@ -687,6 +718,8 @@ def _attack(state: GameState, log: EventLog | None, action: Attack) -> None:
 
     retaliation = defender_minion.attack if defender_minion is not None else 0
 
+    if p.gen != state.gen:
+        p = state.own(side)
     if attacker_minion is not None:
         _own(p, atk_ref.slot).attacked = True
     else:
@@ -724,6 +757,8 @@ def _begin_turn(state: GameState, log: EventLog | None) -> None:
     """Start-of-turn sequence for the current active player."""
     side = state.active
     p = state.players[side]
+    if p.gen != state.gen:
+        p = state.own(side)
     p.attacked = False
     for slot, m in enumerate(p.board):
         if m.exhausted or m.attacked:
@@ -752,11 +787,17 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
     side = state.active
     if log is not None:
         log.emit("end_turn", side=side)
-    # Thaw at the end of the owner's turn.
+    # Thaw at the end of the owner's turn; a player with nothing frozen is
+    # left unwritten, so a fork may go on sharing it.
     p = state.players[side]
-    p.frozen = False
+    if p.frozen:
+        if p.gen != state.gen:
+            p = state.own(side)
+        p.frozen = False
     for slot, m in enumerate(p.board):
         if m.frozen:
+            if p.gen != state.gen:
+                p = state.own(side)
             _own(p, slot).frozen = False
     state.active = 1 - side
     state.turn += 1
@@ -766,6 +807,8 @@ def _end_turn(state: GameState, log: EventLog | None) -> None:
             log.emit("outcome", result=state.outcome.value, reason="turn_limit")
         return
     nxt = state.players[state.active]
+    if nxt.gen != state.gen:
+        nxt = state.own(state.active)
     nxt.mana_crystals = min(nxt.mana_crystals + 1, MAX_MANA)
     nxt.mana = nxt.mana_crystals
     _begin_turn(state, log)

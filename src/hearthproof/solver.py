@@ -584,7 +584,7 @@ class _Skeleton:
         state = start.fork()
         path = _Path(d)
         if wall is not None:
-            m = _own(state.players[wall[0]], wall[1])
+            m = _own(state.own(wall[0]), wall[1])
             m.health = _Health(self.h0, -1, path)
         steps = self.segments[k] if part == "-" else self.branches[k].steps(part)
         try:
@@ -604,7 +604,7 @@ class _Skeleton:
             if wall is not None:
                 wall = self.find_wall(state)
             if wall is not None:
-                m = _own(state.players[wall[0]], wall[1])
+                m = _own(state.own(wall[0]), wall[1])
                 health, m.health = m.health, None
                 if type(health) is _Health:
                     a, b = self.h0 - health.c, -health.s
@@ -656,7 +656,7 @@ class _Skeleton:
         start = self.start
         wall = self.find_wall(start)
         if wall is not None:
-            _own(start.players[wall[0]], wall[1]).health = None
+            _own(start.own(wall[0]), wall[1]).health = None
         first = self.run(0, "-", start, wall, position_key(start), 0, 0)
         value, chain = first.value, None
         if value is None:
@@ -702,9 +702,10 @@ def walk_line(
     A skipped optional step leaves the position as it was and gets no
     record, so record indices skip it; a decided outcome truncates the
     walk.  Each copy is a ``fork()`` of the live state: it shares the
-    minions no step has written since, and the engine copies a minion
-    before writing it, so a record stays as it was.  A caller that writes a
-    record's state directly must ``clone()`` it first.
+    players and minions no step has written since, and the engine copies
+    a player or a minion before writing it, so a record stays as it was.
+    A caller that writes a record's state directly must ``clone()`` it
+    first.
     """
     records: list[StepRecord] = []
     before = start_game(config)
@@ -814,10 +815,11 @@ class _TurnRejoinProbe:
     A child that has ended the turn is compared with the boundary by
     position key.  ``_explore`` owns the state it is given: it forks it for
     every action it tries but the last, which steps that state in place.  A
-    fork shares the minions that an action does not write, so a child costs
-    a new state, two player objects and their list copies, not a new
-    board; and a shared minion keeps its part of the position key, so the
-    child's key encodes again only the minions its action wrote (see
+    fork shares the players and minions that an action does not write, so
+    a child costs a new state and a copy of each player its action writes
+    (most plays write the mover alone), not a new board; and a shared
+    player or minion keeps its part of the position key, so the child's
+    key encodes again only what its action wrote (see
     ``state.position_key``).  ``analyze`` hands ``_explore`` a fork,
     leaving its argument as it was.
 

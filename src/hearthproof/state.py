@@ -1,30 +1,35 @@
 """Game state value types, configuration IO and position keys.
 
 States are value objects.  A player is one object: its hero's health,
-weapon, mana and fatigue sit next to its deck, hand and board.  ``fork()``
-is the only code that copies players.  It is the cheap copy for searches
-that branch: it builds a new state, two new players and new hand and board
-lists, all in its own frame, but shares the minions, the decks and the
-weapons.  ``clone()`` is a fork whose players then take private copies of
-their minions, so it shares no mutable object with its source and either
-may be written freely.
+weapon, mana and fatigue sit next to its deck, hand and board.  Players
+and minions are copied on write.  ``fork()`` is the cheap copy for
+searches that branch: it builds a new state and a new ``players`` list,
+and shares both players, and with them their hands, boards and minions.
+``clone()`` is a fork whose players are private copies that own copies
+of their minions, so it shares no mutable object with its source and
+either may be written freely.
 The engine's ``apply`` never mutates an input state, it clones and
 returns; ``apply_in_place`` steps a state its caller owns and leaves it
 untouched when it rejects the action.
 
-Ownership of shared minions: every ``PlayerState`` carries a ``gen``
-number, fresh on construction and on ``fork()``, and every minion records
-the ``gen`` of the player that owns it (0 for none).  A player may write a
-minion only when the two agree.  ``fork()`` renews the source's ``gen`` as
-well as the copy's, so after a fork neither side owns the minions they
-share, and the engine's one minion write path, ``engine._own``, swaps a
-private copy into the board slot before the first write.  ``clone()``
-gives its source its ``gen``s back, since its copy takes none of the
-source's minions.  So a minion that no player owns is never written
-again, and :func:`position_key` keeps its encoded fields.  Code outside
-the engine that writes a minion directly must do so on a ``clone()``, or
-on a state whose minions no fork shares: one that has never been forked,
-or only by ``clone()``.
+Ownership: every ``GameState`` carries a ``gen`` number, fresh on
+construction and on both sides of a ``fork()``.  Every player records the
+``gen`` of the state that owns it, and every minion the ``gen`` of the
+player that owns it (0 for none).  A state may write a player, and a
+player a minion, only when the two agree.  After a fork neither side owns
+the players they share, so the one player write path,
+:meth:`GameState.own`, swaps a private copy into the state before the
+first write to a player.  The copy takes the state's ``gen``, which no
+object outside the state carries, so it has new hand and board lists but
+owns none of the minions it shares; the engine's one minion write path,
+``engine._own``, likewise swaps a private copy into the board slot before
+the first write to one of them.  ``clone()`` takes none of its source's
+players, so the source keeps its ``gen`` and owns what it owned before.
+So a player or a minion that nobody owns is never written again, and
+:func:`position_key` keeps its encoded fields.  Code outside the engine
+that writes a player or a minion directly must take it through those two
+paths, or write a ``clone()``, or a state that no fork shares players
+with: one that has never been forked, or only by ``clone()``.
 
 Decks are shared immutable tuples with a per-player draw cursor so copying
 is O(board + hand), not O(deck).  Decks are interned, so equal decks are one
@@ -264,8 +269,9 @@ class Weapon(NamedTuple):
 
 class MinionInstance:
     """A minion on a board.  ``gen`` is the ``gen`` of the player that owns
-    it (0 for none); ``encoded`` is its part of a position key, kept once
-    a key has met it unowned (see :func:`position_key`), else None."""
+    it (0 for none); ``encoded`` is its part of a position key, kept from
+    the second key that meets it unowned, False after the first and None
+    before (see :func:`position_key`)."""
 
     __slots__ = (
         "card_id",
@@ -377,7 +383,7 @@ class MinionInstance:
 # contents exactly for the life of the process (see :func:`position_key`).
 _DECKS: dict[tuple[str, ...], tuple[str, ...]] = {}
 
-# Source of ``PlayerState.gen`` numbers; 0 is never drawn, so it marks a
+# Source of ``GameState.gen`` numbers; 0 is never drawn, so it marks a
 # minion that no player owns.
 _GENS = itertools.count(1)
 
@@ -388,9 +394,11 @@ hero_fields = operator.attrgetter(
 
 
 class PlayerState:
-    """One side of the game: its hero's fields, its deck, hand and board, and
-    the ``gen`` that marks the minions it owns.  The constructor builds a
-    player at the start of a game, with full mana and no fatigue."""
+    """One side of the game: its hero's fields, its deck, hand and board,
+    the ``gen`` of the state that owns it (see the module docstring) and
+    its kept part of a position key (see :func:`position_key`).  The
+    constructor builds a player at the start of a game, with full mana and
+    no fatigue; the ``GameState`` it is given to takes ownership of it."""
 
     __slots__ = (
         "health",
@@ -406,6 +414,7 @@ class PlayerState:
         "hand",
         "board",
         "gen",
+        "encoded",
     )
 
     def __init__(
@@ -430,7 +439,8 @@ class PlayerState:
         self.deck_pos = 0
         self.hand = hand
         self.board = board
-        self.gen = next(_GENS)
+        self.gen = 0
+        self.encoded = None
 
     @property
     def deck_remaining(self) -> int:
@@ -454,6 +464,7 @@ class GameState:
         "outcome",
         "removed",
         "next_iid",
+        "gen",
     )
 
     def __init__(
@@ -466,6 +477,7 @@ class GameState:
         removed: int = 0,
         next_iid: int = 1,
     ):
+        """A state that owns the ``players`` it is given."""
         self.players = players
         self.active = active
         self.turn = turn
@@ -473,55 +485,80 @@ class GameState:
         self.outcome = outcome
         self.removed = removed
         self.next_iid = next_iid
+        self.gen = next(_GENS)
+        for p in players:
+            p.gen = self.gen
 
     def clone(self) -> "GameState":
-        """A deep copy: a :meth:`fork` whose players own copies of their
-        minions, so it shares no mutable object with this state.  This
-        state gets its ``gen``s back, so it owns what it owned before."""
-        gens = [p.gen for p in self.players]
+        """A deep copy: a :meth:`fork` whose players are private copies
+        (:meth:`own`) that own copies of their minions, so it shares no
+        mutable object with this state.  This state keeps its ``gen``, so
+        it owns what it owned before."""
+        gen = self.gen
         s = self.fork()
-        for p, src, gen in zip(s.players, self.players, gens):
-            src.gen = gen
-            p.board = [m.clone(p.gen) for m in p.board]
+        self.gen = gen
+        gen = s.gen
+        for side in (0, 1):
+            p = s.own(side)
+            p.board = [m.clone(gen) for m in p.board]
         return s
 
     def fork(self) -> "GameState":
-        """A copy for a search branch: it shares the minions with this state
-        until the engine writes one of them, on either side.
+        """A copy for a search branch: a new state and ``players`` list that
+        share both players with this state until one of the two writes one
+        of them.
 
-        The only code that copies players.  Search makes one fork per child
-        it tries, so each player is built here, in this one frame: a new
-        ``PlayerState`` with new hand and board lists and a fresh ``gen``;
-        the deck, the weapon and the minions are shared.  The source's
-        players get fresh ``gen``s too, so neither side owns the shared
-        minions afterwards (see the module docstring).
+        Both states get fresh ``gen``s, so neither owns the shared players
+        afterwards, and each copies a player before its first write to it
+        (:meth:`own`).  A search child thus copies only the players its
+        action writes.
         """
         s = GameState.__new__(GameState)
-        s.players = players = []
+        s.players = self.players[:]
         s.active = self.active
         s.turn = self.turn
         s.turn_limit = self.turn_limit
         s.outcome = self.outcome
         s.removed = self.removed
         s.next_iid = self.next_iid
-        for src in self.players:
-            p = PlayerState.__new__(PlayerState)
-            p.health = src.health
-            p.max_health = src.max_health
-            p.weapon = src.weapon
-            p.mana_crystals = src.mana_crystals
-            p.mana = src.mana
-            p.attacked = src.attacked
-            p.frozen = src.frozen
-            p.fatigue = src.fatigue
-            p.deck = src.deck
-            p.deck_pos = src.deck_pos
-            p.hand = src.hand[:]
-            p.board = src.board[:]
-            p.gen = next(_GENS)
-            src.gen = next(_GENS)
-            players.append(p)
+        s.gen = next(_GENS)
+        self.gen = next(_GENS)
         return s
+
+    def own(self, side: int) -> PlayerState:
+        """Player ``side``, made safe for this state to write: the one write
+        path for players, and the only code that copies them.
+
+        A player this state does not own (its ``gen`` differs, as after a
+        fork) may be shared with another state, so a private copy takes its
+        place first.  The copy has new hand and board lists and this
+        state's ``gen``; it shares the deck, the weapon and the minions, and
+        owns none of those minions, so ``engine._own`` copies each before
+        writing it.  It starts without an ``encoded`` key part.  The
+        engine's hot step paths make the ownership test inline and call
+        this only to copy.
+        """
+        src = self.players[side]
+        gen = self.gen
+        if src.gen == gen:
+            return src
+        p = PlayerState.__new__(PlayerState)
+        p.health = src.health
+        p.max_health = src.max_health
+        p.weapon = src.weapon
+        p.mana_crystals = src.mana_crystals
+        p.mana = src.mana
+        p.attacked = src.attacked
+        p.frozen = src.frozen
+        p.fatigue = src.fatigue
+        p.deck = src.deck
+        p.deck_pos = src.deck_pos
+        p.hand = src.hand[:]
+        p.board = src.board[:]
+        p.gen = gen
+        p.encoded = None
+        self.players[side] = p
+        return p
 
     def canonical(self) -> tuple:
         """The reference encoding of the position: the nested tuple that
@@ -585,16 +622,21 @@ def position_key(state: GameState) -> bytes:
     tied to this process.
 
     Those bytes are the items' encodings in order, so they are put
-    together from parts.  A minion its player does not own (a ``gen``
-    apart, as after a fork) is never written again: the engine writes a
-    private copy instead (``engine._own``), and that copy starts without
-    a key part.  Such a minion's nine encoded fields are kept in its
-    ``encoded`` slot the first time a key meets it, and later keys splice
-    them in.  Owned minions, which their player may still write, are
-    encoded with the fields around them.  Each run of fields before,
-    between or after kept parts starts with the game's fields, a player's
-    header or an owned minion, so it holds at least four items, and its
-    encoding is its pickle with the head and tail cut off.
+    together from parts.  A player its state does not own, or a minion its
+    player does not own (a ``gen`` apart, as after a fork), is never
+    written again: the engine writes a private copy instead
+    (``GameState.own``, ``engine._own``), and that copy starts
+    without a key part.  The first key that meets such a player or minion
+    marks it and encodes it inline; the second keeps its encoded run (a
+    player's header, weapon, hand codes and minions, or a minion's nine
+    fields) in its ``encoded`` slot, and later keys splice that in.  So a
+    search child that writes one player encodes only that one, and a
+    player or minion met once costs no pickle of its own.  Owned players
+    and minions, which may still be written, are encoded with the fields
+    around them.  Each run of fields before, between or after kept parts
+    starts with the game's fields, a player's header or a minion, so it
+    holds at least four items, and its encoding is its pickle with the
+    head and tail cut off.
     """
     key = [
         state.active,
@@ -604,8 +646,23 @@ def position_key(state: GameState) -> bytes:
         state.removed,
     ]
     codes = _CARD_CODES
+    dumps = pickle.dumps
     parts = [_KEY_HEAD]
+    owner = state.gen
     for p in state.players:
+        start = None
+        if p.gen != owner:
+            part = p.encoded
+            if part is None:
+                p.encoded = False  # met once: encoded inline
+            else:
+                if key:
+                    parts.append(dumps(tuple(key), 3)[3:-4])
+                    key = []
+                if part:
+                    parts.append(part)
+                    continue
+                start = len(parts)  # met again: kept from here on
         hand = p.hand
         board = p.board
         key += (
@@ -626,11 +683,15 @@ def position_key(state: GameState) -> bytes:
             key.append(None)
         else:
             key += (w.attack, w.durability)
-        key += [codes[c] for c in hand]
+        key += map(codes.__getitem__, hand)
         gen = p.gen
         for m in board:
-            part = None if m.gen == gen else m.encoded
-            if part is None:
+            part = None
+            if m.gen != gen:
+                part = m.encoded
+                if part is None:
+                    m.encoded = False  # met once: encoded inline
+            if not part:
                 fields = (
                     codes[m.card_id],
                     m.attack,
@@ -642,18 +703,23 @@ def position_key(state: GameState) -> bytes:
                     m.charge,
                     m.attacked,
                 )
-                if m.gen == gen:
+                if part is None:
                     key += fields
                     continue
-                part = m.encoded = pickle.dumps(fields, 3)[3:-4]
+                part = m.encoded = dumps(fields, 3)[3:-4]  # met again: kept
             if key:
-                parts.append(pickle.dumps(tuple(key), 3)[3:-4])
+                parts.append(dumps(tuple(key), 3)[3:-4])
                 key = []
             parts.append(part)
+        if start is not None:
+            if key:
+                parts.append(dumps(tuple(key), 3)[3:-4])
+                key = []
+            p.encoded = b"".join(parts[start:])
     if len(parts) == 1:
-        return pickle.dumps(tuple(key), 3)
+        return dumps(tuple(key), 3)
     if key:
-        parts.append(pickle.dumps(tuple(key), 3)[3:-4])
+        parts.append(dumps(tuple(key), 3)[3:-4])
     parts.append(_KEY_TAIL)
     return b"".join(parts)
 
@@ -734,6 +800,7 @@ def _parse_config(obj: dict) -> GameState:
     _require(_int_in(turn, 1), "turn must be >= 1")
     limit = obj.get("turnLimit", DEFAULT_TURN_LIMIT)
     _require(_int_in(limit, 1), "turnLimit must be >= 1")
+    _require(limit >= turn, "turnLimit must be >= turn")
     states: list[PlayerState] = []
     next_iid = 1
     for idx, ps in enumerate(players):

@@ -662,6 +662,20 @@ class TestSolve:
             assert err.startswith("error: ") and "maxHealth" in err
 
 
+    def test_turn_past_the_turn_limit_is_an_input_error(self, tmp_path, capsys) -> None:
+        """A config that starts after its last turn is no game: ``solve``
+        exits 2 rather than play a turn past the limit and call it a draw."""
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({
+            "formatVersion": 1,
+            "players": [{"hero": {"health": 30}}, {"hero": {"health": 3}}],
+            "active": 0, "turn": 5, "turnLimit": 4}))
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: turnLimit must be >= turn\n"
+
+
 class TestCards:
     def test_dump_matches_embedded_table(self, capsys) -> None:
         code = main(["cards", "dump"])

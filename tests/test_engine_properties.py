@@ -334,8 +334,9 @@ def random_suffix(state, rng: random.Random, length: int, log: EventLog) -> list
 
 
 class TestFork:
-    """A fork shares its source's minions, yet each of the two steps
-    exactly as a deep ``clone()`` would and leaves the other as it was."""
+    """A fork shares its source's players and minions, yet each of the two
+    steps and keys exactly as a deep ``clone()`` would and leaves the other
+    as it was."""
 
     def test_fork_and_source_step_like_clones(self, worked_compiled, compiled_config) -> None:
         starts = [worked_compiled.config, compiled_config, micro_config()]
@@ -375,6 +376,53 @@ class TestFork:
         # The suffixes reach every kind of minion write: combat, the
         # freeze and its thaw at a turn end, buffs, Mind Control, deaths.
         assert {"damage", "freeze", "end_turn", "buff", "steal", "death"} <= seen
+
+    def test_each_side_keys_and_steps_like_a_clone_taken_before_its_steps(
+            self, worked_compiled, compiled_config) -> None:
+        """Fork a position of a seeded walk and key both sides twice, so
+        that each keeps the encoded parts of the players and minions they
+        share.  Then step one side in place and then the other, the side
+        stepped second standing for the rejoin probe's in-place last child,
+        with fork and source taking turns to go first.  After each step a
+        side's ``canonical()`` and ``position_key`` equal those of a
+        ``clone()`` taken before its own steps and stepped alike, and the
+        other side's are as they were."""
+        nine = compile_instance(PartitionInstance(NINE_PAIRS, 41), validate="none").config
+        starts = [worked_compiled.config, compiled_config, nine]
+        starts += [config for _, config, _ in micro_positions()]
+        rng = random.Random(26)
+        seen = {"forks": 0, "first_plays": 0, "shared_after_play": 0}
+        for config in starts:
+            for seed in range(40):
+                walk, _ = seeded_walk(config, seed, 60)
+                for k, state in enumerate(walk[:-1]):
+                    source = state.fork()
+                    fork = source.fork()
+                    order = [fork, source] if k % 2 else [source, fork]
+                    for side in order * 2:
+                        position_key(side)
+                    for stepped, other in (order, order[::-1]):
+                        before = other.canonical(), position_key(other)
+                        reference = stepped.clone()
+                        for step in range(6):
+                            actions = legal_actions(stepped)
+                            if not actions:
+                                break
+                            action = rng.choice(actions)
+                            opp = 1 - stepped.active
+                            apply_in_place(stepped, action)
+                            apply_in_place(reference, action)
+                            assert stepped.canonical() == reference.canonical()
+                            assert position_key(stepped) == position_key(reference)
+                            if step == 0 and isinstance(action, PlayCard):
+                                seen["first_plays"] += 1
+                                seen["shared_after_play"] += (
+                                    stepped.players[opp] is other.players[opp])
+                        assert (other.canonical(), position_key(other)) == before
+                    seen["forks"] += 1
+        assert seen["forks"] > 1500
+        # Many plays leave the opponent shared: the mechanism engages.
+        assert seen["shared_after_play"] > 150
 
 
     def test_clone_of_a_fork_owns_everything_it_holds(self, worked_compiled) -> None:
@@ -429,38 +477,51 @@ class TestFork:
 
     def test_fork_builds_and_shares_what_it_documents(
             self, worked_compiled, compiled_config) -> None:
-        """A fork has new state and player objects with every slot copied,
-        new hand and board lists, the same minions, deck and weapon,
-        and fresh ``gen``s on both sides, so neither owns a shared minion."""
+        """A fork is a new state with a new ``players`` list holding the same
+        two players, every other slot the same, and fresh ``gen``s on both
+        sides, so neither owns the players.  ``own(side)`` then swaps in a
+        copy with every slot the same but for new hand and board lists of
+        the same cards and minions, the state's ``gen`` and no key part; it
+        owns none of those minions, and the other side keeps the player."""
         starts = [worked_compiled.config, compiled_config, micro_config()]
         seen = {"minions": 0, "weapons": 0}
         for config in starts:
             for seed in range(4):
                 walk, _ = seeded_walk(config, seed, 40)
-                for state in walk:
+                for k, state in enumerate(walk):
                     source = state.clone()
-                    gens = {p.gen for p in source.players}
+                    assert all(p.gen == source.gen for p in source.players)
+                    gen = source.gen
                     fork = source.fork()
                     assert type(fork) is GameState
                     assert fork is not source and fork.players is not source.players
                     for name in GameState.__slots__:
-                        if name != "players":
+                        if name not in ("players", "gen"):
                             assert getattr(fork, name) is getattr(source, name)
+                    assert all(a is b for a, b in zip(fork.players, source.players))
                     assert len(fork.players) == len(source.players) == 2
-                    for p, q in zip(source.players, fork.players):
+                    assert len({gen, source.gen, fork.gen}) == 3
+                    assert all(p.gen == gen for p in source.players)
+                    # Each side copies on its first write, the other keeps
+                    # the shared player.
+                    writer, keeper = (fork, source) if k % 2 else (source, fork)
+                    for side in (0, 1):
+                        p = keeper.players[side]
+                        q = writer.own(side)
+                        assert writer.own(side) is q and writer.players[side] is q
                         assert type(q) is PlayerState and q is not p
+                        assert keeper.players[side] is p and p.gen == gen
                         for name in PlayerState.__slots__:
-                            if name not in ("hand", "board", "gen"):
+                            if name not in ("hand", "board", "gen", "encoded"):
                                 assert getattr(q, name) is getattr(p, name)
                         assert q.hand is not p.hand and q.hand == p.hand
                         assert q.board is not p.board
                         assert len(q.board) == len(p.board)
                         assert all(a is b for a, b in zip(q.board, p.board))
-                        assert p.gen not in gens and q.gen not in gens
-                        assert all(m.gen not in (p.gen, q.gen) for m in q.board)
+                        assert q.gen == writer.gen and q.encoded is None
+                        assert all(m.gen != q.gen for m in q.board)
                         seen["minions"] += len(q.board)
                         seen["weapons"] += q.weapon is not None
-                    assert len({p.gen for p in source.players + fork.players}) == 4
         assert seen["minions"] > 500 and seen["weapons"] > 50
 
 

@@ -103,6 +103,7 @@ CONFIG_FAULTS = [
     ("active", _fault(("active",), 2), "active must be 0 or 1"),
     ("turn", _fault(("turn",), 0), "turn must be >= 1"),
     ("turn_limit", _fault(("turnLimit",), 0), "turnLimit must be >= 1"),
+    ("turn_past_limit", _fault(("turn",), 9), "turnLimit must be >= turn"),
     ("player_list", _fault(_P1, []), "players[1] must be an object"),
     ("hero_missing", _fault(_HERO, _DELETE), "players[1].hero missing"),
     ("hero_health", _fault(_HERO + ("health",), 0),
@@ -460,24 +461,26 @@ def write_every_minion(state) -> int:
 
 
 class TestKeyParts:
-    """``position_key`` keeps the encoded fields of each minion its player
-    does not own and splices them into later keys; its bytes stay those of
-    the plain encoder, whatever copies and writes came between."""
+    """``position_key`` keeps the encoded run of each player its state does
+    not own, and the encoded fields of each minion its player does not
+    own, and splices them into later keys; its bytes stay those of the
+    plain encoder, whatever copies and writes came between."""
 
     def test_matches_a_plain_encoder_on_mixed_walks(self) -> None:
         """Seeded walks that step by ``apply``, by ``fork()`` and
         ``apply_in_place``, by ``clone()`` and ``apply_in_place``, and in
         place, in turn.  Each state is keyed when it is reached, after a
         fork of it has stepped a sibling action, and again at the end of
-        its walk, by which time later states have written the minions it
-        shared with them through their own copies.  No sibling is forked
-        before an in-place step, which then writes minions the state owns
-        after they were keyed."""
+        its walk, by which time later states have written the players and
+        minions it shared with them through their own copies.  No sibling
+        is forked before an in-place step, which then writes players and
+        minions the state owns after they were keyed.  Keys splice kept
+        parts of both players and minions."""
         worked = compile_instance(
             PartitionInstance(WORKED_PAIRS, WORKED_TARGET), validate="none").config
         one_pair = compile_instance(PartitionInstance(((1, 2),), 2), validate="none").config
         starts = [worked, one_pair] + [config for _, config, _ in micro_positions()]
-        keyed = {"states": 0, "minions": 0, "shared": 0}
+        keyed = {"states": 0, "minions": 0, "shared": 0, "kept_players": 0}
         for start_index, config in enumerate(starts):
             for seed in range(8):
                 rng = random.Random(start_index * 100 + seed)
@@ -508,12 +511,18 @@ class TestKeyParts:
                     if mode != 3:
                         walk.append(state)
                     for p in state.players:
+                        # Minions the state may not write: of a shared
+                        # player, or shared by an owned one.
                         keyed["minions"] += len(p.board)
-                        keyed["shared"] += sum(m.gen != p.gen for m in p.board)
+                        keyed["shared"] += sum(
+                            p.gen != state.gen or m.gen != p.gen for m in p.board)
                 for s in walk:
+                    # A kept part on a player its state does not own is
+                    # spliced into this key.
+                    keyed["kept_players"] += sum(bool(p.encoded) for p in s.players)
                     assert position_key(s) == reference_key(s)
                     keyed["states"] += 1
-        assert keyed["states"] > 800
+        assert keyed["states"] > 800 and keyed["kept_players"] > 500
         assert keyed["shared"] > 400 and keyed["minions"] - keyed["shared"] > 1000
 
     def test_matches_a_plain_encoder_on_micro_positions(self) -> None:
