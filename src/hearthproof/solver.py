@@ -773,34 +773,6 @@ def _end_turn_counters(state: GameState, side: int) -> tuple[int, int, int, int]
     return p.deck_pos, len(p.hand), len(state.players[0].board), len(state.players[1].board)
 
 
-def _drop_lost_attacks(state: GameState, actions: list[Action]) -> None:
-    """Remove from ``actions``, the legal actions of ``state`` as listed by
-    ``legal_actions`` (``EndTurn`` may be gone), each attack of the mover's
-    hero on an enemy minion whose attack is at least the hero's health: a
-    loss on the spot (see ``engine._attack``).  ``legal_actions`` lists the
-    hero's attacks last but for ``EndTurn``, so only the end of the list is
-    looked at.
-
-    A function of its own so that ``_explore``'s recursive frame keeps its
-    size: CPython 3.11 keeps frames in fixed-size chunks, and a probe whose
-    recursion keeps crossing a chunk boundary allocates a chunk each time.
-    With four more locals in ``_explore``, ``verify --deviation-turns 1``
-    on the worked instance ran about 20% slower."""
-    health = state.players[state.active].health
-    enemies = state.players[1 - state.active].board
-    k = len(actions)
-    if k and actions[-1].__class__ is EndTurn:
-        k -= 1
-    while k:
-        k -= 1
-        action = actions[k]
-        if action.__class__ is not Attack or action.attacker.slot is not None:
-            break
-        d = action.defender.slot
-        if d is not None and enemies[d].attack >= health:
-            del actions[k]
-
-
 class _TurnRejoinProbe:
     """Exhaustive reachability over the deviator's remaining turn.
 
@@ -818,11 +790,13 @@ class _TurnRejoinProbe:
     fork shares the players and minions that an action does not write, so
     a child costs a new state and a copy of each player its action writes
     (most plays write the mover alone), not a new board; and a shared
-    player or minion keeps its part of the position key, so the child's
-    key encodes again only what its action wrote (see
-    ``state.position_key``).  ``analyze`` hands ``_explore`` a fork,
-    leaving its argument as it was.
+    player or minion keeps its part of the position key from the first key
+    that meets it, so the child's key encodes again only what its action
+    wrote (see ``state.position_key``).  ``analyze`` hands ``_explore`` a
+    fork, leaving its argument as it was.
 
+    :meth:`_moves` lists the actions tried, and leaves out three kinds,
+    each of which changes no count, memo entry, budget stop or finding.
     ``EndTurn`` is not tried where its child can neither rejoin nor win
     (:meth:`_end_turn_is_inert`), judged from counters that ending the turn
     leaves unchanged (see ``engine._end_turn``).  Such a child returns
@@ -842,8 +816,8 @@ class _TurnRejoinProbe:
     attack is at least the hero's health: the retaliation kills the hero
     before anything else can happen (see ``engine._attack``), so the child
     is the opponent's win and would return ``(False, False)`` before it is
-    counted or memoised (:func:`_drop_lost_attacks`).  ``AlphaBeta``
-    keeps such children, whose value enters its min and max.
+    counted or memoised.  ``AlphaBeta`` keeps such children, whose value
+    enters its min and max.
     """
 
     def __init__(self, turn: int, mover: int, boundary: GameState | None, max_nodes: int):
@@ -888,18 +862,9 @@ class _TurnRejoinProbe:
             self.exhausted = True
             return False, False
         rejoin = win = False
-        actions = legal_actions(state)
-        if self._end_turn_is_inert(state):
-            actions.pop()  # ``EndTurn``, always the last legal action
-        _drop_lost_attacks(state, actions)
-        hand = state.players[state.active].hand
-        actions.reverse()
+        actions = self._moves(state)
         while actions:
             action = actions.pop()
-            if action.__class__ is PlayCard:
-                i = action.hand
-                if i and hand[i - 1] == hand[i]:
-                    continue  # the same child as the play of card i - 1
             # Nothing reads ``state`` once its key is taken, so the last
             # action may consume it; the others work on forks.
             child = state.fork() if actions else state
@@ -914,6 +879,32 @@ class _TurnRejoinProbe:
         if not self.exhausted:
             self.memo[key] = (rejoin, win)
         return rejoin, win
+
+    def _moves(self, state: GameState) -> list[Action]:
+        """The actions ``_explore`` tries from ``state``, in the reverse of
+        ``legal_actions`` order, so that popping them tries them in that
+        order: the legal actions less the three kinds the class docstring
+        leaves out."""
+        actions = legal_actions(state)
+        if self._end_turn_is_inert(state):
+            actions.pop()  # ``EndTurn``, always the last legal action
+        side = state.active
+        mover = state.players[side]
+        hand = mover.hand
+        health = mover.health
+        enemies = state.players[1 - side].board
+        moves = []
+        for action in reversed(actions):
+            if action.__class__ is PlayCard:
+                i = action.hand
+                if i and hand[i - 1] == hand[i]:
+                    continue  # the same child as the play of card i - 1
+            elif action.__class__ is Attack and action.attacker.slot is None:
+                d = action.defender.slot
+                if d is not None and enemies[d].attack >= health:
+                    continue  # the opponent's win
+            moves.append(action)
+        return moves
 
     def _end_turn_is_inert(self, state: GameState) -> bool:
         """True when ending the turn from ``state``, a position of the
@@ -1079,15 +1070,24 @@ class DeviationChecker:
         return finding("unresolved", "budget")
 
     def check_all(self, max_turns: int = 1) -> DeviationReport:
+        """Probe every alternative at every step of the first ``max_turns``
+        game turns.  A turn's rejoin probe and transposition table are
+        dropped after its last step, so a run holds one turn's tables at a
+        time; a later :meth:`check_step` on that turn starts them afresh,
+        with a fresh rejoin budget."""
         report = DeviationReport(
             scripted_value=self.scripted_value, vector=self.vector
         )
-        for rec in self.steps(max_turns):
+        steps = self.steps(max_turns)
+        for i, rec in enumerate(steps, 1):
             report.checked_steps += 1
             for alt in legal_actions(rec.state_before):
                 if alt == rec.action:
                     continue
                 report.count(self.check_step(rec, alt))
+            if i == len(steps) or steps[i].turn != rec.turn:
+                self._rejoin_probes.pop(rec.turn, None)
+                self._value_tts.pop(rec.turn, None)
         return report
 
 

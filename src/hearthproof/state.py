@@ -26,10 +26,11 @@ owns none of the minions it shares; the engine's one minion write path,
 the first write to one of them.  ``clone()`` takes none of its source's
 players, so the source keeps its ``gen`` and owns what it owned before.
 So a player or a minion that nobody owns is never written again, and
-:func:`position_key` keeps its encoded fields.  Code outside the engine
-that writes a player or a minion directly must take it through those two
-paths, or write a ``clone()``, or a state that no fork shares players
-with: one that has never been forked, or only by ``clone()``.
+the first :func:`position_key` that meets it keeps its encoded fields.
+Code outside the engine that writes a player or a minion directly must
+take it through those two paths, or write a ``clone()``, or a state that
+no fork shares players with: one that has never been forked, or only by
+``clone()``.
 
 Decks are shared immutable tuples with a per-player draw cursor so copying
 is O(board + hand), not O(deck).  Decks are interned, so equal decks are one
@@ -269,9 +270,9 @@ class Weapon(NamedTuple):
 
 class MinionInstance:
     """A minion on a board.  ``gen`` is the ``gen`` of the player that owns
-    it (0 for none); ``encoded`` is its part of a position key, kept from
-    the second key that meets it unowned, False after the first and None
-    before (see :func:`position_key`)."""
+    it (0 for none); ``encoded`` is None, or its part of a position key,
+    kept by the first key that meets it unowned (see
+    :func:`position_key`)."""
 
     __slots__ = (
         "card_id",
@@ -396,7 +397,8 @@ hero_fields = operator.attrgetter(
 class PlayerState:
     """One side of the game: its hero's fields, its deck, hand and board,
     the ``gen`` of the state that owns it (see the module docstring) and
-    its kept part of a position key (see :func:`position_key`).  The
+    ``encoded``: None, or its part of a position key, kept by the first
+    key that meets it unowned (see :func:`position_key`).  The
     constructor builds a player at the start of a game, with full mana and
     no fatigue; the ``GameState`` it is given to takes ownership of it."""
 
@@ -627,16 +629,14 @@ def position_key(state: GameState) -> bytes:
     written again: the engine writes a private copy instead
     (``GameState.own``, ``engine._own``), and that copy starts
     without a key part.  The first key that meets such a player or minion
-    marks it and encodes it inline; the second keeps its encoded run (a
-    player's header, weapon, hand codes and minions, or a minion's nine
-    fields) in its ``encoded`` slot, and later keys splice that in.  So a
-    search child that writes one player encodes only that one, and a
-    player or minion met once costs no pickle of its own.  Owned players
-    and minions, which may still be written, are encoded with the fields
-    around them.  Each run of fields before, between or after kept parts
-    starts with the game's fields, a player's header or a minion, so it
-    holds at least four items, and its encoding is its pickle with the
-    head and tail cut off.
+    keeps its encoded run (a player's header, weapon, hand codes and
+    minions, or a minion's nine fields) in its ``encoded`` slot, and later
+    keys splice that in.  So a search child that writes one player encodes
+    only that one.  Owned players and minions, which may still be written,
+    are encoded with the fields around them.  Each run of fields before,
+    between or after kept parts starts with the game's fields, a player's
+    header or a minion, so it holds at least four items, and its encoding
+    is its pickle with the head and tail cut off.
     """
     key = [
         state.active,
@@ -652,17 +652,14 @@ def position_key(state: GameState) -> bytes:
     for p in state.players:
         start = None
         if p.gen != owner:
+            if key:
+                parts.append(dumps(tuple(key), 3)[3:-4])
+                key = []
             part = p.encoded
-            if part is None:
-                p.encoded = False  # met once: encoded inline
-            else:
-                if key:
-                    parts.append(dumps(tuple(key), 3)[3:-4])
-                    key = []
-                if part:
-                    parts.append(part)
-                    continue
-                start = len(parts)  # met again: kept from here on
+            if part is not None:
+                parts.append(part)
+                continue
+            start = len(parts)  # kept from here on
         hand = p.hand
         board = p.board
         key += (
@@ -686,12 +683,8 @@ def position_key(state: GameState) -> bytes:
         key += map(codes.__getitem__, hand)
         gen = p.gen
         for m in board:
-            part = None
-            if m.gen != gen:
-                part = m.encoded
-                if part is None:
-                    m.encoded = False  # met once: encoded inline
-            if not part:
+            part = None if m.gen == gen else m.encoded
+            if part is None:
                 fields = (
                     codes[m.card_id],
                     m.attack,
@@ -703,10 +696,10 @@ def position_key(state: GameState) -> bytes:
                     m.charge,
                     m.attacked,
                 )
-                if part is None:
+                if m.gen == gen:
                     key += fields
                     continue
-                part = m.encoded = dumps(fields, 3)[3:-4]  # met again: kept
+                part = m.encoded = dumps(fields, 3)[3:-4]
             if key:
                 parts.append(dumps(tuple(key), 3)[3:-4])
                 key = []

@@ -500,6 +500,29 @@ class TestDeviations:
         records, _ = walk_line(compiled.config, compiled.line, report.vector)
         assert report.checked_steps == sum(rec.turn <= 1 for rec in records)
 
+    def test_check_all_frees_each_finished_turn(self) -> None:
+        """``check_all`` drops a turn's rejoin probe and transposition
+        table after its last step, and finds what ``check_step`` finds over
+        the same steps on a checker that keeps every turn's tables."""
+        compiled = compile_instance(PartitionInstance(((1, 2), (4, 3)), 5),
+                                    validate="none")
+
+        def checker():
+            return DeviationChecker(compiled.config, compiled.line,
+                                    rejoin_nodes=2000, value_nodes=200)
+
+        freeing = checker()
+        report = freeing.check_all(max_turns=3)
+        assert freeing._rejoin_probes == {} and freeing._value_tts == {}
+        keeping = checker()
+        steps = keeping.steps(max_turns=3)
+        kept = [keeping.check_step(rec, alt) for rec in steps
+                for alt in legal_actions(rec.state_before) if alt != rec.action]
+        assert report.findings == kept
+        assert report.checked_steps == len(steps)
+        turns = {rec.turn for rec in steps}
+        assert len(turns) == 3 and set(keeping._rejoin_probes) == turns
+
     @pytest.mark.parametrize("target, totals, digest", [
         (2, (125, 0, 0, 66, 14861),
          "9d5f99c08c3dacffb0b3044184e34b55efa75da288ea94742ddb964090025c6a"),
@@ -887,3 +910,59 @@ class TestDuplicatePlaySkip:
             assert {0, 1} <= lost[side] and min(lost[side]) >= 0
             assert -1 in tried[side] and max(tried[side]) < 0
         assert len(seen["lost"]) > 100
+
+
+class TestMoves:
+    """``_TurnRejoinProbe._moves`` lists the legal actions last first, less
+    exactly the three kinds of child the probe skips."""
+
+    @staticmethod
+    def expected(probe: _TurnRejoinProbe, state) -> tuple[list, dict]:
+        """``legal_actions(state)`` reversed, less an inert ``EndTurn``, a
+        play of a card equal to the one before it in hand, and a hero
+        attack on a minion whose attack is at least the hero's health; and
+        how many of each were left out."""
+        side = state.active
+        mover, enemy = state.players[side], state.players[1 - side]
+        left_out = {"end_turn": 0, "repeated_play": 0, "lost_attack": 0}
+        kept = []
+        for action in legal_actions(state):
+            if action == EndTurn():
+                if probe._end_turn_is_inert(state):
+                    left_out["end_turn"] += 1
+                    continue
+            elif isinstance(action, PlayCard):
+                if action.hand and mover.hand[action.hand - 1] == mover.hand[action.hand]:
+                    left_out["repeated_play"] += 1
+                    continue
+            elif (action.attacker == hero_ref(side) and action.defender != hero_ref(1 - side)
+                  and enemy.board[action.defender.slot].attack >= mover.health):
+                left_out["lost_attack"] += 1
+                continue
+            kept.append(action)
+        return kept[::-1], left_out
+
+    def test_on_seeded_walks(self, worked_compiled) -> None:
+        one_pair = compile_instance(PartitionInstance(((1, 2),), 2), validate="none").config
+        starts = ([start_game(worked_compiled.config), start_game(one_pair)]
+                  + [config.to_state() for config in repeat_play_configs()]
+                  + [config.to_state() for config in near_lethal_configs()])
+        totals = {"positions": 0, "end_turn": 0, "repeated_play": 0, "lost_attack": 0,
+                  "end_turn_tried": 0}
+        for start_index, start in enumerate(starts):
+            for seed in range(6):
+                rng = random.Random(start_index * 100 + seed)
+                state = start
+                for _ in range(80):
+                    if state.outcome is not Outcome.ONGOING:
+                        break
+                    probe = _TurnRejoinProbe(state.turn, state.active, None, 1)
+                    moves, left_out = self.expected(probe, state)
+                    assert probe._moves(state) == moves
+                    totals["positions"] += 1
+                    totals["end_turn_tried"] += EndTurn() in moves
+                    for kind, count in left_out.items():
+                        totals[kind] += count
+                    state = apply(state, rng.choice(legal_actions(state)))
+        assert totals["positions"] > 1500
+        assert min(totals.values()) > 100, totals

@@ -460,6 +460,28 @@ def write_every_minion(state) -> int:
     return count
 
 
+def assert_keyed(state) -> None:
+    """Key ``state`` and check the result against the plain encoder, and
+    the key parts it leaves: every player the state does not own, and
+    every minion its player does not own, holds the bytes of its part of
+    the key; every player and minion the state may write holds none.  (A
+    minion that an unowned player owns may still hold the part a key kept
+    when it met that minion on another player's board.)"""
+    key = position_key(state)
+    assert key == reference_key(state)
+    for p in state.players:
+        owned = p.gen == state.gen
+        if owned:
+            assert p.encoded is None
+        else:
+            assert type(p.encoded) is bytes and p.encoded in key
+        for m in p.board:
+            if m.gen != p.gen:
+                assert type(m.encoded) is bytes and m.encoded in key
+            elif owned:
+                assert m.encoded is None
+
+
 class TestKeyParts:
     """``position_key`` keeps the encoded run of each player its state does
     not own, and the encoded fields of each minion its player does not
@@ -490,13 +512,13 @@ class TestKeyParts:
                     actions = legal_actions(state)
                     if not actions:
                         break
-                    assert position_key(state) == reference_key(state)
+                    assert_keyed(state)
                     mode = step % 4
                     if mode != 3:  # stepped in place, a state writes what it owns
                         sibling = state.fork()
                         apply_in_place(sibling, rng.choice(actions))
-                        assert position_key(sibling) == reference_key(sibling)
-                        assert position_key(state) == reference_key(state)
+                        assert_keyed(sibling)
+                        assert_keyed(state)
                     # Prefer an action that keeps the game going.
                     rng.shuffle(actions)
                     action = next((a for a in actions
@@ -520,7 +542,7 @@ class TestKeyParts:
                     # A kept part on a player its state does not own is
                     # spliced into this key.
                     keyed["kept_players"] += sum(bool(p.encoded) for p in s.players)
-                    assert position_key(s) == reference_key(s)
+                    assert_keyed(s)
                     keyed["states"] += 1
         assert keyed["states"] > 800 and keyed["kept_players"] > 500
         assert keyed["shared"] > 400 and keyed["minions"] - keyed["shared"] > 1000
