@@ -190,63 +190,47 @@ class BuffSequence:
     buff_length: int
 
 
-def _digits_after_leading(v: int) -> list[int]:
-    bits = bin(v)[2:]
-    return [int(b) for b in bits[1:]]
+def _buffs(v: int, base: str, double: str) -> BuffSequence:
+    """The paper's binary synthesis: two ``base`` casts lift the carrier
+    to 10, then each binary digit of v after the leading 1, most
+    significant first, takes one ``double`` cast and, when set, five +2/+2
+    marks.  A Backstab doubles through the carrier's
+    double-attack-when-damaged trigger, which needs it undamaged, so each
+    Backstab after the first follows a 5-point repair heal; the heals are
+    in ``cards`` but not in ``buff_length``."""
+    if v < 1:
+        raise InstanceError("carrier value must be at least 1 after normalisation")
+    seq = [base, base]
+    attack = 10
+    for digit in bin(v)[3:]:
+        if double == C.BACKSTAB and len(seq) > 2:
+            seq.append(C.FLASH_HEAL)
+        seq.append(double)
+        attack *= 2
+        if digit == "1":
+            seq.extend([C.MARK_OF_YSHAARJ] * 5)
+            attack += 10
+    assert attack == 10 * v
+    return BuffSequence(tuple(seq), attack, len(seq) - seq.count(C.FLASH_HEAL))
 
 
 def synthesize_demon_buffs(v: int) -> BuffSequence:
-    """Demon carrier (base 4): two +3/+3 fuses reach 10, then binary digits
-    of v (after the leading 1, most significant first) via attack doubling,
-    plus five +2/+2 marks per set digit."""
-    if v < 1:
-        raise InstanceError("carrier value must be at least 1 after normalisation")
-    seq = [C.DEMONFUSE, C.DEMONFUSE]
-    attack = 10
-    for digit in _digits_after_leading(v):
-        seq.append(C.BLESSED_CHAMPION)
-        attack *= 2
-        if digit:
-            seq.extend([C.MARK_OF_YSHAARJ] * 5)
-            attack += 10
-    assert attack == 10 * v
-    return BuffSequence(tuple(seq), attack, len(seq))
+    """Demon carrier (base 4): two +3/+3 fuses reach 10, then the doubling
+    spell per binary digit (see :func:`_buffs`)."""
+    return _buffs(v, C.DEMONFUSE, C.BLESSED_CHAMPION)
+
+
+_BEAST_DOUBLES = {"blessed": C.BLESSED_CHAMPION, "backstab": C.BACKSTAB}
 
 
 def synthesize_beast_buffs(v: int, mode: str = "blessed") -> BuffSequence:
-    """Beast carrier (base 6): two +2/+2 marks reach 10, then binary digits.
-
-    ``blessed`` doubles with the doubling spell.  ``backstab`` doubles by
-    dealing 2 damage to the beast's own double-attack-when-damaged trigger;
-    the target must be undamaged, so every doubling after the first is
-    preceded by a 5-point repair heal (those heals do not count toward
-    ``buff_length``).
-    """
-    if v < 1:
-        raise InstanceError("carrier value must be at least 1 after normalisation")
-    if mode not in ("blessed", "backstab"):
+    """Beast carrier (base 6): two +2/+2 marks reach 10, then binary digits,
+    doubled by the doubling spell (``blessed``) or by 2 self-damage
+    (``backstab``, with repair heals; see :func:`_buffs`).  A value below 1
+    is an ``InstanceError`` before an unknown mode is a ``ValueError``."""
+    if v >= 1 and mode not in _BEAST_DOUBLES:
         raise ValueError(f"unknown beast buff mode {mode!r}")
-    seq = [C.MARK_OF_YSHAARJ, C.MARK_OF_YSHAARJ]
-    attack = 10
-    buff_len = 2
-    damaged = False
-    for digit in _digits_after_leading(v):
-        if mode == "blessed":
-            seq.append(C.BLESSED_CHAMPION)
-            buff_len += 1
-        else:
-            if damaged:
-                seq.append(C.FLASH_HEAL)
-            seq.append(C.BACKSTAB)
-            buff_len += 1
-            damaged = True
-        attack *= 2
-        if digit:
-            seq.extend([C.MARK_OF_YSHAARJ] * 5)
-            buff_len += 5
-            attack += 10
-    assert attack == 10 * v
-    return BuffSequence(tuple(seq), attack, buff_len)
+    return _buffs(v, C.MARK_OF_YSHAARJ, _BEAST_DOUBLES.get(mode))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .compiler import Branch, PartitionInstance, ScriptedLine, run_line
+from .compiler import _F_CARRY, _F_SECOND, Branch, PartitionInstance, ScriptedLine, run_line
 from .engine import _own, apply, apply_in_place, legal_actions, run_script, start_game
 from .state import (
     Action,
@@ -46,7 +46,6 @@ from .state import (
     Outcome,
     PlayCard,
     ScriptStep,
-    minion_ref,
     position_key,
 )
 
@@ -248,22 +247,17 @@ class AlphaBeta:
                     return None
                 saw_unknown = True
                 continue
-            if maximizing:
-                if best is None or v > best:
-                    best, best_action = v, action
-                if best > a:
-                    a = best
-                if best >= b:
-                    self._store(key, _LOWER, best, depth_left)
-                    self.best_move[key] = action
-                    return best
-            else:
-                if best is None or v < best:
-                    best, best_action = v, action
-                if best < b:
-                    b = best
-                if best <= a:
-                    self._store(key, _UPPER, best, depth_left)
+            # One update for both sides (Knuth and Moore, 1975): only the
+            # mover's own bound moves, and the window closing is the cutoff.
+            if best is None or (v > best if maximizing else v < best):
+                best, best_action = v, action
+                if maximizing:
+                    if v > a:
+                        a = v
+                elif v < b:
+                    b = v
+                if a >= b:
+                    self._store(key, _LOWER if maximizing else _UPPER, best, depth_left)
                     self.best_move[key] = action
                     return best
 
@@ -276,10 +270,9 @@ class AlphaBeta:
                 self._store(key, _UNKNOWN, 0, depth_left)
             return None
         assert best is not None, "a live position always has legal actions"
-        if maximizing:
-            flag = _UPPER if best <= alpha else _EXACT
-        else:
-            flag = _LOWER if best >= beta else _EXACT
+        # A side that reached its far bound has returned above, so only
+        # the near one can have been reached here.
+        flag = _UPPER if best <= alpha else _LOWER if best >= beta else _EXACT
         self._store(key, flag, best, depth_left)
         if best_action is not None and flag == _EXACT:
             self.best_move[key] = best_action
@@ -782,7 +775,8 @@ class _TurnRejoinProbe:
     next turn (``boundary``, None when the script has no next turn), or
     (b) wins outright before then.  Results are memoised on position keys
     and shared across all probes of the same turn, so the amortised cost is
-    the size of the reachable in-turn state space.
+    the size of the reachable in-turn state space.  The probe also owns
+    the turn's loss-probe transposition table, ``tt``.
 
     A child that has ended the turn is compared with the boundary by
     position key.  ``_explore`` owns the state it is given: it forks it for
@@ -828,6 +822,7 @@ class _TurnRejoinProbe:
         self.counters = None if boundary is None else _end_turn_counters(boundary, mover)
         self.max_nodes = max_nodes
         self.memo: dict[bytes, tuple[bool, bool]] = {}
+        self.tt: dict[bytes, tuple[int, int, int]] = {}
         self.nodes = 0
         self.exhausted = False
 
@@ -948,8 +943,9 @@ class DeviationChecker:
        game-theoretic refutation (for example, leaving the enemy board
        unfrozen loses on the spot).
 
-    ``rejoin_nodes`` bounds the nodes of each turn's rejoin search, which
-    all of that turn's alternatives share.
+    The checker holds one :class:`_TurnRejoinProbe`, that of the turn last
+    asked about, whose memo, ``rejoin_nodes`` budget and loss-probe table
+    that turn's alternatives share.  A step of another turn replaces it.
 
     Statuses: "refuted" (reasons ``forced_loss`` — horizon-sound minimax
     proof — or ``derailed`` — complete turn-local proof), "dominated"
@@ -984,8 +980,7 @@ class DeviationChecker:
         self._turn_start: dict[int, GameState] = {}
         for rec in self.records:
             self._turn_start.setdefault(rec.turn, rec.state_before)
-        self._rejoin_probes: dict[int, _TurnRejoinProbe] = {}
-        self._value_tts: dict[int, dict] = {}
+        self._probe: _TurnRejoinProbe | None = None
 
     def steps(self, max_turns: int | None = None) -> list[StepRecord]:
         """The line's taken steps, or those of its first ``max_turns`` game
@@ -996,24 +991,22 @@ class DeviationChecker:
         return [rec for rec in self.records if rec.turn <= last]
 
     def _rejoin_probe(self, rec: StepRecord) -> _TurnRejoinProbe:
-        probe = self._rejoin_probes.get(rec.turn)
-        if probe is None:
-            probe = _TurnRejoinProbe(
+        probe = self._probe
+        if probe is None or probe.turn != rec.turn:
+            probe = self._probe = _TurnRejoinProbe(
                 rec.turn,
                 rec.state_before.active,
                 self._turn_start.get(rec.turn + 1),
                 self.rejoin_nodes,
             )
-            self._rejoin_probes[rec.turn] = probe
         return probe
 
-    def _loss_probe(self, rec: StepRecord, child: GameState) -> tuple[bool, int]:
+    def _loss_probe(self, rec: StepRecord, child: GameState, tt: dict) -> tuple[bool, int]:
         """Prove, if cheap, that the deviation loses within the horizon.
 
         Clamps the turn limit of ``child``, which the caller owns and does
         not read again, in place."""
         child.turn_limit = min(child.turn_limit, rec.turn + _PROBE_HORIZON)
-        tt = self._value_tts.setdefault(rec.turn, {})
         ab = AlphaBeta(max_depth=_VALUE_DEPTH, max_nodes=self.value_nodes, tt=tt)
         if rec.state_before.active == 0:
             v = ab.search(child, LOSS, DRAW, _VALUE_DEPTH)
@@ -1061,7 +1054,7 @@ class DeviationChecker:
         # truncated horizon is a loss of the real game (the punishment
         # lands before the truncation matters), upgrading a derail to a
         # full game-theoretic refutation.
-        proven_loss, spent = self._loss_probe(rec, child)
+        proven_loss, spent = self._loss_probe(rec, child, probe.tt)
         nodes += spent
         if proven_loss:
             return finding("refuted", "forced_loss")
@@ -1071,23 +1064,17 @@ class DeviationChecker:
 
     def check_all(self, max_turns: int = 1) -> DeviationReport:
         """Probe every alternative at every step of the first ``max_turns``
-        game turns.  A turn's rejoin probe and transposition table are
-        dropped after its last step, so a run holds one turn's tables at a
-        time; a later :meth:`check_step` on that turn starts them afresh,
-        with a fresh rejoin budget."""
+        game turns, one turn's probe at a time, and drop the last one."""
         report = DeviationReport(
             scripted_value=self.scripted_value, vector=self.vector
         )
-        steps = self.steps(max_turns)
-        for i, rec in enumerate(steps, 1):
+        for rec in self.steps(max_turns):
             report.checked_steps += 1
             for alt in legal_actions(rec.state_before):
                 if alt == rec.action:
                     continue
                 report.count(self.check_step(rec, alt))
-            if i == len(steps) or steps[i].turn != rec.turn:
-                self._rejoin_probes.pop(rec.turn, None)
-                self._value_tts.pop(rec.turn, None)
+        self._probe = None
         return report
 
 
@@ -1121,7 +1108,7 @@ def named_deviations(checker: DeviationChecker) -> list[tuple[str, StepRecord, A
                 and action.position is not None):
             fw_rec = rec
         if (cid == _cards.SHADOW_WORD_DEATH and swd_rec is None
-                and action.target is not None and action.target.slot == 6):
+                and action.target == _F_SECOND):
             swd_rec = rec
 
     if fn_rec is not None:
@@ -1133,8 +1120,7 @@ def named_deviations(checker: DeviationChecker) -> list[tuple[str, StepRecord, A
                  PlayCard(fw_rec.action.hand, position=pos))
             )
     if swd_rec is not None:
-        charged = minion_ref(0, 5)
-        alt = PlayCard(swd_rec.action.hand, target=charged)
+        alt = PlayCard(swd_rec.action.hand, target=_F_CARRY)
         if alt in legal_actions(swd_rec.state_before):
             out.append(("double_spend", swd_rec, alt))
     return out

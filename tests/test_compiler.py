@@ -131,6 +131,11 @@ class TestFormulas:
         assert big_attack(100) == 2100
 
 
+def seeded_values(seed: int, count: int, top: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randint(1, top) for _ in range(count)]
+
+
 class TestBuffSynthesis:
     def test_demon_base_case(self) -> None:
         seq = synthesize_demon_buffs(1)
@@ -176,6 +181,26 @@ class TestBuffSynthesis:
             synthesize_beast_buffs(0)
         with pytest.raises(ValueError):
             synthesize_beast_buffs(3, "mystery")
+        # A bad value is reported before a bad mode.
+        with pytest.raises(InstanceError):
+            synthesize_beast_buffs(0, "mystery")
+
+    @pytest.mark.parametrize("values, digest", [
+        (range(1, 4097),
+         "ff049decdc08705a9854cc1e65d01896e20e3262bcef04a376c79bcce2fbc40f"),
+        (seeded_values(28, 300, 2 ** 40),
+         "f238b1f0393ce32285c88cff5070aa813a895f86fd93683e459b3d6e973633c5"),
+    ], ids=["to_4096", "seeded_to_2_40"])
+    def test_sequences_are_pinned(self, values, digest) -> None:
+        """Every carrier's sequence, final attack and length, past the 1-64
+        the tests above walk: v = 1...4096, and 300 seeded values up to
+        2**40."""
+        h = hashlib.sha256()
+        for v in values:
+            for seq in (synthesize_demon_buffs(v), synthesize_beast_buffs(v, "blessed"),
+                        synthesize_beast_buffs(v, "backstab")):
+                h.update(repr((seq.cards, seq.final_attack, seq.buff_length)).encode())
+        assert h.hexdigest() == digest
 
 
 def simulate_buffs(carrier: str, cards: tuple[str, ...]) -> int:

@@ -501,9 +501,9 @@ class TestDeviations:
         assert report.checked_steps == sum(rec.turn <= 1 for rec in records)
 
     def test_check_all_frees_each_finished_turn(self) -> None:
-        """``check_all`` drops a turn's rejoin probe and transposition
-        table after its last step, and finds what ``check_step`` finds over
-        the same steps on a checker that keeps every turn's tables."""
+        """``check_all`` holds one turn's probe at a time and drops the last
+        one on return, and finds what ``check_step`` finds over the same
+        steps in order, which ends holding the last turn's probe alone."""
         compiled = compile_instance(PartitionInstance(((1, 2), (4, 3)), 5),
                                     validate="none")
 
@@ -513,15 +513,44 @@ class TestDeviations:
 
         freeing = checker()
         report = freeing.check_all(max_turns=3)
-        assert freeing._rejoin_probes == {} and freeing._value_tts == {}
-        keeping = checker()
-        steps = keeping.steps(max_turns=3)
-        kept = [keeping.check_step(rec, alt) for rec in steps
-                for alt in legal_actions(rec.state_before) if alt != rec.action]
-        assert report.findings == kept
+        assert freeing._probe is None
+        stepping = checker()
+        steps = stepping.steps(max_turns=3)
+        stepped = [stepping.check_step(rec, alt) for rec in steps
+                   for alt in legal_actions(rec.state_before) if alt != rec.action]
+        assert report.findings == stepped
         assert report.checked_steps == len(steps)
         turns = {rec.turn for rec in steps}
-        assert len(turns) == 3 and set(keeping._rejoin_probes) == turns
+        assert len(turns) == 3 and stepping._probe.turn == max(turns)
+
+    def test_a_turn_asked_about_again_starts_afresh(self) -> None:
+        """A step of another turn replaces the held probe, its tables and
+        its budget, so a step of turn 1 checked after one of turn 2 finds
+        exactly what a fresh checker finds, nodes included."""
+        compiled = compile_instance(PartitionInstance(((1, 2), (4, 3)), 5),
+                                    validate="none")
+
+        def checker():
+            return DeviationChecker(compiled.config, compiled.line,
+                                    rejoin_nodes=2000, value_nodes=200)
+
+        def check(c, rec):
+            return [c.check_step(rec, alt) for alt in legal_actions(rec.state_before)
+                    if alt != rec.action]
+
+        steps = checker().steps(max_turns=2)
+        # The line's second step: its alternatives spend both probes' nodes
+        # (the first step's children all end the game at once).
+        first = steps[1]
+        second = next(rec for rec in steps if rec.turn == 2)
+        assert first.turn == 1
+        reused = checker()
+        before = check(reused, first)
+        check(reused, second)
+        assert reused._probe.turn == 2
+        again = check(reused, first)
+        assert again == check(checker(), first) == before
+        assert sum(finding.nodes for finding in again) > 2000
 
     @pytest.mark.parametrize("target, totals, digest", [
         (2, (125, 0, 0, 66, 14861),
@@ -626,8 +655,7 @@ class TestEndTurnSkip:
         checker = DeviationChecker(
             worked_compiled.config, worked_compiled.line, WORKED_VECTOR)
         check_named_deviations(checker)
-        assert seen["expanded"] == sum(
-            probe.nodes for probe in checker._rejoin_probes.values())
+        assert seen["expanded"] == checker._probe.nodes
         assert seen["skipped"] > 2800
 
     def test_on_the_pinned_one_pair_probe(self, monkeypatch) -> None:
@@ -839,8 +867,7 @@ class TestDuplicatePlaySkip:
         checker = DeviationChecker(
             worked_compiled.config, worked_compiled.line, WORKED_VECTOR)
         check_named_deviations(checker)
-        assert seen["expanded"] == sum(
-            probe.nodes for probe in checker._rejoin_probes.values())
+        assert seen["expanded"] == checker._probe.nodes
         assert len(seen["skipped"]) > 1500
         # The mover's 1-health hero could swing its weapon into the wall
         # at every position expanded.
