@@ -9,11 +9,12 @@ Subcommands wire the library layers together behind stable file formats:
 * ``solve``    — exact minimax value of a standalone game configuration
 * ``cards dump`` — emit the embedded card table
 
-Every run writes a single-line JSON run manifest to stderr (command, inputs,
-flags, tool version, config hash, duration); ``compile`` also writes it to
-``manifest.json``, and ``verify`` adds the deviation probe's ``counters``
-(nodes searched, scripted steps checked).  Primary stdout/file outputs are
-byte-deterministic.
+Every run writes a single-line JSON run manifest to stderr (command, input
+files, the command's other options as given, tool version, config hash,
+duration), built from the parsed arguments by ``_manifest`` alone;
+``compile`` also writes it to ``manifest.json``, and ``verify`` adds the
+deviation probe's ``counters`` (nodes searched, scripted steps checked).
+Primary stdout/file outputs are byte-deterministic.
 
 Exit codes: 0 success / match, 1 verification or replay failure, 2 input
 error, 3 infeasible schedule.
@@ -26,6 +27,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -133,26 +135,23 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _parse_choices(text: str, n: int) -> tuple[str, ...]:
-    if len(text) != n or any(c not in "xy" for c in text):
-        raise InputProblem(
-            f"choices must be {n} characters drawn from 'x'/'y', got {text!r}"
-        )
-    return tuple(text)
+# The parser's destinations that name the command and, in manifest order,
+# the input files; every other one but ``func`` is a flag.
+_COMMAND = ("command", "cards_command")
+_INPUTS = ("instance", "config", "line", "config_override")
 
 
-def _manifest(
-    command: str,
-    inputs: list[str],
-    flags: dict,
-    config_bytes: bytes,
-    started: float,
-) -> dict:
+def _manifest(args: argparse.Namespace, config_bytes: bytes, started: float) -> dict:
+    """The run manifest of ``args``: the command, the input files given, and
+    every other option as given, under its camelCase name."""
+    options = vars(args)
     return {
         "formatVersion": 1,
-        "command": command,
-        "inputs": inputs,
-        "flags": flags,
+        "command": " ".join(options[k] for k in _COMMAND if k in options),
+        "inputs": [options[k] for k in _INPUTS if options.get(k)],
+        "flags": {re.sub("_(.)", lambda m: m[1].upper(), k): v
+                  for k, v in options.items()
+                  if k not in (*_COMMAND, *_INPUTS, "func")},
         "toolVersion": __version__,
         "configHash": hashlib.sha256(config_bytes).hexdigest(),
         "durationSeconds": round(time.monotonic() - started, 6),
@@ -184,14 +183,7 @@ def cmd_compile(args: argparse.Namespace, started: float) -> int:
     with open(line_path, "w", encoding="utf-8") as fh:
         fh.write(line_text)
 
-    manifest = _manifest(
-        "compile",
-        [args.instance],
-        {"outDir": args.out_dir, "turnLimit": args.turn_limit,
-         "validate": args.validate},
-        config_text.encode("utf-8"),
-        started,
-    )
+    manifest = _manifest(args, config_text.encode("utf-8"), started)
     with open(os.path.join(args.out_dir, "manifest.json"), "w",
               encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -254,16 +246,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
         "deviations": counts,
     }
     print(json.dumps(out))
-    manifest = _manifest(
-        "verify",
-        [args.instance] + ([args.config_override] if args.config_override else []),
-        {"mode": args.mode, "maxNodes": args.max_nodes,
-         "maxDepth": args.max_depth, "turnLimit": args.turn_limit,
-         "deviationTurns": args.deviation_turns,
-         "allowUnresolved": args.allow_unresolved},
-        config.to_json().encode("utf-8"),
-        started,
-    )
+    manifest = _manifest(args, config.to_json().encode("utf-8"), started)
     manifest["counters"] = counters
     _emit_manifest(manifest)
 
@@ -285,7 +268,11 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
     """
     config = _load_config(args.config)
     line = _load_line(args.line)
-    vector = _parse_choices(args.choices, line.n)
+    vector = tuple(args.choices)
+    try:
+        line.check_vector(vector)
+    except ValueError as exc:
+        raise InputProblem(f"--choices {args.choices!r}: {exc}") from exc
 
     log = EventLog()
     cursor = 0
@@ -319,13 +306,7 @@ def cmd_replay(args: argparse.Namespace, started: float) -> int:
     else:
         flush(json.dumps({"kind": "final", "outcome": final.outcome.value,
                           "turn": final.turn}))
-    _emit_manifest(_manifest(
-        "replay",
-        [args.config, args.line],
-        {"choices": args.choices, "trace": args.trace},
-        config.to_json().encode("utf-8"),
-        started,
-    ))
+    _emit_manifest(_manifest(args, config.to_json().encode("utf-8"), started))
     return code
 
 
@@ -348,13 +329,7 @@ def cmd_solve(args: argparse.Namespace, started: float) -> int:
         "pv": [action_to_json_obj(a) for a in result.pv],
     }
     print(json.dumps(out))
-    _emit_manifest(_manifest(
-        "solve",
-        [args.config],
-        {"maxNodes": args.max_nodes, "maxDepth": args.max_depth},
-        config.to_json().encode("utf-8"),
-        started,
-    ))
+    _emit_manifest(_manifest(args, config.to_json().encode("utf-8"), started))
     return EXIT_OK
 
 
@@ -366,9 +341,7 @@ def cmd_solve(args: argparse.Namespace, started: float) -> int:
 def cmd_cards_dump(args: argparse.Namespace, started: float) -> int:
     text = database_to_json()
     sys.stdout.write(text)
-    _emit_manifest(_manifest(
-        "cards dump", [], {}, text.encode("utf-8"), started
-    ))
+    _emit_manifest(_manifest(args, text.encode("utf-8"), started))
     return EXIT_OK
 
 

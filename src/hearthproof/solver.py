@@ -2,9 +2,9 @@
 
 Four layers, each building on the previous:
 
-* :func:`oracle_left_wins` — memoised AND/OR recursion over the abstract
-  pick game (odd picks are Left's, even picks are Right's; Left wins iff
-  the chosen values hit the target exactly).
+* :func:`oracle_left_wins` — one backward pass over the running sums of
+  the abstract pick game (odd picks are Left's, even picks are Right's;
+  Left wins iff the chosen values hit the target exactly).
 * :class:`AlphaBeta` / :func:`minimax` — exact game-tree search over engine
   states.  Values are always from the friendly (side 0) perspective:
   ``+1`` friendly win, ``0`` draw, ``-1`` enemy win.  Search is bounded by
@@ -77,31 +77,21 @@ def oracle_left_wins(instance: PartitionInstance) -> bool:
 
     Pairs are taken in order; pair ``i`` (1-based) is chosen by Left when
     ``i`` is odd and by Right when ``i`` is even.  Left wins iff the chosen
-    values sum to the target.  Memoised on (pair index, running sum), so the
-    cost is polynomial in ``n * sum(values)`` rather than ``2**n``.
+    values sum to the target.  One backward pass over the pairs keeps the
+    running sums from which the pair's picker forces the target: either
+    value will do for Left, both must for Right.  Values are non-negative,
+    so a kept sum lies between 0 and the target, and the pass costs at most
+    ``n * (target + 1)`` set entries, with no recursion.
     """
     pairs = instance.pairs
-    target = instance.target
-    memo: dict[tuple[int, int], bool] = {}
-
-    def wins(i: int, acc: int) -> bool:
-        if acc > target:
-            # Values are non-negative, so an overshoot can never recover.
-            return False
-        if i == len(pairs):
-            return acc == target
-        key = (i, acc)
-        cached = memo.get(key)
-        if cached is None:
-            x, y = pairs[i]
-            if i % 2 == 0:
-                cached = wins(i + 1, acc + x) or wins(i + 1, acc + y)
-            else:
-                cached = wins(i + 1, acc + x) and wins(i + 1, acc + y)
-            memo[key] = cached
-        return cached
-
-    return wins(0, 0)
+    wins = {instance.target}
+    for i in range(len(pairs) - 1, -1, -1):
+        x, y = pairs[i]
+        if i % 2:
+            wins = {w - x for w in wins if w >= x and w - x + y in wins}
+        else:
+            wins = {w - v for w in wins for v in (x, y) if w >= v}
+    return 0 in wins
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +144,10 @@ class AlphaBeta:
     exact game-theoretic truth and may be reused at any depth; only
     "unknown" entries are depth-qualified (a deeper retry may do better).
     The transposition and best-move tables are keyed by exact position
-    keys.
+    keys.  The depth bound is the caller's, passed to :meth:`search`.
     """
 
-    def __init__(
-        self,
-        *,
-        max_depth: int = 120,
-        max_nodes: int = 500_000,
-        tt: dict | None = None,
-    ):
-        self.max_depth = max_depth
+    def __init__(self, *, max_nodes: int = 500_000, tt: dict | None = None):
         self.max_nodes = max_nodes
         self.tt: dict[bytes, tuple[int, int, int]] = tt if tt is not None else {}
         self.best_move: dict[bytes, Action] = {}
@@ -302,7 +285,7 @@ def minimax(
     tt: dict | None = None,
 ) -> SolveResult:
     """Exact full-window search from ``state``; unresolved comes back None."""
-    ab = AlphaBeta(max_depth=max_depth, max_nodes=max_nodes, tt=tt)
+    ab = AlphaBeta(max_nodes=max_nodes, tt=tt)
     value = ab.search(state, LOSS - 1, WIN + 1, max_depth)
     pv = ab.principal_variation(state) if value is not None else ()
     return SolveResult(value, ab.nodes, ab.tt_hits, ab.exhausted, pv)
@@ -1007,7 +990,7 @@ class DeviationChecker:
         Clamps the turn limit of ``child``, which the caller owns and does
         not read again, in place."""
         child.turn_limit = min(child.turn_limit, rec.turn + _PROBE_HORIZON)
-        ab = AlphaBeta(max_depth=_VALUE_DEPTH, max_nodes=self.value_nodes, tt=tt)
+        ab = AlphaBeta(max_nodes=self.value_nodes, tt=tt)
         if rec.state_before.active == 0:
             v = ab.search(child, LOSS, DRAW, _VALUE_DEPTH)
             proven = v is not None and v <= LOSS

@@ -105,9 +105,10 @@ class CharRef:
     @staticmethod
     def from_json_obj(obj: dict) -> "CharRef":
         obj = json_object(obj)
-        if "hero" in obj:
-            return CharRef(json_int(obj["hero"]), None)
-        return CharRef(json_int(obj["side"]), json_int(obj["slot"]))
+        side = json_int(obj["hero"] if "hero" in obj else obj["side"])
+        if side not in (0, 1):
+            raise ValueError(f"side must be 0 or 1, got {side}")
+        return CharRef(side, None if "hero" in obj else json_int(obj["slot"]))
 
 
 def json_int(value: Any) -> int:
@@ -178,8 +179,8 @@ def action_to_json_obj(action: Action) -> dict:
 
 def action_from_json_obj(obj: dict) -> Action:
     """The action of a line file's ``action`` value.  It, its ``play`` or
-    ``attack`` and each character reference must be JSON objects, and
-    ``end`` must be JSON ``true``; anything else raises ``ValueError``."""
+    ``attack`` and each character reference (of side 0 or 1) must be JSON
+    objects, and ``end`` must be JSON ``true``; else ``ValueError``."""
     obj = json_object(obj)
     if "play" in obj:
         play = json_object(obj["play"])

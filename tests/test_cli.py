@@ -456,11 +456,15 @@ class TestReplay:
         assert last["outcome"] == "enemy_wins"
 
     def test_bad_choice_string(self, compiled_dir, capsys) -> None:
-        code = main(["replay", str(compiled_dir / "config.json"),
-                     str(compiled_dir / "line.json"), "--choices", "xyz"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "choices" in captured.err
+        """``--choices`` must hold one x or y per pair: a wrong length or a
+        wrong letter exits 2 before the header line is printed."""
+        for choices in ("xyz", "xyy", "xyzx"):
+            code = main(["replay", str(compiled_dir / "config.json"),
+                         str(compiled_dir / "line.json"), "--choices", choices])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "choices" in captured.err
 
     def test_skip_logs_the_game_turn(self, tmp_path, capsys) -> None:
         """On a game started two turns later, the one-pair line's blocked
@@ -532,6 +536,17 @@ class TestReplay:
                     if kind in item.get("step", {}).get("action", {}))
 
     @staticmethod
+    def _first_target(obj: dict, kind: str) -> dict:
+        """The first play target that holds ``kind``: "hero" or "side"."""
+        for turn in obj["turns"]:
+            for item in turn["items"]:
+                action = item.get("step", {}).get("action", {})
+                target = action.get("play", {}).get("target", {})
+                if kind in target:
+                    return target
+        raise AssertionError(f"no play target holds {kind!r}")
+
+    @staticmethod
     def _first_step(obj: dict) -> dict:
         return next(item["step"] for turn in obj["turns"]
                     for item in turn["items"] if "step" in item)
@@ -601,21 +616,25 @@ class TestReplay:
          "malformed line file: unrecognised action object: {'end': False}"),
         (lambda obj: obj.update(formatVersion=True), "unsupported line formatVersion"),
         (lambda obj: obj.update(formatVersion=1.0), "unsupported line formatVersion"),
+        (lambda obj: TestReplay._first_target(obj, "hero").update(hero=-1),
+         "malformed line file: side must be 0 or 1, got -1"),
+        (lambda obj: TestReplay._first_target(obj, "side").update(side=5),
+         "malformed line file: side must be 0 or 1, got 5"),
     ], ids=["decision_and_shift", "shift", "decision_record", "turn_side",
             "hand_index", "char_ref", "optional_flag", "branch_decision_high",
             "branch_decision_zero", "short_decisions", "branch_decision_repeated",
             "branch_decision_missing", "play_array", "step_array", "action_array",
             "half_string", "end_one", "end_yes", "end_false", "format_version_true",
-            "format_version_float"])
+            "format_version_float", "hero_side", "minion_side"])
     def test_non_integer_line_numbers_are_input_errors(
             self, compiled_dir, tmp_path, capsys, tamper, message) -> None:
         """A float, a numeric string or a bool in a line file, its
         ``formatVersion`` included, is not rounded into the line, nor is a
         truthy non-boolean ``optional`` or ``end`` read as true, nor
         branches or a decision list that do not match the instance's pairs
-        one to one.  A step, action or ``play`` must be a JSON object and a
-        branch half an array.  Each makes the replay exit 2 before any
-        output."""
+        one to one.  A step, action or ``play`` must be a JSON object, a
+        branch half an array, and a target's side 0 or 1.  Each makes the
+        replay exit 2 before any output."""
         obj = json.loads((compiled_dir / "line.json").read_text())
         assert "step" in obj["turns"][0]["items"][0]
         tamper(obj)
@@ -697,3 +716,65 @@ class TestCards:
         shipped = (Path(hearthproof.__file__).parent / "data" /
                    "cards.json").read_text()
         assert captured.out == shipped
+
+
+class TestManifest:
+    SMALL = {"formatVersion": 1, "players": [
+        {"hero": {"health": 30, "manaCrystals": 1}, "hand": ["Mortal Coil"],
+         "board": [{"card": "Wee Spellstopper"}, {"card": "Novice Engineer"}]},
+        {"hero": {"health": 3, "manaCrystals": 0},
+         "board": [{"card": "Novice Engineer", "flags": ["taunt"]}]}],
+        "active": 0, "turn": 1, "turnLimit": 2}
+    # The compiled worked config at --turn-limit 61.
+    CONFIG_61 = "a78df6bd1b79699c8c0482237223ff25709cbfb48211ea6c291a8c34e76976fd"
+
+    def test_every_field_is_pinned(self, tmp_path, monkeypatch, capsys) -> None:
+        """Each command's manifest names the command, its input files in
+        order and every other option as given, whatever it leaves at its
+        default; only ``durationSeconds`` varies from run to run."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "worked.json").write_text(json.dumps(WORKED))
+        (tmp_path / "small.json").write_text(json.dumps(self.SMALL))
+        runs = [
+            (["compile", "worked.json", "--out-dir", "out", "--turn-limit", "61",
+              "--validate", "all"], 0,
+             "compile", ["worked.json"], self.CONFIG_61,
+             {"outDir": "out", "turnLimit": 61, "validate": "all"}),
+            (["verify", "worked.json", "--config-override", "out/config.json",
+              "--mode", "full", "--max-nodes", "200", "--max-depth", "50",
+              "--turn-limit", "61", "--deviation-turns", "1",
+              "--allow-unresolved"], 1,
+             "verify", ["worked.json", "out/config.json"], self.CONFIG_61,
+             {"mode": "full", "maxNodes": 200, "maxDepth": 50, "turnLimit": 61,
+              "deviationTurns": 1, "allowUnresolved": True}),
+            (["verify", "worked.json"], 0,
+             "verify", ["worked.json"],
+             "8a53376ffe36f4c9914311f1170565aebd9812a0be47f502cda36e22a9ff7962",
+             {"mode": "skeleton", "maxNodes": 500_000, "maxDepth": 120,
+              "turnLimit": 60, "deviationTurns": None, "allowUnresolved": False}),
+            (["replay", "out/config.json", "out/line.json", "--choices", "xyyx",
+              "--trace"], 0,
+             "replay", ["out/config.json", "out/line.json"], self.CONFIG_61,
+             {"choices": "xyyx", "trace": True}),
+            (["solve", "small.json", "--max-depth", "40"], 0,
+             "solve", ["small.json"],
+             "51ee7b9a1ce0665a0ea88bd7172323a3d4cf6f2403dea396d624debc1a4bf8d3",
+             {"maxNodes": 500_000, "maxDepth": 40}),
+            (["cards", "dump"], 0,
+             "cards dump", [],
+             "c8848abe80be76b5fb9fba79f01100eb565772b3aea1e414843e7b0adea8a021",
+             {}),
+        ]
+        for argv, code, command, inputs, config_hash, flags in runs:
+            assert main(argv) == code, argv
+            manifest = read_manifest_line(capsys.readouterr().err)
+            assert isinstance(manifest.pop("durationSeconds"), float)
+            manifest.pop("counters", None)
+            assert manifest == {
+                "formatVersion": 1, "command": command, "inputs": inputs,
+                "flags": flags, "toolVersion": "0.1.0", "configHash": config_hash,
+            }, argv
+            if command == "compile":
+                written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+                del written["durationSeconds"]
+                assert written == manifest

@@ -81,6 +81,18 @@ class TestOracle:
             swapped = PartitionInstance(tuple(pairs), inst.target)
             assert oracle_left_wins(inst) == oracle_left_wins(swapped)
 
+    def test_a_thousand_pairs_get_a_verdict(self) -> None:
+        """With the target at the sum of each pair's larger value, Left
+        wins iff Right never has a choice, since Right may always pick the
+        smaller value.  A recursion per pair would overflow the stack."""
+        rng = random.Random(5)
+        pairs = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(1000)]
+        target = sum(max(pair) for pair in pairs)
+        assert oracle_left_wins(PartitionInstance(tuple(pairs), target)) is False
+        even = [(x, x) if k % 2 else (x, y) for k, (x, y) in enumerate(pairs)]
+        target = sum(max(pair) for pair in even)
+        assert oracle_left_wins(PartitionInstance(tuple(even), target)) is True
+
     def test_verdict_names(self) -> None:
         assert value_verdict(WIN) == "win"
         assert value_verdict(DRAW) == "draw"

@@ -19,6 +19,7 @@ from hearthproof.state import (
     _CARD_CODES,
     _OUTCOME_CODES,
     Attack,
+    CharRef,
     ConfigError,
     EndTurn,
     EventLog,
@@ -318,6 +319,17 @@ class TestActionJson:
         ]
         for action in actions:
             assert action_from_json_obj(action_to_json_obj(action)) == action
+
+    @pytest.mark.parametrize("ref", [{"hero": -1}, {"hero": 2},
+                                     {"side": 5, "slot": 0}, {"side": -1, "slot": 0}],
+                             ids=["hero_-1", "hero_2", "minion_side_5", "minion_side_-1"])
+    def test_a_side_other_than_0_or_1_is_refused(self, ref) -> None:
+        """A reference names side 0 or 1; any other side would index a
+        player from the end, or past it."""
+        with pytest.raises(ValueError, match="side must be 0 or 1"):
+            CharRef.from_json_obj(ref)
+        with pytest.raises(ValueError, match="side must be 0 or 1"):
+            action_from_json_obj({"attack": {"attacker": {"hero": 0}, "defender": ref}})
 
 
 def split_key(key: bytes) -> list[tuple]:
