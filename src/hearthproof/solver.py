@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -496,17 +497,13 @@ def skeleton_solve(config: GameConfig, line: ScriptedLine) -> SkeletonResult:
     return _Skeleton(config, line).solve_line()
 
 
-# The choices of a skeleton solution from some branch on: the first choice
-# and the chain of the rest, or None past the last choice made.
-_Choices = tuple[str, "_Choices"] | None
-
-
 class _Skeleton:
-    """The tables of one :func:`skeleton_solve` call.
+    """The tables of one :func:`skeleton_solve` call: the line's segments and
+    branches, the run cache and the decision memo.
 
-    A class rather than closures: a recursive closure is a reference cycle,
-    which would keep the cached end states alive until the cyclic garbage
-    collector runs.
+    Nothing here recurses: :meth:`solve_line` keeps its pending decisions
+    on a list, so a line of any number of pairs is solved at any depth of
+    the caller's stack.
     """
 
     def __init__(self, config: GameConfig, line: ScriptedLine):
@@ -529,7 +526,7 @@ class _Skeleton:
         enemy = self.start.players[1].board
         self.wall_iid = enemy[0].iid if enemy else None
         self.h0 = enemy[0].health if enemy else 0
-        self.memo: dict[tuple[int, bytes, int], tuple[int, _Choices]] = {}
+        self.memo: dict[tuple[int, bytes, int], tuple[int, str, tuple | None]] = {}
         self.runs: dict[tuple[int, str, bytes], list[_Run]] = {}
         self.nodes = 0
         self.hits = 0
@@ -590,59 +587,68 @@ class _Skeleton:
         entries.append(entry)
         return entry
 
-    def solve(self, k: int, key: bytes, d: int, node: GameState,
-              wall: tuple[int, int] | None, offset: int) -> tuple[int, _Choices]:
-        """Value and choices from ``node``, the position before branch
-        ``k`` with the wall's health masked and the wall at ``wall``, at
-        damage ``d``.  The choices come as a chain, so a node adds its own
-        without copying the rest.
-
-        ``node`` is never written, only forked; ``offset`` is the branch's
-        first step's index along the line.
-        """
-        memo_key = (k, key, d)
-        cached = self.memo.get(memo_key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        branch = self.branches[k]
-        maximizing = node.active == 0
-        best: tuple[int, _Choices] | None = None
-        for choice in ("x", "y"):
-            # The half, then the forced segment after it.
-            after = self.run(k, choice, node, wall, key, d, offset)
-            d_after = after.a + after.b * d
-            at = offset + len(branch.steps(choice))
-            if after.value is None:
-                after = self.run(k + 1, "-", after.end, after.wall, after.key, d_after, at)
-                d_after = after.a + after.b * d_after
-                at += len(self.segments[k + 1])
-            value, rest = after.value, None
-            if value is None:
-                value, rest = self.solve(k + 1, after.key, d_after, after.end, after.wall, at)
-            if best is None or (value > best[0] if maximizing else value < best[0]):
-                best = (value, (choice, rest))
-            if best[0] == (WIN if maximizing else LOSS):
-                break
-        assert best is not None
-        self.memo[memo_key] = best
-        return best
-
     def solve_line(self) -> SkeletonResult:
-        start = self.start
+        """Solve the decisions in one loop over a stack of frames, one per
+        open decision, deepest last.
+
+        A frame is ``[memo key, position, wall, offset, choice, waiting,
+        best]``: the decision's memo key ``(k, masked key, D)``; the position
+        before branch ``k``, never written, only forked; the wall's place
+        there; the branch's first step's index along the line; the choice
+        being tried; the memo key of the decision after it that the frame
+        waits on, or None; and the best memo entry yet.  A memo entry is
+        ``(value, choice, memo key of the next decision)``, the last None
+        where the choice decides the game, so the vector is read off it.
+        """
+        start, memo = self.start, self.memo
         wall = self.find_wall(start)
         if wall is not None:
             _own(start.own(wall[0]), wall[1]).health = None
         first = self.run(0, "-", start, wall, position_key(start), 0, 0)
-        value, chain = first.value, None
-        if value is None:
-            value, chain = self.solve(0, first.key, first.a, first.end, first.wall,
-                                      len(self.segments[0]))
+        root = None if first.value is not None else (0, first.key, first.a)
+        stack = [] if root is None else [
+            [root, first.end, first.wall, len(self.segments[0]), "x", None, None]]
+        while stack:
+            frame = stack[-1]
+            memo_key, node, wall, offset, choice, nxt, best = frame
+            if nxt is not None:  # the decision after this choice is solved
+                value = memo[nxt][0]
+            else:
+                # The half, then the forced segment after it.
+                k, key, d = memo_key
+                after = self.run(k, choice, node, wall, key, d, offset)
+                d_after = after.a + after.b * d
+                at = offset + len(self.branches[k].steps(choice))
+                if after.value is None:
+                    after = self.run(k + 1, "-", after.end, after.wall, after.key, d_after, at)
+                    d_after = after.a + after.b * d_after
+                    at += len(self.segments[k + 1])
+                value = after.value
+                if value is None:
+                    nxt = (k + 1, after.key, d_after)
+                    cached = memo.get(nxt)
+                    if cached is None:
+                        frame[5] = nxt
+                        stack.append([nxt, after.end, after.wall, at, "x", None, None])
+                        continue
+                    self.hits += 1
+                    value = cached[0]
+            maximizing = node.active == 0
+            if best is None or (value > best[0] if maximizing else value < best[0]):
+                best = (value, choice, nxt)
+            # A side that already has its best outcome from ``x`` skips ``y``.
+            if choice == "y" or best[0] == (WIN if maximizing else LOSS):
+                stack.pop()
+                memo[memo_key] = best
+            else:
+                frame[4:] = "y", None, best
         vector: list[str] = []
-        while chain is not None:
-            choice, chain = chain
+        at = root
+        while at is not None:
+            _, choice, at = memo[at]
             vector.append(choice)
         vector += ["x"] * (self.line.n - len(vector))
+        value = first.value if root is None else memo[root][0]
         return SkeletonResult(value, tuple(vector), self.nodes, self.hits)
 
 
@@ -710,36 +716,29 @@ class DeviationFinding:
 
 @dataclass
 class DeviationReport:
-    """Aggregate of probing scripted-step alternatives.
+    """The findings of probing scripted-step alternatives.
 
     ``refuted`` counts alternatives proven no good for the deviating
     player, ``dominated`` those that transpose back to (or match) the
     script, ``improved`` those proven strictly better (which would
     falsify the compiled line), and ``unresolved`` those the probe
-    budgets could not settle either way.
+    budgets could not settle either way; all four, and ``nodes``, are read
+    off the findings.
     """
 
     scripted_value: int
     vector: tuple[str, ...]
     findings: list[DeviationFinding] = field(default_factory=list)
-    refuted: int = 0
-    dominated: int = 0
-    improved: int = 0
-    unresolved: int = 0
     checked_steps: int = 0
-    nodes: int = 0
 
-    def count(self, finding: DeviationFinding) -> None:
-        self.findings.append(finding)
-        self.nodes += finding.nodes
-        if finding.status == "refuted":
-            self.refuted += 1
-        elif finding.status == "dominated":
-            self.dominated += 1
-        elif finding.status == "improved":
-            self.improved += 1
-        else:
-            self.unresolved += 1
+    def _tally(self, status: str) -> int:
+        return sum(f.status == status for f in self.findings)
+
+    refuted = property(lambda self: self._tally("refuted"))
+    dominated = property(lambda self: self._tally("dominated"))
+    improved = property(lambda self: self._tally("improved"))
+    unresolved = property(lambda self: self._tally("unresolved"))
+    nodes = property(lambda self: sum(f.nodes for f in self.findings))
 
 
 def _end_turn_counters(state: GameState, side: int) -> tuple[int, int, int, int]:
@@ -761,10 +760,13 @@ class _TurnRejoinProbe:
     the size of the reachable in-turn state space.  The probe also owns
     the turn's loss-probe transposition table, ``tt``.
 
-    A child that has ended the turn is compared with the boundary by
-    position key.  ``_explore`` owns the state it is given: it forks it for
-    every action it tries but the last, which steps that state in place.  A
-    fork shares the players and minions that an action does not write, so
+    ``_explore`` walks the turn depth first in one loop over a list of
+    frames, one per expanded position, so neither the recursion limit nor
+    the caller's stack depth changes a verdict or what it costs.  A child
+    that has ended the turn is compared with the boundary by position key.
+    ``_explore`` owns the state it is given: it forks a position for every
+    action it tries there but the last, which steps that position in place.
+    A fork shares the players and minions that an action does not write, so
     a child costs a new state and a copy of each player its action writes
     (most plays write the mover alone), not a new board; and a shared
     player or minion keeps its part of the position key from the first key
@@ -776,7 +778,7 @@ class _TurnRejoinProbe:
     each of which changes no count, memo entry, budget stop or finding.
     ``EndTurn`` is not tried where its child can neither rejoin nor win
     (:meth:`_end_turn_is_inert`), judged from counters that ending the turn
-    leaves unchanged (see ``engine._end_turn``).  Such a child returns
+    leaves unchanged (see ``engine._end_turn``).  Such a child settles as
     ``(False, False)`` before it is counted or memoised, so the probe
     counts, memoises and budgets exactly the nodes it would otherwise.
 
@@ -784,7 +786,7 @@ class _TurnRejoinProbe:
     ``engine._play_card`` reads the index only to pick the card and delete
     it, so that child equals the child of the same play of card ``i - 1``,
     which is legal exactly when this one is and comes first in
-    ``legal_actions``.  Visited again, that child would return at once, as
+    ``legal_actions``.  Visited again, that child would settle at once, as
     a decided game, a turn end compared with the boundary, a memo hit or a
     spent budget, without counting a node or changing the answer; so
     skipping it, too, leaves every count, memo entry and finding as it was.
@@ -792,8 +794,8 @@ class _TurnRejoinProbe:
     Nor is an ``Attack`` by the mover's hero tried on an enemy minion whose
     attack is at least the hero's health: the retaliation kills the hero
     before anything else can happen (see ``engine._attack``), so the child
-    is the opponent's win and would return ``(False, False)`` before it is
-    counted or memoised.  ``AlphaBeta`` keeps such children, whose value
+    is the opponent's win and would settle as ``(False, False)`` before it
+    is counted or memoised.  ``AlphaBeta`` keeps such children, whose value
     enters its min and max.
     """
 
@@ -824,39 +826,55 @@ class _TurnRejoinProbe:
         return "derailed", spent
 
     def _explore(self, state: GameState) -> tuple[bool, bool]:
-        if self.exhausted:
-            return False, False
-        outcome = state.outcome
-        if outcome is not _ONGOING:
-            return False, outcome is self.mover_wins
-        key = position_key(state)
-        if state.turn > self.turn:
-            return key == self.boundary, False
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            self.exhausted = True
-            return False, False
-        rejoin = win = False
-        actions = self._moves(state)
-        while actions:
+        """Whether some sequence of actions from ``state`` rejoins the
+        boundary, and whether some wins; ``(False, False)`` once the budget
+        is spent.
+
+        The position being expanded is a frame held in locals: its key, its
+        state, the actions left to try there, and what they have found.
+        ``stack`` holds the frames under it; the bottom one, with no key and
+        no actions, only collects the answer.  Each pass settles ``state``
+        at once (a decided game, a turn end, a memo hit) or makes it the
+        frame being expanded, then pops and memoises every frame that is
+        done, folding what it found into the one under it.
+        """
+        memo, moves = self.memo, self._moves
+        stack: list[tuple] = []
+        key, node, actions, rejoin, win = None, None, [], False, False
+        while True:
+            outcome = state.outcome
+            if outcome is not _ONGOING:
+                r, w = False, outcome is self.mover_wins
+            else:
+                child_key = position_key(state)
+                if state.turn > self.turn:
+                    r, w = child_key == self.boundary, False
+                else:
+                    found = memo.get(child_key)
+                    if found is None:
+                        self.nodes += 1
+                        if self.nodes > self.max_nodes:
+                            self.exhausted = True
+                            return False, False
+                        stack.append((key, node, actions, rejoin, win))
+                        key, node, actions = child_key, state, moves(state)
+                        r = w = rejoin = win = False
+                    else:
+                        r, w = found
+            rejoin |= r
+            win |= w
+            while not actions or (rejoin and win):
+                if not stack:
+                    return rejoin, win
+                memo[key] = r, w = rejoin, win
+                key, node, actions, rejoin, win = stack.pop()
+                rejoin |= r
+                win |= w
             action = actions.pop()
-            # Nothing reads ``state`` once its key is taken, so the last
-            # action may consume it; the others work on forks.
-            child = state.fork() if actions else state
-            apply_in_place(child, action)
-            r, w = self._explore(child)
-            if r:
-                rejoin = True
-            if w:
-                win = True
-            if rejoin and win:
-                break
-        if not self.exhausted:
-            self.memo[key] = (rejoin, win)
-        return rejoin, win
+            # Nothing reads a frame's state once its key is taken, so the
+            # last action may consume it; the others work on forks.
+            state = node.fork() if actions else node
+            apply_in_place(state, action)
 
     def _moves(self, state: GameState) -> list[Action]:
         """The actions ``_explore`` tries from ``state``, in the reverse of
@@ -1045,18 +1063,20 @@ class DeviationChecker:
             return finding("refuted", "derailed")
         return finding("unresolved", "budget")
 
+    def report(self, checks: Iterable[tuple[StepRecord, Action]],
+               checked_steps: int) -> DeviationReport:
+        """Check each (step, alternative) of ``checks`` in turn; the report
+        names ``checked_steps`` as the count of steps checked."""
+        findings = [self.check_step(rec, alt) for rec, alt in checks]
+        return DeviationReport(self.scripted_value, self.vector, findings, checked_steps)
+
     def check_all(self, max_turns: int = 1) -> DeviationReport:
         """Probe every alternative at every step of the first ``max_turns``
         game turns, one turn's probe at a time, and drop the last one."""
-        report = DeviationReport(
-            scripted_value=self.scripted_value, vector=self.vector
-        )
-        for rec in self.steps(max_turns):
-            report.checked_steps += 1
-            for alt in legal_actions(rec.state_before):
-                if alt == rec.action:
-                    continue
-                report.count(self.check_step(rec, alt))
+        steps = self.steps(max_turns)
+        checks = ((rec, alt) for rec in steps
+                  for alt in legal_actions(rec.state_before) if alt != rec.action)
+        report = self.report(checks, len(steps))
         self._probe = None
         return report
 
@@ -1110,17 +1130,10 @@ def named_deviations(checker: DeviationChecker) -> list[tuple[str, StepRecord, A
 
 
 def check_named_deviations(checker: DeviationChecker) -> DeviationReport:
-    """Run the structural spot checks and aggregate them into a report."""
-    report = DeviationReport(
-        scripted_value=checker.scripted_value, vector=checker.vector
-    )
-    seen_steps = set()
-    for _, rec, alt in named_deviations(checker):
-        if rec.index not in seen_steps:
-            seen_steps.add(rec.index)
-            report.checked_steps += 1
-        report.count(checker.check_step(rec, alt))
-    return report
+    """Run the structural spot checks and aggregate them into a report whose
+    ``checked_steps`` counts the distinct steps they deviate from."""
+    checks = [(rec, alt) for _, rec, alt in named_deviations(checker)]
+    return checker.report(checks, len({rec.index for rec, _ in checks}))
 
 
 def deviation_check(

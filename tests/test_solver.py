@@ -9,11 +9,12 @@ import math
 import operator
 import pickle
 import random
+import sys
 
 import pytest
 
 from conftest import WORKED_TARGET, WORKED_VECTOR
-from hearthproof import engine, solver
+from hearthproof import engine
 from hearthproof.cards import LEPER_GNOME, card
 from hearthproof.compiler import PartitionInstance, chosen_sum, compile_instance, run_line
 from hearthproof.engine import apply, legal_actions, start_game
@@ -248,6 +249,15 @@ class TestSkeleton:
         assert (result.value == WIN) == oracle_left_wins(inst)
         assert result.nodes < 50_000
 
+    def test_a_thousand_decisions_deep(self) -> None:
+        """One decision per pair, so the skeleton's search is 1000 decisions
+        deep here, past a recursion limit of 1000."""
+        inst = PartitionInstance(((1, 1),) * 1000, 1000)
+        compiled = compile_instance(inst, turn_limit=2010, validate="none")
+        result = skeleton_solve(compiled.config, compiled.line)
+        assert result.verdict == "win"
+        assert oracle_left_wins(inst)
+
 
 class TestWallHealth:
     """The skeleton's symbol for the wall's health, ``c + s * D``, where D
@@ -478,6 +488,26 @@ class TestDeviations:
             before = (child.canonical(), child.next_iid)
             checker._rejoin_probe(rec).analyze(child)
             assert (child.canonical(), child.next_iid) == before
+
+    def test_rejoin_probe_near_the_recursion_limit(self, worked_compiled) -> None:
+        """The probe keeps its pending positions on a list, so it answers
+        alike when called from within 20 frames of the recursion limit."""
+        checker = DeviationChecker(
+            worked_compiled.config, worked_compiled.line, WORKED_VECTOR)
+        named = [(rec, apply(rec.state_before, alt))
+                 for _, rec, alt in named_deviations(checker)]
+
+        def probe_all() -> list[tuple[str, int]]:
+            checker._probe = None
+            return [checker._rejoin_probe(rec).analyze(child) for rec, child in named]
+
+        def nested(levels: int) -> list[tuple[str, int]]:
+            return probe_all() if levels <= 0 else nested(levels - 1)
+
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        assert nested(sys.getrecursionlimit() - 20 - depth) == probe_all()
 
     def test_single_pair_line_has_no_freeze_probe(self) -> None:
         """A single-pair line opens on the verification turn, which casts
@@ -720,20 +750,17 @@ class TestEndTurnSkip:
         assert skipped > 50
 
 
-def classify_skipped_actions(state, legal: list, tried: list,
-                             stopped_early: bool) -> tuple[list, list]:
-    """``tried``, the actions the rejoin probe applied from ``state``, keep
-    the order of ``legal``.  Every action it left out before it stopped is
-    one of two kinds.  A repeated play builds the position that the nearest
-    earlier tried play with the same target and position builds, and ends
-    the game alike.  A lost attack is the mover's hero attacking an enemy
-    minion whose attack is at least the hero's health, and its child, built
-    on a clone, is the opponent's win.  Returns the plays and the attacks
-    left out.  ``EndTurn`` is left to ``TestEndTurnSkip``."""
+def classify_skipped_actions(state, legal: list, tried: list) -> tuple[list, list]:
+    """``tried``, the actions the rejoin probe keeps to try from ``state``,
+    keep the order of ``legal``.  Every action it leaves out is one of two
+    kinds.  A repeated play builds the position that the nearest earlier
+    tried play with the same target and position builds, and ends the game
+    alike.  A lost attack is the mover's hero attacking an enemy minion
+    whose attack is at least the hero's health, and its child, built on a
+    clone, is the opponent's win.  Returns the plays and the attacks left
+    out.  ``EndTurn`` is left to ``TestEndTurnSkip``."""
     remaining = iter(legal)
     assert all(action in remaining for action in tried)
-    if stopped_early:  # past its last try, the loop may have broken off
-        legal = legal[:legal.index(tried[-1]) + 1]
     skipped = [a for a in legal if a not in tried and a != EndTurn()]
     side = state.active
     plays, attacks = [], []
@@ -837,41 +864,23 @@ class TestDuplicatePlaySkip:
 
     @staticmethod
     def _checking(monkeypatch) -> dict:
-        """From now on, record the actions the probe lists and applies at
-        each position it expands, and check its skipped actions there."""
+        """From now on, record the actions the probe keeps at each position
+        it expands, and check the actions it leaves out there."""
         seen = {"expanded": 0, "skipped": [], "lost": [], "tried": []}
-        frames: list[dict] = []
-        explore = _TurnRejoinProbe._explore
-        listed, applied = solver.legal_actions, solver.apply_in_place
+        moves = _TurnRejoinProbe._moves
 
-        def recorded_explore(probe, state):
-            frame = {"state": state.clone(), "legal": None, "tried": []}
-            frames.append(frame)
-            result = explore(probe, state)
-            frames.pop()
-            if frame["legal"] is not None:
-                seen["expanded"] += 1
-                plays, attacks = classify_skipped_actions(
-                    frame["state"], frame["legal"], frame["tried"], all(result))
-                seen["skipped"] += [(frame["state"], play) for play in plays]
-                seen["lost"] += [(frame["state"], attack) for attack in attacks]
-                seen["tried"] += [(frame["state"], action) for action in frame["tried"]]
-            return result
+        def recorded_moves(probe, state):
+            kept = moves(probe, state)
+            seen["expanded"] += 1
+            tried = kept[::-1]
+            plays, attacks = classify_skipped_actions(state, legal_actions(state), tried)
+            state = state.clone()
+            seen["skipped"] += [(state, play) for play in plays]
+            seen["lost"] += [(state, attack) for attack in attacks]
+            seen["tried"] += [(state, action) for action in tried]
+            return kept
 
-        def recorded_legal_actions(state):
-            actions = listed(state)
-            if frames:
-                frames[-1]["legal"] = list(actions)
-            return actions
-
-        def recorded_apply(state, action, log=None):
-            if frames:
-                frames[-1]["tried"].append(action)
-            applied(state, action, log)
-
-        monkeypatch.setattr(_TurnRejoinProbe, "_explore", recorded_explore)
-        monkeypatch.setattr(solver, "legal_actions", recorded_legal_actions)
-        monkeypatch.setattr(solver, "apply_in_place", recorded_apply)
+        monkeypatch.setattr(_TurnRejoinProbe, "_moves", recorded_moves)
         return seen
 
     def test_on_the_worked_named_probes(self, worked_compiled, monkeypatch) -> None:
